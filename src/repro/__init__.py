@@ -24,8 +24,13 @@ The package is organised in layers, bottom up:
     Executable models of the paper's execution substrates: a sequential
     reference interpreter, the hardware-only speculative execution engine
     (HOSE, Definition 2) and the compiler-assisted engine (CASE,
-    Definition 4) on a cycle-approximate multiprocessor with per-processor
-    speculative storage and a latency-modelled memory hierarchy.
+    Definition 4) with per-segment speculative storage over a flat
+    conventional memory.
+
+``repro.timing``
+    The one timing model: a cost model prices the engines' operation
+    streams and a P-processor schedule turns them into makespans and
+    speedups.
 
 ``repro.compiler``
     The end-to-end "Multiplex compiler" analogue: parse, analyse,

@@ -211,7 +211,6 @@ def run_trace(
         program,
         op_budget=op_budget,
         use_replay=False,
-        model_latency=False,
         observer=oracle,
     )
     return oracle
@@ -316,9 +315,7 @@ def replay_check(
     max_mismatches: int = 10,
 ) -> ReplayReport:
     """Squash-replay every region instance and diff observable memory."""
-    clean = run_program(
-        program, op_budget=op_budget, use_replay=False, model_latency=False
-    )
+    clean = run_program(program, op_budget=op_budget, use_replay=False)
 
     report = ReplayReport(ok=True)
     for labeling in labelings.values():

@@ -41,7 +41,6 @@ from repro.analysis.dependence.subscript_tests import (
     AliasRelation,
     RelationSet,
     explicit_pair_may_alias,
-    relation_of_reference_pair,
 )
 from repro.analysis.readonly import read_only_variables
 from repro.ir.reference import MemoryReference
@@ -176,16 +175,15 @@ class DirectionMode(enum.Enum):
 class DependenceAnalyzer:
     """Configurable reference-by-reference dependence analyser.
 
-    ``fast_path`` enables the signature-bucketed relation memoization of
-    :mod:`repro.analysis.dependence.signature` (identical results, far
-    fewer subscript tests); disable it to run the original pair-by-pair
-    tests, e.g. for baseline measurements.  ``cache`` memoizes whole
-    dependence graphs (and signature indexes) across analysis passes.
+    At ``ELEMENT`` granularity, loop-region relations come from the
+    signature-bucketed memoization of
+    :mod:`repro.analysis.dependence.signature` (one subscript test per
+    signature pair).  ``cache`` memoizes whole dependence graphs (and
+    signature indexes) across analysis passes.
     """
 
     granularity: DependenceGranularity = DependenceGranularity.ELEMENT
     direction: DirectionMode = DirectionMode.EXECUTION
-    fast_path: bool = True
     cache: Optional[AnalysisCache] = None
 
     # ------------------------------------------------------------------
@@ -264,7 +262,7 @@ class DependenceAnalyzer:
             by_var.setdefault(ref.variable, []).append(ref)
 
         index: Optional[SignatureIndex] = None
-        if self.fast_path and self.granularity is DependenceGranularity.ELEMENT:
+        if self.granularity is DependenceGranularity.ELEMENT:
             index = self._signature_index(region, read_only)
 
         # Names whose values cannot change between two instances within
@@ -289,9 +287,7 @@ class DependenceAnalyzer:
                     if groups is not None:
                         relations = index.relations_of_groups(groups[i], groups[j])
                     else:
-                        relations = self._loop_relations(
-                            ref_a, ref_b, region, read_only
-                        )
+                        relations = ALL_RELATIONS
                     if not relations:
                         continue
                     self._emit_loop_dependences(
@@ -304,17 +300,6 @@ class DependenceAnalyzer:
                         invariant,
                         memo,
                     )
-
-    def _loop_relations(
-        self,
-        ref_a: MemoryReference,
-        ref_b: MemoryReference,
-        region: LoopRegion,
-        read_only: Set[str],
-    ) -> RelationSet:
-        if self.granularity is DependenceGranularity.VARIABLE:
-            return ALL_RELATIONS
-        return relation_of_reference_pair(ref_a, ref_b, region, read_only)
 
     def _emit_loop_dependences(
         self,
@@ -455,14 +440,12 @@ def analyze_dependences(
     read_only: Optional[Set[str]] = None,
     granularity: DependenceGranularity = DependenceGranularity.ELEMENT,
     direction: DirectionMode = DirectionMode.EXECUTION,
-    fast_path: bool = True,
     cache: Optional[AnalysisCache] = None,
 ) -> DependenceGraph:
     """Convenience wrapper around :class:`DependenceAnalyzer`."""
     analyzer = DependenceAnalyzer(
         granularity=granularity,
         direction=direction,
-        fast_path=fast_path,
         cache=cache,
     )
     return analyzer.analyze(

@@ -3,7 +3,7 @@
 * :mod:`repro.bench.workloads` -- parameterized synthetic loop-nest
   families (stencil, reduction, sparse-indirection, guarded-update).
 * :mod:`repro.bench.harness` -- throughput measurement: analysis
-  references/s and simulation memory-ops/s, fast path vs baseline.
+  references/s and simulation memory-ops/s.
 * :mod:`repro.bench.engines` -- the HOSE vs CASE speculative-storage
   scenario: pressure metrics across buffer capacities, each run checked
   bit-for-bit against the sequential interpreter.
@@ -29,7 +29,7 @@ from repro.bench.speedup import (
     measure_speedup_family,
     measure_speedups,
 )
-from repro.bench.harness import FamilyResult, Measurement, geometric_mean, measure_family
+from repro.bench.harness import FamilyResult, Measurement, measure_family
 from repro.bench.workloads import (
     DEFAULT_SIZES,
     DEFAULT_STATEMENTS,
@@ -53,7 +53,6 @@ __all__ = [
     "check_embarrassing_speedup",
     "generate",
     "generate_suite",
-    "geometric_mean",
     "measure_engine_family",
     "measure_engines",
     "measure_family",

@@ -6,7 +6,7 @@ run, ``--list-scenarios`` enumerates them):
 ``families``
     Analyze-throughput (references classified per second) and
     simulate-throughput (memory operations per second) for every
-    workload family, fast path vs baseline path.
+    workload family.
 
 ``engines``
     HOSE vs CASE speculative-storage pressure across buffer capacities,
@@ -48,10 +48,6 @@ Common invocations::
     python -m repro.bench --smoke         # tiny sizes, CI-friendly
     python -m repro.bench --scenarios speedup   # one scenario only
     python -m repro.bench --list-scenarios
-    python -m repro.bench --no-fast-path  # baseline path only (e.g. to
-                                          # benchmark a tree without the
-                                          # fast path, same harness)
-    python -m repro.bench --fast-only     # skip the baseline re-measure
     python -m repro.bench --no-engines    # skip the HOSE/CASE scenario
     python -m repro.bench --verify-engines  # equivalence check only:
                                           # HOSE/CASE final state vs
@@ -82,7 +78,7 @@ import json
 import platform
 import sys
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from repro._version import __version__
 from repro.obs.export import ChromeTraceBuilder
@@ -114,7 +110,7 @@ from repro.bench.engines import (
     measure_engines,
     verify_engines,
 )
-from repro.bench.harness import FamilyResult, geometric_mean, measure_family
+from repro.bench.harness import measure_family
 from repro.bench.precision import (
     PRECISION_FUZZ,
     PRECISION_SEED,
@@ -160,8 +156,7 @@ LOG = get_logger("bench")
 
 #: Scenario registry: name -> one-line description (--list-scenarios).
 SCENARIOS: Dict[str, str] = {
-    "families": "analyze/simulate throughput per workload family, "
-    "fast path vs baseline",
+    "families": "analyze/simulate throughput per workload family",
     "engines": "HOSE vs CASE speculative-storage pressure across "
     "buffer capacities",
     "speedup": "multiprocessor timing model: HOSE/CASE makespans and "
@@ -215,16 +210,6 @@ def _parse_args(argv):
         "--list-scenarios",
         action="store_true",
         help="list the available scenarios and exit",
-    )
-    parser.add_argument(
-        "--no-fast-path",
-        action="store_true",
-        help="measure only the baseline (seed) code path",
-    )
-    parser.add_argument(
-        "--fast-only",
-        action="store_true",
-        help="measure only the fast path (skip the baseline re-measure)",
     )
     parser.add_argument(
         "--no-engines",
@@ -377,9 +362,6 @@ def main(argv=None) -> int:
         for name in sorted(SCENARIOS):
             print(f"{name:<10} {SCENARIOS[name]}")
         return 0
-    if args.no_fast_path and args.fast_only:
-        LOG.error("--no-fast-path and --fast-only are mutually exclusive")
-        return 2
     selected = set(args.scenarios) if args.scenarios else set(SCENARIOS)
     if args.no_engines:
         selected.discard("engines")
@@ -464,12 +446,6 @@ def main(argv=None) -> int:
     statements = SMOKE_STATEMENTS if args.smoke else args.statements
     min_seconds = 0.02 if args.smoke else args.min_seconds
 
-    modes = []
-    if not args.no_fast_path:
-        modes.append(("fast", True))
-    if not args.fast_only:
-        modes.append(("baseline", False))
-
     families: Dict[str, Dict] = {}
     t_start = time.perf_counter()
     if "families" in selected:
@@ -478,39 +454,13 @@ def main(argv=None) -> int:
         )
         with TRACER.span("bench.scenario", category="bench", scenario="families"):
             for workload in suite:
-                entry: Dict = {}
-                measured: Dict[str, FamilyResult] = {}
-                for mode_name, fast in modes:
-                    LOG.info(
-                        f"{workload.family:<10} {mode_name:<8} "
-                        f"(size={workload.size}, "
-                        f"statements={workload.statements}) ..."
-                    )
-                    result = measure_family(
-                        workload, fast_path=fast, min_seconds=min_seconds
-                    )
-                    measured[mode_name] = result
-                    entry[mode_name] = result.as_dict()
-                if "fast" in measured and "baseline" in measured:
-                    fast_r, base_r = measured["fast"], measured["baseline"]
-                    entry["speedup"] = {
-                        "analyze": round(
-                            fast_r.analyze.per_second
-                            / max(base_r.analyze.per_second, 1e-9),
-                            2,
-                        ),
-                        "analyze_warm": round(
-                            fast_r.analyze_warm.per_second
-                            / max(base_r.analyze_warm.per_second, 1e-9),
-                            2,
-                        ),
-                        "simulate": round(
-                            fast_r.simulate.per_second
-                            / max(base_r.simulate.per_second, 1e-9),
-                            2,
-                        ),
-                    }
-                families[workload.family] = entry
+                LOG.info(
+                    f"{workload.family:<10} (size={workload.size}, "
+                    f"statements={workload.statements}) ..."
+                )
+                families[workload.family] = measure_family(
+                    workload, min_seconds=min_seconds
+                ).as_dict()
 
     engines_section = None
     if "engines" in selected:
@@ -725,7 +675,6 @@ def main(argv=None) -> int:
             "statements": statements,
             "smoke": args.smoke,
             "scenarios": sorted(selected),
-            "modes": [name for name, _ in modes],
             "wall_seconds": round(time.perf_counter() - t_start, 2),
         },
         "families": families,
@@ -740,21 +689,6 @@ def main(argv=None) -> int:
         report["precision"] = precision_section
     if serve_section is not None:
         report["serve"] = serve_section
-    if all("speedup" in entry for entry in families.values()) and families:
-        report["summary"] = {
-            "analyze_speedup_geomean": round(
-                geometric_mean(
-                    [e["speedup"]["analyze"] for e in families.values()]
-                ),
-                2,
-            ),
-            "simulate_speedup_geomean": round(
-                geometric_mean(
-                    [e["speedup"]["simulate"] for e in families.values()]
-                ),
-                2,
-            ),
-        }
 
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=False)
@@ -781,25 +715,10 @@ def main(argv=None) -> int:
             handle.write("\n")
         LOG.info(f"wrote {args.metrics}")
 
-    for family, entry in families.items():
-        line = f"{family:<10}"
-        for mode_name, _ in modes:
-            r = entry[mode_name]
-            line += (
-                f"  {mode_name}: analyze={r['analyze_refs_per_s']:,.0f} refs/s"
-                f" simulate={r['simulate_ops_per_s']:,.0f} ops/s"
-            )
-        if "speedup" in entry:
-            line += (
-                f"  speedup: analyze={entry['speedup']['analyze']}x"
-                f" simulate={entry['speedup']['simulate']}x"
-            )
-        LOG.info(line)
-    if "summary" in report:
+    for family, r in families.items():
         LOG.info(
-            f"geomean speedup: "
-            f"analyze={report['summary']['analyze_speedup_geomean']}x "
-            f"simulate={report['summary']['simulate_speedup_geomean']}x"
+            f"{family:<10}  analyze={r['analyze_refs_per_s']:,.0f} refs/s"
+            f"  simulate={r['simulate_ops_per_s']:,.0f} ops/s"
         )
     if engines_section is not None:
         mismatches = 0

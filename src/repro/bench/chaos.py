@@ -176,7 +176,7 @@ def measure_chaos(
     }
     unrecovered: List[str] = []
     for name, program in programs.items():
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
         entry: Dict = {"baseline": {}, "faults": {}}
         baseline_cycles: Dict[str, int] = {}
         for engine in engines:

@@ -74,7 +74,7 @@ def measure_engine_family(
     batch: bool = True,
 ) -> Dict:
     """HOSE vs CASE storage pressure for one workload, per capacity."""
-    sequential = run_program(workload.program, model_latency=False)
+    sequential = run_program(workload.program)
     entry: Dict = {
         "family": workload.family,
         "size": workload.size,
@@ -154,7 +154,7 @@ def measure_engine_throughput(
     for family in families:
         family_size = size if size else DEFAULT_SIZES[family]
         workload = generate(family, family_size)
-        sequential = run_program(workload.program, model_latency=False)
+        sequential = run_program(workload.program)
         analysis_cache = AnalysisCache()
         row: Dict = {"size": family_size}
         for label, batch in (("interleaved", False), ("batched", True)):
@@ -242,7 +242,7 @@ def verify_engines(
     failures: List[str] = []
     for family in families:
         workload = generate(family, size, statements)
-        sequential = run_program(workload.program, model_latency=False)
+        sequential = run_program(workload.program)
         analysis_cache = AnalysisCache()
         for engine_cls in (HOSEEngine, CASEEngine):
             for window in windows:

@@ -10,9 +10,9 @@ Two instruments, both per workload family:
   number reports the *warm* cost with a shared cache (cross-pass
   reuse).
 * **simulate** -- repeatedly executes the program through the
-  sequential interpreter and reports *memory operations (reads +
-  writes) per second*.  ``fast_path`` selects trace record-and-replay;
-  the baseline drives the coroutine interpreter for every iteration.
+  sequential interpreter (trace record-and-replay where the region is
+  eligible) and reports *memory operations (reads + writes) per
+  second*.
 
 Repetitions adapt to the workload: each measurement repeats until
 ``min_seconds`` of wall-clock time is accumulated (at least
@@ -64,7 +64,7 @@ class Measurement:
 
 @dataclass
 class FamilyResult:
-    """All numbers of one workload family on one code path."""
+    """All numbers of one workload family."""
 
     family: str
     size: int
@@ -122,19 +122,18 @@ def _timed_best(fn, min_seconds: float, min_repeats: int, max_repeats: int) -> t
 
 def measure_family(
     workload: Workload,
-    fast_path: bool = True,
     min_seconds: float = 0.4,
     min_repeats: int = 2,
     max_repeats: int = 200,
     op_budget: Optional[int] = None,
 ) -> FamilyResult:
-    """Measure one workload family on one code path."""
+    """Measure one workload family."""
     region = workload.region
     refs = len(region.references)
 
     # -- analysis, cold (fresh cache per repetition) --------------------
     def analyze_cold():
-        return label_region(region, fast_path=fast_path, cache=AnalysisCache())
+        return label_region(region, cache=AnalysisCache())
 
     analyze_best, analyze_samples, labeling = _timed_best(
         analyze_cold, min_seconds, min_repeats, max_repeats
@@ -142,32 +141,25 @@ def measure_family(
 
     # -- analysis, warm (shared cache across repetitions) ---------------
     shared_cache = AnalysisCache()
-    label_region(region, fast_path=fast_path, cache=shared_cache)
+    label_region(region, cache=shared_cache)
 
     def analyze_warm():
-        return label_region(region, fast_path=fast_path, cache=shared_cache)
+        return label_region(region, cache=shared_cache)
 
     warm_best, warm_samples, _ = _timed_best(
         analyze_warm, min_seconds / 4, min_repeats, max_repeats
     )
 
     signature_stats: Dict[str, int] = {}
-    if fast_path:
-        index = shared_cache.peek(
-            region, ("signature_index", frozenset(labeling.read_only_vars))
-        )
-        if index is not None:
-            signature_stats = index.stats()
+    index = shared_cache.peek(
+        region, ("signature_index", frozenset(labeling.read_only_vars))
+    )
+    if index is not None:
+        signature_stats = index.stats()
 
     # -- simulation ------------------------------------------------------
     def simulate():
-        interp = SequentialInterpreter(
-            workload.program,
-            use_replay=fast_path,
-            model_latency=False,
-            op_budget=op_budget,
-        )
-        return interp.run()
+        return SequentialInterpreter(workload.program, op_budget=op_budget).run()
 
     simulate_best, simulate_samples, result = _timed_best(
         simulate, min_seconds, min_repeats, max_repeats
@@ -192,14 +184,3 @@ def measure_family(
         idempotent_fraction=labeling.static_fraction_idempotent(),
         signature_stats=signature_stats,
     )
-
-
-def geometric_mean(values: List[float]) -> float:
-    """Geometric mean (0.0 for empty or non-positive input)."""
-    filtered = [v for v in values if v > 0]
-    if not filtered:
-        return 0.0
-    product = 1.0
-    for v in filtered:
-        product *= v
-    return product ** (1.0 / len(filtered))

@@ -121,7 +121,6 @@ def label_region(
     live_out: Optional[Set[str]] = None,
     granularity: DependenceGranularity = DependenceGranularity.ELEMENT,
     direction: DirectionMode = DirectionMode.EXECUTION,
-    fast_path: bool = True,
     cache: Optional[AnalysisCache] = None,
 ) -> LabelingResult:
     """Run the full labeling pipeline (Algorithm 2) on one region.
@@ -132,11 +131,9 @@ def label_region(
     conservative fallback "every written variable is live" when neither
     is available.
 
-    ``fast_path`` toggles the signature-bucketed dependence analysis
-    (identical labels either way); a shared ``cache`` lets repeated
-    labeling passes over the same region reuse the read-only sets,
-    access summaries, dependence graphs and RFW results instead of
-    recomputing them.
+    A shared ``cache`` lets repeated labeling passes over the same
+    region reuse the read-only sets, access summaries, dependence
+    graphs and RFW results instead of recomputing them.
 
     With tracing armed (:data:`repro.obs.tracer.TRACER`) the pipeline
     emits one ``analysis.label_region`` span with a child span per
@@ -145,13 +142,13 @@ def label_region(
     """
     if not TRACER.enabled:
         return _label_region(
-            region, program, live_out, granularity, direction, fast_path, cache, None
+            region, program, live_out, granularity, direction, cache, None
         )
     with TRACER.span(
         "analysis.label_region", category="analysis", region=region.name
     ):
         return _label_region(
-            region, program, live_out, granularity, direction, fast_path, cache, TRACER
+            region, program, live_out, granularity, direction, cache, TRACER
         )
 
 
@@ -161,7 +158,6 @@ def _label_region(
     live_out: Optional[Set[str]],
     granularity: DependenceGranularity,
     direction: DirectionMode,
-    fast_path: bool,
     cache: Optional[AnalysisCache],
     obs: Optional[Tracer],
 ) -> LabelingResult:
@@ -219,7 +215,6 @@ def _label_region(
             read_only=read_only,
             granularity=granularity,
             direction=direction,
-            fast_path=fast_path,
             cache=cache,
         )
     with (
@@ -335,7 +330,6 @@ def label_program(
     program: Program,
     granularity: DependenceGranularity = DependenceGranularity.ELEMENT,
     direction: DirectionMode = DirectionMode.EXECUTION,
-    fast_path: bool = True,
     cache: Optional[AnalysisCache] = None,
 ) -> Dict[str, LabelingResult]:
     """Label every region of ``program``; keyed by region name."""
@@ -345,7 +339,6 @@ def label_program(
             program=program,
             granularity=granularity,
             direction=direction,
-            fast_path=fast_path,
             cache=cache,
         )
         for region in program.regions

@@ -1,8 +1,7 @@
 """Execution substrates.
 
 * :mod:`repro.runtime.memory` -- the non-speculative storage: a flat
-  value store plus a two-level cache latency model (the "conventional
-  memory hierarchy" of the paper).
+  value store (the "conventional memory hierarchy" of the paper).
 * :mod:`repro.runtime.executor` -- a generator-based micro-interpreter
   that turns a segment body into a stream of compute / read / write
   operations tagged with their static memory references.
@@ -40,7 +39,7 @@ from repro.runtime.errors import (
     InvariantViolation,
     SimulationError,
 )
-from repro.runtime.memory import MemoryHierarchy, MemoryImage, MemoryLatencies
+from repro.runtime.memory import MemoryImage
 from repro.runtime.interpreter import (
     SequentialInterpreter,
     SequentialResult,
@@ -73,9 +72,7 @@ __all__ = [
     "FaultInjected",
     "HOSEEngine",
     "InvariantViolation",
-    "MemoryHierarchy",
     "MemoryImage",
-    "MemoryLatencies",
     "SegmentBuffer",
     "SegmentTrace",
     "SequentialInterpreter",

@@ -49,9 +49,8 @@ Batching is opt-in (``batch=True`` on the engines; ``repro.bench``
 enables it by default with a ``--no-batch`` escape) and silently falls
 back to the op-interleaved scheduler for regions the trace cannot
 capture (input-dependent control flow, oversized traces, non-integral
-or out-of-bounds affine templates), whenever an op budget or a latency
-model is in force, and for explicit regions (control speculation stays
-op-interleaved).
+or out-of-bounds affine templates), whenever an op budget is in force,
+and for explicit regions (control speculation stays op-interleaved).
 """
 
 from __future__ import annotations
@@ -83,7 +82,7 @@ from repro.runtime.errors import (
     FaultInjected,
     SimulationError,
 )
-from repro.runtime.executor import ComputeOp, ReadOp, WriteOp
+from repro.runtime.executor import ComputeOp, ReadOp
 from repro.runtime.memory import MemoryImage
 from repro.runtime.stats import ExecutionStats
 from repro.runtime.trace import (

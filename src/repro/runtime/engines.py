@@ -83,12 +83,7 @@ from repro.runtime.executor import (
     segment_coroutine,
 )
 from repro.runtime.interpreter import MAX_EXPLICIT_STEPS, SequentialInterpreter
-from repro.runtime.memory import (
-    Address,
-    MemoryHierarchy,
-    MemoryImage,
-    MemoryLatencies,
-)
+from repro.runtime.memory import Address, MemoryImage
 from repro.runtime.specstore import (
     SegmentBuffer,
     SpeculativeStore,
@@ -248,8 +243,6 @@ class SpeculativeEngine:
         window: int = 4,
         capacity: Optional[int] = 64,
         op_budget: Optional[int] = None,
-        model_latency: bool = False,
-        latencies: Optional[MemoryLatencies] = None,
         recorder=None,
         store: Optional[SpeculativeStore] = None,
         injector=None,
@@ -292,11 +285,6 @@ class SpeculativeEngine:
         self._rounds_since_commit = 0
         self._committed_age = 0
         self._region_name: Optional[str] = None
-        self.hierarchy: Optional[MemoryHierarchy] = (
-            MemoryHierarchy(latencies=latencies, processors=self.window)
-            if model_latency
-            else None
-        )
         #: Optional :class:`repro.timing.events.TimingRecorder`; when
         #: attached, every lifecycle event and operation is emitted as a
         #: timing event (and compute costs use the recorder's cost
@@ -421,7 +409,7 @@ class SpeculativeEngine:
         if registry.collecting:
             obs_metrics.ingest_degradation(report, registry=registry)
         sequential = SequentialInterpreter(
-            self.program, op_budget=self.op_budget, model_latency=False
+            self.program, op_budget=self.op_budget
         ).run()
         result = SpeculativeResult(
             program=self.program.name,
@@ -507,9 +495,6 @@ class SpeculativeEngine:
         stats: ExecutionStats,
     ) -> None:
         """Run a coroutine straight against conventional memory."""
-        access_latency = (
-            self.hierarchy.access_latency if self.hierarchy is not None else None
-        )
         recorder = self._recorder
         try:
             op = coroutine.send(None)
@@ -521,10 +506,6 @@ class SpeculativeEngine:
                     stats.reads += 1
                     if op.ref is not None:
                         stats.count_reference(op.ref.uid)
-                    if access_latency is not None:
-                        latency = access_latency(address)
-                        stats.cycles += latency
-                        stats.memory_latency_cycles += latency
                     if recorder is not None:
                         recorder.direct_op("read", 0)
                     op = coroutine.send(value)
@@ -534,10 +515,6 @@ class SpeculativeEngine:
                     stats.writes += 1
                     if op.ref is not None:
                         stats.count_reference(op.ref.uid)
-                    if access_latency is not None:
-                        latency = access_latency(address)
-                        stats.cycles += latency
-                        stats.memory_latency_cycles += latency
                     if recorder is not None:
                         recorder.direct_op("write", 0)
                     op = coroutine.send(None)
@@ -718,23 +695,12 @@ class SpeculativeEngine:
         The single choke point for per-op cycle accounting -- and, when
         a timing recorder is attached, for timing event emission (the
         recorder prices the op with its own cost model; ``cycles`` here
-        are engine cycles: compute costs, plus hierarchy latency when
-        ``model_latency`` is on).
+        are executor compute cycles, 0 for memory accesses).
         """
         task.cycles += cycles
         stats.cycles += cycles
-        if kind != "compute":
-            stats.memory_latency_cycles += cycles
         if self._recorder is not None:
             self._recorder.op(task.age, kind, cycles, route)
-
-    def _access_latency(self, task: _SegmentTask, address: Address) -> int:
-        """Hierarchy latency of one access (0 without a latency model)."""
-        if self.hierarchy is None:
-            return 0
-        return self.hierarchy.access_latency(
-            address, processor=task.age % self.window
-        )
 
     def _step(
         self,
@@ -803,13 +769,7 @@ class SpeculativeEngine:
             stats.reads += 1
             if ref is not None:
                 stats.count_reference(ref.uid)
-            self._charge(
-                task,
-                stats,
-                self._access_latency(task, address),
-                "read",
-                route=served,
-            )
+            self._charge(task, stats, 0, "read", route=served)
             task.pending_value = value
             task.current_op = None
             return
@@ -836,13 +796,7 @@ class SpeculativeEngine:
         stats.writes += 1
         if ref is not None:
             stats.count_reference(ref.uid)
-        self._charge(
-            task,
-            stats,
-            self._access_latency(task, address),
-            "write",
-            route=served,
-        )
+        self._charge(task, stats, 0, "write", route=served)
         task.pending_value = None
         task.current_op = None
 
@@ -959,11 +913,7 @@ class SpeculativeEngine:
         if step == 0:
             raise SimulationError(f"region {region.name!r} has zero step")
 
-        if (
-            self.batch
-            and self.op_budget is None
-            and self.hierarchy is None
-        ):
+        if self.batch and self.op_budget is None:
             from repro.runtime.batch import try_run_batched
 
             if try_run_batched(self, region, memory, stats, lower, upper, step):

@@ -16,8 +16,7 @@ Two execution paths produce identical operation streams:
   body schedule is recorded on entry to the region and replayed for
   every iteration, bypassing AST re-interpretation.
 
-``use_replay=False`` (the benchmark harness's ``--no-fast-path``)
-forces the interpreter path everywhere.
+``use_replay=False`` forces the interpreter path everywhere.
 """
 
 from __future__ import annotations
@@ -47,7 +46,7 @@ from repro.runtime.executor import (
     evaluate_expression,
     segment_coroutine,
 )
-from repro.runtime.memory import MemoryHierarchy, MemoryImage, MemoryLatencies
+from repro.runtime.memory import MemoryImage
 from repro.runtime.stats import ExecutionStats
 from repro.runtime.trace import (
     SegmentTrace,
@@ -115,10 +114,8 @@ class SequentialInterpreter:
     def __init__(
         self,
         program: Program,
-        latencies: Optional[MemoryLatencies] = None,
         op_budget: Optional[int] = None,
         use_replay: bool = True,
-        model_latency: bool = True,
         op_hook: Optional[Callable[[str, int], None]] = None,
         compute_cost: Optional[Callable] = None,
         observer: Optional[ExecutionObserver] = None,
@@ -126,7 +123,6 @@ class SequentialInterpreter:
         self.program = program
         self.op_budget = op_budget
         self.use_replay = use_replay
-        self.model_latency = model_latency
         #: Optional observer called once per operation as
         #: ``op_hook(kind, cycles)`` with kind "read" / "write" /
         #: "compute" -- how the timing model prices a sequential run.
@@ -141,7 +137,6 @@ class SequentialInterpreter:
         self.observer = observer
         if compute_cost is not None:
             self.use_replay = False
-        self.hierarchy = MemoryHierarchy(latencies=latencies)
         self._traces: Dict[str, Optional[SegmentTrace]] = {}
 
     # ------------------------------------------------------------------
@@ -177,8 +172,6 @@ class SequentialInterpreter:
         """Pump one segment coroutine against the shared memory image."""
         # This loop runs once per simulated operation; locals for every
         # attribute that would otherwise be re-looked-up per op.
-        hierarchy = self.hierarchy
-        access_latency = hierarchy.access_latency if self.model_latency else None
         # Address translation goes straight to the symbol-table cache
         # (SymbolError is re-wrapped below to keep the AddressError
         # contract of MemoryImage.address_of).
@@ -190,7 +183,7 @@ class SequentialInterpreter:
         send = coroutine.send
         op_hook = self.op_hook
         observer = self.observer
-        reads = writes = cycles = mem_cycles = 0
+        reads = writes = cycles = 0
         try:
             op = send(None)
             while True:
@@ -205,8 +198,6 @@ class SequentialInterpreter:
                     if ref is not None:
                         uid = ref.uid
                         ref_counts[uid] = ref_counts.get(uid, 0) + 1
-                    if access_latency is not None:
-                        mem_cycles += access_latency(address)
                     if op_hook is not None:
                         op_hook("read", 0)
                     if observer is not None:
@@ -226,8 +217,6 @@ class SequentialInterpreter:
                     if ref is not None:
                         uid = ref.uid
                         ref_counts[uid] = ref_counts.get(uid, 0) + 1
-                    if access_latency is not None:
-                        mem_cycles += access_latency(address)
                     if op_hook is not None:
                         op_hook("write", 0)
                     op = send(None)
@@ -243,8 +232,7 @@ class SequentialInterpreter:
         finally:
             stats.reads += reads
             stats.writes += writes
-            stats.cycles += cycles + mem_cycles
-            stats.memory_latency_cycles += mem_cycles
+            stats.cycles += cycles
 
     def _run_body(
         self,
@@ -384,7 +372,6 @@ def run_program(
     program: Program,
     op_budget: Optional[int] = None,
     use_replay: bool = True,
-    model_latency: bool = True,
     observer: Optional[ExecutionObserver] = None,
 ) -> SequentialResult:
     """One-shot sequential execution of ``program``."""
@@ -392,6 +379,5 @@ def run_program(
         program,
         op_budget=op_budget,
         use_replay=use_replay,
-        model_latency=model_latency,
         observer=observer,
     ).run()

@@ -1,22 +1,14 @@
-"""Non-speculative storage: value store and cache latency model.
+"""Non-speculative storage: the architectural value store.
 
 The paper's non-speculative storage is "the conventional memory
-hierarchy".  We model it as
-
-* a :class:`MemoryImage` -- the architectural values, addressed by
-  ``(variable name, flattened element offset)``;
-* a :class:`CacheLevel` / :class:`MemoryHierarchy` latency model -- a
-  small per-processor L1, a shared L2, and main memory, with LRU
-  replacement at cache-block granularity.  Only latencies are modelled;
-  the values always come from the single shared :class:`MemoryImage`
-  (the engines take care of *when* a value becomes architecturally
-  visible).
+hierarchy".  We model its values as a :class:`MemoryImage`, addressed
+by ``(variable name, flattened element offset)``; the engines take care
+of *when* a value becomes architecturally visible.  Access costs are
+priced by the timing model (:class:`repro.timing.cost.CostModel`).
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from dataclasses import dataclass, field
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from repro.ir.symbols import Symbol, SymbolError, SymbolTable
@@ -141,102 +133,3 @@ class MemoryImage:
 
 def _both_nan(a: float, b: float) -> bool:
     return a != a and b != b
-
-
-# ----------------------------------------------------------------------
-# Latency model
-# ----------------------------------------------------------------------
-@dataclass
-class CacheLevel:
-    """One cache level with LRU replacement at block granularity."""
-
-    name: str
-    capacity_blocks: int
-    hit_latency: int
-    _blocks: "OrderedDict[Tuple[str, int], None]" = field(default_factory=OrderedDict)
-
-    def lookup(self, block: Tuple[str, int]) -> bool:
-        """True on hit; updates recency and inserts on miss."""
-        hit = block in self._blocks
-        if hit:
-            self._blocks.move_to_end(block)
-        else:
-            self._blocks[block] = None
-            while len(self._blocks) > self.capacity_blocks:
-                self._blocks.popitem(last=False)
-        return hit
-
-    def reset(self) -> None:
-        self._blocks.clear()
-
-
-@dataclass
-class MemoryLatencies:
-    """Latency parameters of the non-speculative hierarchy (in cycles)."""
-
-    l1_hit: int = 2
-    l2_hit: int = 10
-    memory: int = 40
-    block_elements: int = 8
-    l1_blocks: int = 256
-    l2_blocks: int = 2048
-
-
-class MemoryHierarchy:
-    """Latency model: per-processor L1 caches over a shared L2 over memory."""
-
-    def __init__(self, latencies: Optional[MemoryLatencies] = None, processors: int = 1):
-        self.latencies = latencies or MemoryLatencies()
-        self.processors = max(1, int(processors))
-        self._l1 = [
-            CacheLevel(
-                name=f"L1[{p}]",
-                capacity_blocks=self.latencies.l1_blocks,
-                hit_latency=self.latencies.l1_hit,
-            )
-            for p in range(self.processors)
-        ]
-        self._l2 = CacheLevel(
-            name="L2",
-            capacity_blocks=self.latencies.l2_blocks,
-            hit_latency=self.latencies.l2_hit,
-        )
-        self.accesses = 0
-        self.l1_hits = 0
-        self.l2_hits = 0
-
-    # ------------------------------------------------------------------
-    def _block_of(self, address: Address) -> Tuple[str, int]:
-        variable, offset = address
-        return (variable, offset // max(1, self.latencies.block_elements))
-
-    def access_latency(self, address: Address, processor: int = 0) -> int:
-        """Latency of one access by ``processor`` (updates cache state)."""
-        self.accesses += 1
-        block = self._block_of(address)
-        l1 = self._l1[processor % self.processors]
-        if l1.lookup(block):
-            self.l1_hits += 1
-            return self.latencies.l1_hit
-        if self._l2.lookup(block):
-            self.l2_hits += 1
-            return self.latencies.l2_hit
-        return self.latencies.memory
-
-    def reset(self) -> None:
-        """Clear all cache state and counters."""
-        for level in self._l1:
-            level.reset()
-        self._l2.reset()
-        self.accesses = 0
-        self.l1_hits = 0
-        self.l2_hits = 0
-
-    def hit_rates(self) -> Dict[str, float]:
-        """L1/L2 hit rates (diagnostics)."""
-        if self.accesses == 0:
-            return {"l1": 0.0, "l2": 0.0}
-        return {
-            "l1": self.l1_hits / self.accesses,
-            "l2": self.l2_hits / self.accesses,
-        }

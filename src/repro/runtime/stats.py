@@ -10,7 +10,8 @@ from typing import Dict, Tuple
 class ExecutionStats:
     """Counters shared by the sequential interpreter and the speculative engines."""
 
-    #: Total simulated cycles.
+    #: Total executor compute cycles (memory accesses are priced by
+    #: :mod:`repro.timing`, not here).
     cycles: int = 0
     #: Dynamic memory reference counts keyed by static reference uid.
     reference_counts: Dict[str, int] = field(default_factory=dict)
@@ -42,9 +43,6 @@ class ExecutionStats:
     #: -- a raw engine-level pressure metric, reported alongside (but
     #: independent of) the timing model's stall cycles.
     stall_rounds: int = 0
-    #: Share of ``cycles`` that came from modelled memory latency
-    #: (non-zero only when a latency model is attached).
-    memory_latency_cycles: int = 0
     #: Batched-replay counters (``runtime.batch``): whole-segment
     #: attempts executed as one batch, the ops they covered, attempts
     #: resolved through the overflow/validation fallback, post-hoc

@@ -45,6 +45,7 @@ from repro.ir.program import Program
 from repro.obs.metrics import metrics_registry
 from repro.runtime.engines import CASEEngine, HOSEEngine
 from repro.runtime.interpreter import SequentialInterpreter
+from repro.serve.pool import FAILURES_COUNTER
 from repro.serve.protocol import (
     INTERNAL_ERROR,
     INVALID_PARAMS,
@@ -246,15 +247,9 @@ class Dispatcher:
     def _analyze(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """Algorithm-2 labeling summary for every region of the program."""
         program = self.resolve_program(params)
-        fast_path = bool(params.get("fast_path", True))
         regions = []
         for region in program.regions:
-            result = label_region(
-                region,
-                program=program,
-                fast_path=fast_path,
-                cache=self.cache,
-            )
+            result = label_region(region, program=program, cache=self.cache)
             counts = {
                 category.value: count
                 for category, count in result.counts_by_category().items()
@@ -280,12 +275,7 @@ class Dispatcher:
         """Per-reference labels and categories of one region."""
         program = self.resolve_program(params)
         region = self._region_of(program, params)
-        result = label_region(
-            region,
-            program=program,
-            fast_path=bool(params.get("fast_path", True)),
-            cache=self.cache,
-        )
+        result = label_region(region, program=program, cache=self.cache)
         labels = {}
         for ref in region.references:
             labels[ref.uid] = {
@@ -416,12 +406,13 @@ class Dispatcher:
     # diagnostics
     # ------------------------------------------------------------------
     def _metrics(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Daemon-level counters: cache, interner, uptime, version."""
+        """Daemon-level counters: cache, interner, worker failures, uptime."""
         return {
             "version": __version__,
             "uptime_seconds": round(time.time() - self.started, 3),
             "cache": self.cache.stats(),
             "interned_programs": self.interned_programs(),
+            "worker_failures": self._registry.counter(FAILURES_COUNTER).value,
             "methods": list(self.methods),
         }
 

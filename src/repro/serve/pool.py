@@ -7,13 +7,27 @@ blocks another session's ``analyze``.  Admission is bounded: once
 raises :class:`PoolSaturated` and the session answers with the
 ``OVERLOADED`` (-32029) error instead of buffering unboundedly -- the
 JSON-RPC analogue of HTTP 429.
+
+A job's slot is released before its ``then`` continuation runs, so a
+client that has read a response can rely on that request no longer
+counting against the bound.  A job that raises is logged and counted
+(``serve.worker_failures``); the worker thread carries on.
 """
 
 from __future__ import annotations
 
 import queue
 import threading
-from typing import Callable, List
+import traceback
+from typing import Any, Callable, List, Optional, Tuple
+
+from repro.obs.log import get_logger
+from repro.obs.metrics import metrics_registry
+
+LOG = get_logger("serve")
+
+#: Counter of jobs (or continuations) that raised.
+FAILURES_COUNTER = "serve.worker_failures"
 
 #: Queue sentinel that tells a worker to exit.
 _STOP = object()
@@ -30,10 +44,10 @@ class PoolSaturated(Exception):
 class WorkerPool:
     """``workers`` daemon threads draining a bounded job queue.
 
-    Jobs are zero-argument callables that own their whole lifecycle
-    (dispatch + response write + error handling); a job that raises
-    is swallowed after accounting so one bad request never kills a
-    worker.
+    Jobs are zero-argument callables; an optional ``then`` receives the
+    job's result once its slot is free (the session writes the
+    response there).  A job that raises is logged and counted so one
+    bad request never kills a worker.
     """
 
     def __init__(self, workers: int = 4, max_inflight: int = 8):
@@ -65,7 +79,11 @@ class WorkerPool:
     def workers(self) -> int:
         return len(self._threads)
 
-    def submit(self, job: Callable[[], None]) -> None:
+    def submit(
+        self,
+        job: Callable[[], Any],
+        then: Optional[Callable[[Any], None]] = None,
+    ) -> None:
         """Enqueue ``job``; raise :class:`PoolSaturated` over the bound."""
         with self._lock:
             if self._closed:
@@ -73,7 +91,7 @@ class WorkerPool:
             if self._inflight >= self.max_inflight:
                 raise PoolSaturated(self.max_inflight)
             self._inflight += 1
-        self._queue.put(job)
+        self._queue.put((job, then))
 
     def close(self, wait: bool = True) -> None:
         """Stop accepting jobs; with ``wait`` drain and join the workers."""
@@ -90,15 +108,29 @@ class WorkerPool:
     # ------------------------------------------------------------------
     def _worker(self) -> None:
         while True:
-            job = self._queue.get()
-            if job is _STOP:
+            item = self._queue.get()
+            if item is _STOP:
                 return
+            job, then = item
             try:
-                job()
-            except Exception:  # noqa: BLE001 -- jobs own their errors;
-                # a late write to a disconnected client must not kill
-                # the worker thread.
-                pass
+                ok, result = _call(job)
             finally:
                 with self._lock:
                     self._inflight -= 1
+            if ok and then is not None:
+                _call(then, result)
+
+
+def _call(fn: Callable[..., Any], *args: Any) -> Tuple[bool, Any]:
+    """``(True, fn(*args))``, or ``(False, None)`` after logging a raise."""
+    try:
+        return True, fn(*args)
+    except Exception as exc:  # noqa: BLE001 -- the worker must survive
+        metrics_registry().counter(FAILURES_COUNTER).inc()
+        LOG.error(
+            "worker job failed",
+            thread=threading.current_thread().name,
+            error=f"{type(exc).__name__}: {exc}",
+            traceback=traceback.format_exc(),
+        )
+        return False, None

@@ -27,7 +27,6 @@ from repro.serve.protocol import (
     OVERLOADED,
     PARSE_ERROR,
     ProtocolError,
-    Request,
     encode_line,
     error_response,
     ok_response,
@@ -96,7 +95,10 @@ class Session:
                     self.on_shutdown()
                 break
             try:
-                self.pool.submit(lambda req=request: self._respond(req))
+                self.pool.submit(
+                    lambda req=request: self.dispatcher.dispatch(req),
+                    then=None if request.notification else self._write,
+                )
             except PoolSaturated as exc:
                 if not request.notification:
                     self._write(
@@ -111,11 +113,6 @@ class Session:
         LOG.debug("session closed", session=self.name)
 
     # ------------------------------------------------------------------
-    def _respond(self, request: Request) -> None:
-        response = self.dispatcher.dispatch(request)
-        if not request.notification:
-            self._write(response)
-
     def _write(self, payload) -> None:
         data = encode_line(payload)
         try:
@@ -206,6 +203,12 @@ class TCPServer:
             return
         self.stopped.set()
         if self._listener is not None:
+            # close() alone does not wake a thread blocked in accept();
+            # shutting the listener down does.
+            try:
+                self._listener.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
             try:
                 self._listener.close()
             except OSError:

@@ -179,7 +179,6 @@ def sequential_baseline(
     result = SequentialInterpreter(
         program,
         use_replay=False,
-        model_latency=False,
         op_hook=summer,
         compute_cost=cost.compute_cost_fn(),
     ).run()

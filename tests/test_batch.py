@@ -28,7 +28,7 @@ ENGINES = (HOSEEngine, CASEEngine)
 def run_batched(program, engine_cls, sequential=None, **kwargs):
     """Run with batching on, assert bit-identity, return the result."""
     if sequential is None:
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
     result = engine_cls(program, batch=True, **kwargs).run()
     assert not result.degraded, (
         f"{engine_cls.engine_name} degraded ({kwargs}): "
@@ -103,7 +103,7 @@ class TestBatchFallback:
         # must stay on the interleaved path (budget high enough that
         # nothing trips; batching alone is what is under test).
         program = generate("reduction", SIZE, STATEMENTS).program
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
         result = CASEEngine(
             program, window=4, capacity=64, batch=True, op_budget=100_000
         ).run()
@@ -123,7 +123,7 @@ class TestBatchedChaos:
     @pytest.mark.parametrize("engine", ["hose", "case"])
     def test_recovers_bit_identically_under_faults(self, kind, engine):
         program = generate("sparse", 8, STATEMENTS).program
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
         result = run_resilient(
             program,
             engine=engine,

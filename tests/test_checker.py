@@ -502,7 +502,7 @@ class TestGenerator:
         from repro.runtime.interpreter import run_program
 
         for _index, program in corpus(5, seed=1234):
-            run_program(program, use_replay=False, model_latency=False)
+            run_program(program, use_replay=False)
 
     def test_generated_programs_pass_the_checker(self):
         for index in range(3):

@@ -1,13 +1,17 @@
-"""Dependence analyzer tests: granularity modes, fast path, caching."""
+"""Dependence analyzer tests: granularity modes, signature relations, caching."""
 
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.dependence import (
     DependenceGranularity,
+    SignatureIndex,
     analyze_dependences,
+    relation_of_reference_pair,
 )
+from repro.analysis.readonly import read_only_variables
 from repro.bench.workloads import FAMILIES, generate
 from repro.idempotency.labeling import label_region
 from repro.ir.dsl import parse_program
+from repro.ir.types import AccessType
 
 
 def dep_set(graph):
@@ -54,22 +58,30 @@ class TestGranularity:
         assert "b" not in cross_vars
 
 
-class TestFastPathEquivalence:
-    def test_identical_graphs_on_all_bench_families(self):
+class TestSignatureRelations:
+    def test_relations_match_pairwise_test_on_all_bench_families(self):
+        # The signature index is the only relation source the analyzer
+        # uses at ELEMENT granularity; the per-pair subscript test is
+        # its reference.
         for family in FAMILIES:
             region = generate(family, 24, 6).region
-            slow = analyze_dependences(region, fast_path=False)
-            fast = analyze_dependences(region, fast_path=True)
-            assert dep_set(slow) == dep_set(fast), family
-
-    def test_identical_labels_on_all_bench_families(self):
-        for family in FAMILIES:
-            region = generate(family, 24, 6).region
-            slow = label_region(region, fast_path=False)
-            fast = label_region(region, fast_path=True, cache=AnalysisCache())
-            assert slow.labels == fast.labels, family
-            assert slow.categories == fast.categories, family
-            assert slow.fully_independent == fast.fully_independent, family
+            read_only = read_only_variables(region)
+            index = SignatureIndex(
+                region=region, invariant_symbols=frozenset(read_only)
+            )
+            refs = region.references
+            pairs = 0
+            for a in refs:
+                for b in refs:
+                    if a.variable != b.variable or (
+                        a.access is AccessType.READ and b.access is AccessType.READ
+                    ):
+                        continue
+                    pairs += 1
+                    assert index.relations_of(a, b) == relation_of_reference_pair(
+                        a, b, region, read_only
+                    ), (family, a.uid, b.uid)
+            assert pairs > 0, family
 
 
 class TestAnalysisCache:

@@ -23,7 +23,7 @@ from repro.runtime.interpreter import run_program
 
 def assert_equivalent(program, engine_cls, sequential=None, **kwargs):
     if sequential is None:
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
     result = engine_cls(program, **kwargs).run()
     # A degraded run re-executed sequentially, which would hide any
     # engine bug behind trivially-matching memory.
@@ -47,7 +47,7 @@ class TestEquivalenceOnBenchFamilies:
     @pytest.mark.parametrize("engine_cls", [HOSEEngine, CASEEngine])
     def test_final_state_bit_identical(self, family, engine_cls):
         workload = generate(family, 14, 3)
-        sequential = run_program(workload.program, model_latency=False)
+        sequential = run_program(workload.program)
         for window in (1, 3):
             for capacity in (4, 64, None):
                 assert_equivalent(
@@ -179,7 +179,7 @@ end program
         case = CASEEngine(
             workload.program, labeling=labeling, window=3, capacity=None
         ).run()
-        sequential = run_program(workload.program, model_latency=False)
+        sequential = run_program(workload.program)
         assert sequential.memory.differences(case.memory, tolerance=0.0) == {}
         assert case.labeling[workload.region.name] is (
             labeling[workload.region.name]
@@ -276,14 +276,6 @@ class TestPlumbing:
         workload = generate("reduction", 12, 2)
         with pytest.raises(SimulationError):
             HOSEEngine(workload.program, window=2, op_budget=3).run()
-
-    def test_latency_model_accumulates_cycles(self):
-        workload = generate("reduction", 10, 2)
-        plain = HOSEEngine(workload.program, window=2).run()
-        modelled = HOSEEngine(
-            workload.program, window=2, model_latency=True
-        ).run()
-        assert modelled.stats.cycles > plain.stats.cycles
 
     def test_init_and_finale_run_non_speculatively(self):
         src = """

@@ -279,8 +279,8 @@ class TestMetrics:
         registry = metrics_registry()
         registry.enable()
         cache = AnalysisCache()
-        label_region(region, fast_path=True, cache=cache)
-        label_region(region, fast_path=True, cache=cache)
+        label_region(region, cache=cache)
+        label_region(region, cache=cache)
         snapshot = registry.snapshot()
         assert snapshot["counters"]["analysis.cache.hits"] == cache.hits
         assert snapshot["counters"]["analysis.cache.misses"] == cache.misses
@@ -488,7 +488,7 @@ class TestBenchDispersion:
 
     def test_family_result_carries_dispersion(self):
         workload = generate("reduction", size=6, statements=2)
-        result = measure_family(workload, fast_path=True, min_seconds=0.01)
+        result = measure_family(workload, min_seconds=0.01)
         payload = result.as_dict()
         for key in ("analyze_stats", "analyze_warm_stats", "simulate_stats"):
             assert set(payload[key]) == {"p50", "p95", "stddev"}
@@ -525,7 +525,7 @@ class TestEngineInstrumentation:
         traced_run = CASEEngine(workload.program, window=4, capacity=8).run()
         diffs = baseline.memory.differences(traced_run.memory, tolerance=0.0)
         assert diffs == {}
-        sequential = run_program(workload.program, model_latency=False)
+        sequential = run_program(workload.program)
         assert sequential.memory.differences(traced_run.memory, tolerance=0.0) == {}
 
     def test_labeling_spans_cover_phases(self):
@@ -533,7 +533,7 @@ class TestEngineInstrumentation:
 
         workload = generate("guarded", size=6, statements=2)
         obs.enable()
-        label_region(workload.program.regions[0], fast_path=True)
+        label_region(workload.program.regions[0])
         names = [s.name for s in TRACER.finished_spans()]
         assert "analysis.label_region" in names
         for phase in ("access", "liveness", "dependence", "rfw", "labeling"):

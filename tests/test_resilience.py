@@ -172,7 +172,7 @@ class TestFaultFree:
     @pytest.mark.parametrize("engine", ["hose", "case"])
     def test_audited_run_is_bit_identical(self, engine):
         program = make_program()
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
         auditor = InvariantAuditor()
         cls = {"hose": HOSEEngine, "case": CASEEngine}[engine]
         result = cls(program, window=4, capacity=8, auditor=auditor).run()
@@ -200,7 +200,7 @@ class TestRecoveryMatrix:
     @pytest.mark.parametrize("engine", ["hose", "case"])
     def test_uniform_plan_recovers_bit_identically(self, family, engine):
         program = make_program(family)
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
         assert_recovered(
             program,
             sequential,
@@ -220,7 +220,7 @@ class TestRecoveryMatrix:
         # (recovered in place or degraded; both count, silent
         # divergence does not).
         program = make_program(family, size=5)
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
         assert_recovered(
             program,
             sequential,
@@ -235,7 +235,7 @@ class TestRecoveryMatrix:
     @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_each_kind_recovers_on_both_engines(self, kind):
         program = make_program("sparse")
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
         for engine in ("hose", "case"):
             result = assert_recovered(
                 program,
@@ -251,7 +251,7 @@ class TestRecoveryMatrix:
 
     def test_dup_commit_absorbed_without_degradation(self):
         program = make_program("stencil")
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
         result = assert_recovered(
             program,
             sequential,
@@ -265,7 +265,7 @@ class TestRecoveryMatrix:
         # Stencil segments forward across iterations, so corruptions
         # fire; the poison scrub recovers without degrading.
         program = make_program("stencil", size=8)
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
         result = assert_recovered(
             program,
             sequential,
@@ -279,7 +279,7 @@ class TestRecoveryMatrix:
 
     def test_mispredict_on_explicit_region(self):
         program = chaos_programs(size=6)["explicit"]
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
         result = assert_recovered(
             program,
             sequential,
@@ -305,7 +305,7 @@ class TestDegradation:
 
     def test_drop_commit_degrades_to_correct_result(self):
         program = make_program()
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
         result = assert_recovered(
             program,
             sequential,
@@ -337,7 +337,7 @@ class TestDegradation:
 
     def test_livelock_degrades_with_report(self):
         program = make_program()
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
         result = assert_recovered(
             program,
             sequential,
@@ -352,7 +352,7 @@ class TestDegradation:
 
     def test_persistent_segment_exception_degrades(self):
         program = make_program()
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
         result = assert_recovered(
             program,
             sequential,
@@ -397,7 +397,7 @@ end program
 
     def test_injected_bad_subscript_recovers(self):
         program = make_program()
-        sequential = run_program(program, model_latency=False)
+        sequential = run_program(program)
         result = assert_recovered(
             program,
             sequential,

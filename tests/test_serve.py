@@ -250,6 +250,35 @@ class TestWorkerPool:
         with pytest.raises(RuntimeError):
             pool.submit(lambda: None)
 
+    def test_failing_job_is_counted_and_worker_survives(self):
+        dispatcher = Dispatcher()
+        before = dispatcher.dispatch(rpc(1, "metrics"))["result"]["worker_failures"]
+        pool = WorkerPool(workers=1, max_inflight=4)
+        ran = threading.Event()
+
+        def boom():
+            raise RuntimeError("job failed on purpose")
+
+        try:
+            pool.submit(boom)
+            pool.submit(ran.set)
+            assert ran.wait(timeout=10), "the worker died with the failing job"
+        finally:
+            pool.close()
+        after = dispatcher.dispatch(rpc(2, "metrics"))["result"]["worker_failures"]
+        assert after == before + 1
+
+    def test_slot_is_free_before_continuation_runs(self):
+        # A client that has read its response may send the next request
+        # at once; that request must not bounce off the finished one.
+        pool = WorkerPool(workers=1, max_inflight=1)
+        seen = []
+        try:
+            pool.submit(lambda: "response", then=lambda r: seen.append((r, pool.inflight)))
+        finally:
+            pool.close()
+        assert seen == [("response", 0)]
+
 
 # ----------------------------------------------------------------------
 # TCP transport
@@ -399,6 +428,13 @@ class TestTCPServer:
         finally:
             client.close()
         assert server.stopped.wait(timeout=10)
+
+    def test_idle_shutdown_is_prompt(self, server):
+        # close() alone leaves the accept thread blocked until the join
+        # times out.
+        started = time.perf_counter()
+        server.shutdown()
+        assert time.perf_counter() - started < 1.0
 
 
 # ----------------------------------------------------------------------

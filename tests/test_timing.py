@@ -35,7 +35,7 @@ def run_with_timing(program, engine, processors, **kwargs):
     result, makespan = speculative_makespan(
         program, engine=engine, processors=processors, cost=COST, **kwargs
     )
-    sequential = run_program(program, model_latency=False)
+    sequential = run_program(program)
     diffs = sequential.memory.differences(result.memory, tolerance=0.0)
     assert diffs == {}, f"{engine} with recorder diverged: {sorted(diffs)[:5]}"
     return result, makespan
@@ -221,20 +221,6 @@ class TestOverflowStallTiming:
         assert hose.stall_cycles > 0
         assert case.makespan < hose.makespan
         assert case.speedup > 2.0 > hose.speedup
-
-    def test_memory_latency_cycles_consistent_across_executors(self):
-        # Both the interpreter and the engines split modelled memory
-        # latency out of total cycles; without a latency model both
-        # report zero.
-        workload = generate("reduction", 10, 2)
-        seq = run_program(workload.program)  # model_latency=True default
-        assert 0 < seq.stats.memory_latency_cycles <= seq.stats.cycles
-        plain = run_program(workload.program, model_latency=False)
-        assert plain.stats.memory_latency_cycles == 0
-        engine = HOSEEngine(
-            workload.program, window=2, model_latency=True
-        ).run()
-        assert 0 < engine.stats.memory_latency_cycles <= engine.stats.cycles
 
     def test_stall_rounds_counter_only_on_overflow(self):
         workload = generate("reduction", 12, 2)
