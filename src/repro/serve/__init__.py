@@ -8,7 +8,8 @@ the JSON IR of :func:`repro.ir.builder.program_from_json` and ask for
 * ``analyze``       -- the full Algorithm-2 labeling summary per region,
 * ``label``         -- per-reference labels/categories of one region,
 * ``simulate``      -- an engine run plus the bit-identity verdict
-  against the sequential interpreter,
+  against the program's sequential final memory (memoized per
+  interned program),
 * ``speedup_sweep`` -- makespans/speedups across processor counts.
 
 All sessions share one thread-safe :class:`repro.analysis.cache

@@ -13,7 +13,14 @@ owns the two cross-request resources:
   cache keys by region object identity, and interning guarantees two
   requests for the same source share region objects.  The interner is
   a bounded LRU; eviction invalidates the program's cache entries so
-  neither side grows without bound.
+  neither side grows without bound, and
+* the **ground-truth memo** -- each interned program carries its
+  sequential final memory and cost-model baseline cycles, filled by
+  the first request that needs them.  ``simulate`` and
+  ``speedup_sweep`` compare every engine run against the memoized
+  memory bit for bit, so a program runs sequentially once per
+  interner lifetime instead of once per request.  The memo lives in
+  the interner entry and is dropped with it.
 
 Every response result carries a ``meta`` object:
 ``{"elapsed_ms", "cache": {"hits", "misses"}}`` -- the wall time of
@@ -45,6 +52,7 @@ from repro.ir.program import Program
 from repro.obs.metrics import metrics_registry
 from repro.runtime.engines import CASEEngine, HOSEEngine
 from repro.runtime.interpreter import SequentialInterpreter
+from repro.runtime.memory import MemoryImage
 from repro.serve.pool import FAILURES_COUNTER
 from repro.serve.protocol import (
     INTERNAL_ERROR,
@@ -70,6 +78,60 @@ DEFAULT_MAX_PROGRAMS = 64
 MAX_SLEEP_SECONDS = 2.0
 
 
+class _Interned:
+    """One interner entry: a program and its memoized ground truth.
+
+    ``memory`` (the sequential final memory) and ``baseline`` (the
+    :data:`DEFAULT_COST_MODEL` sequential cycles) start empty and are
+    filled once, under the interner lock.  A fill that finishes after
+    the entry was evicted lands on this detached object only, so it
+    can never reach a later program.
+    """
+
+    __slots__ = ("program", "memory", "baseline")
+
+    def __init__(self, program: Program):
+        self.program = program
+        self.memory: Optional[MemoryImage] = None
+        self.baseline: Optional[int] = None
+
+
+def _param(
+    params: Dict[str, Any],
+    name: str,
+    default: Any,
+    valid: Callable[[Any], bool],
+    expected: str,
+) -> Any:
+    """``params[name]`` (``default`` when absent), or INVALID_PARAMS."""
+    value = params.get(name, default)
+    if not valid(value):
+        raise ProtocolError(INVALID_PARAMS, f"{name!r} must be {expected}")
+    return value
+
+
+def _is_count(value: Any) -> bool:
+    """An int >= 1; JSON ``true``/``false`` are not counts."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _run_options(params: Dict[str, Any]) -> Dict[str, Any]:
+    """The engine options shared by ``simulate`` and ``speedup_sweep``."""
+    return {
+        "window": _param(params, "window", 4, _is_count, "an int >= 1"),
+        "capacity": _param(
+            params,
+            "capacity",
+            64,
+            lambda v: v is None or _is_count(v),
+            "an int >= 1 or null",
+        ),
+        "batch": _param(
+            params, "batch", True, lambda v: isinstance(v, bool), "a boolean"
+        ),
+    }
+
+
 class Dispatcher:
     """Maps parsed requests to handlers over shared daemon state."""
 
@@ -82,8 +144,11 @@ class Dispatcher:
             raise ValueError("max_programs must be >= 1")
         self.cache = cache if cache is not None else AnalysisCache()
         self.max_programs = max_programs
-        self._programs: "OrderedDict[str, Program]" = OrderedDict()
+        self._programs: "OrderedDict[str, _Interned]" = OrderedDict()
+        #: Guards the interner and every ground-truth fill.
         self._programs_lock = threading.Lock()
+        self._truth_hits = 0
+        self._truth_misses = 0
         self._registry = metrics_registry()
         self.started = time.time()
         self._handlers: Dict[str, Callable[[Dict[str, Any]], Any]] = {
@@ -178,6 +243,9 @@ class Dispatcher:
         object, which is what turns the shared analysis cache into
         cross-request warm hits.
         """
+        return self._intern(params).program
+
+    def _intern(self, params: Dict[str, Any]) -> _Interned:
         dsl = params.get("dsl")
         ir = params.get("program")
         if (dsl is None) == (ir is None):
@@ -199,32 +267,77 @@ class Dispatcher:
             key = "ir:" + json.dumps(ir, sort_keys=True, separators=(",", ":"))
             build = lambda: program_from_json(ir)
         with self._programs_lock:
-            program = self._programs.get(key)
-            if program is not None:
+            entry = self._programs.get(key)
+            if entry is not None:
                 self._programs.move_to_end(key)
-                return program
+                return entry
         # Parse outside the lock (same rationale as the analysis
         # cache: a big program must not block other sessions), then
         # first insert wins.
-        program = build()
+        fresh = _Interned(build())
         with self._programs_lock:
-            existing = self._programs.get(key)
-            if existing is not None:
+            entry = self._programs.get(key)
+            if entry is not None:
                 self._programs.move_to_end(key)
-                return existing
-            self._programs[key] = program
+                return entry
+            self._programs[key] = fresh
             evicted = []
             while len(self._programs) > self.max_programs:
                 _, old = self._programs.popitem(last=False)
-                evicted.append(old)
+                evicted.append(old.program)
         for old in evicted:
             for region in old.regions:
                 self.cache.invalidate(region)
-        return program
+        return fresh
 
     def interned_programs(self) -> int:
         with self._programs_lock:
             return len(self._programs)
+
+    # ------------------------------------------------------------------
+    # ground truth
+    # ------------------------------------------------------------------
+    def _ground_truth(
+        self, entry: _Interned, baseline: bool = False
+    ) -> Tuple[MemoryImage, Optional[int]]:
+        """The sequential final memory and baseline cycles of ``entry``.
+
+        Runs the program sequentially only when the memo lacks what is
+        asked for: the final memory always, the baseline cycles with
+        ``baseline``.  The run happens outside the lock, as in
+        :class:`AnalysisCache`; the first fill wins.  Both sequential
+        paths give bit-identical memory, so either may fill it.
+        """
+        with self._programs_lock:
+            if entry.memory is not None and (
+                entry.baseline is not None or not baseline
+            ):
+                self._truth_hits += 1
+                return entry.memory, entry.baseline
+        if baseline:
+            cycles, result = sequential_baseline(
+                entry.program, DEFAULT_COST_MODEL
+            )
+        else:
+            cycles, result = None, SequentialInterpreter(entry.program).run()
+        with self._programs_lock:
+            self._truth_misses += 1
+            if entry.memory is None:
+                entry.memory = result.memory
+            if entry.baseline is None:
+                entry.baseline = cycles
+            return entry.memory, entry.baseline
+
+    def ground_truth_stats(self) -> Dict[str, int]:
+        """Memo lookups served without a sequential run, runs, entries."""
+        with self._programs_lock:
+            return {
+                "hits": self._truth_hits,
+                "misses": self._truth_misses,
+                "entries": sum(
+                    e.memory is not None for e in self._programs.values()
+                ),
+            }
 
     def _region_of(self, program: Program, params: Dict[str, Any]):
         name = params.get("region")
@@ -291,7 +404,8 @@ class Dispatcher:
 
     def _simulate(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """One engine run, checked bit-for-bit against sequential."""
-        program = self.resolve_program(params)
+        entry = self._intern(params)
+        program = entry.program
         engine_name = params.get("engine", "case")
         engine_cls = ENGINES.get(engine_name)
         if engine_cls is None:
@@ -300,22 +414,13 @@ class Dispatcher:
                 f"unknown engine {engine_name!r}",
                 data={"engines": sorted(ENGINES)},
             )
-        window = int(params.get("window", 4))
-        capacity = params.get("capacity", 64)
-        if capacity is not None:
-            capacity = int(capacity)
-        kwargs: Dict[str, Any] = {
-            "window": window,
-            "capacity": capacity,
-            "batch": bool(params.get("batch", True)),
-        }
+        kwargs = _run_options(params)
+        window, capacity = kwargs["window"], kwargs["capacity"]
         if engine_cls is CASEEngine:
             kwargs["cache"] = self.cache
         result = engine_cls(program, **kwargs).run()
-        sequential = SequentialInterpreter(program).run()
-        bit_identical = not sequential.memory.differences(
-            result.memory, tolerance=0.0
-        )
+        truth, _ = self._ground_truth(entry)
+        bit_identical = not truth.differences(result.memory, tolerance=0.0)
         stats = result.stats
         return {
             "program": program.name,
@@ -340,21 +445,23 @@ class Dispatcher:
 
     def _speedup_sweep(self, params: Dict[str, Any]) -> Dict[str, Any]:
         """HOSE/CASE makespans and speedups across processor counts."""
-        program = self.resolve_program(params)
-        processors = params.get("processors", [1, 2, 4])
-        if (
-            not isinstance(processors, list)
-            or not processors
-            or not all(isinstance(p, int) and p >= 1 for p in processors)
-        ):
-            raise ProtocolError(
-                INVALID_PARAMS, "'processors' must be a list of ints >= 1"
-            )
-        window = int(params.get("window", 4))
-        capacity = params.get("capacity", 64)
-        if capacity is not None:
-            capacity = int(capacity)
-        engine_names = params.get("engines", ["hose", "case"])
+        entry = self._intern(params)
+        program = entry.program
+        processors = _param(
+            params,
+            "processors",
+            [1, 2, 4],
+            lambda v: isinstance(v, list) and bool(v) and all(map(_is_count, v)),
+            "a non-empty list of ints >= 1",
+        )
+        options = _run_options(params)
+        engine_names = _param(
+            params,
+            "engines",
+            ["hose", "case"],
+            lambda v: isinstance(v, list) and all(isinstance(e, str) for e in v),
+            "a list of engine names",
+        )
         unknown = [e for e in engine_names if e not in ENGINES]
         if unknown:
             raise ProtocolError(
@@ -362,23 +469,16 @@ class Dispatcher:
                 f"unknown engines {unknown!r}",
                 data={"engines": sorted(ENGINES)},
             )
-        baseline, sequential = sequential_baseline(program, DEFAULT_COST_MODEL)
+        truth, baseline = self._ground_truth(entry, baseline=True)
         engines: Dict[str, Any] = {}
         for name in engine_names:
             engine_cls = ENGINES[name]
             recorder = TimingRecorder(DEFAULT_COST_MODEL)
-            kwargs = {
-                "window": window,
-                "capacity": capacity,
-                "recorder": recorder,
-                "batch": bool(params.get("batch", True)),
-            }
+            kwargs = dict(options, recorder=recorder)
             if engine_cls is CASEEngine:
                 kwargs["cache"] = self.cache
             result = engine_cls(program, **kwargs).run()
-            bit_identical = not sequential.memory.differences(
-                result.memory, tolerance=0.0
-            )
+            bit_identical = not truth.differences(result.memory, tolerance=0.0)
             recording = recorder.recording()
             rows = {}
             for p in processors:
@@ -396,8 +496,8 @@ class Dispatcher:
             }
         return {
             "program": program.name,
-            "window": window,
-            "capacity": capacity,
+            "window": options["window"],
+            "capacity": options["capacity"],
             "sequential_cycles": baseline,
             "engines": engines,
         }
@@ -406,12 +506,15 @@ class Dispatcher:
     # diagnostics
     # ------------------------------------------------------------------
     def _metrics(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        """Daemon-level counters: cache, interner, worker failures, uptime."""
+        """Daemon-level counters: cache, interner, ground truth, latency."""
+        latency = self._registry.histogram("serve.request_ms").summary()
         return {
             "version": __version__,
             "uptime_seconds": round(time.time() - self.started, 3),
             "cache": self.cache.stats(),
             "interned_programs": self.interned_programs(),
+            "ground_truth": self.ground_truth_stats(),
+            "request_ms": {q: round(latency[q], 3) for q in ("p50", "p95")},
             "worker_failures": self._registry.counter(FAILURES_COUNTER).value,
             "methods": list(self.methods),
         }

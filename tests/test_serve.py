@@ -4,8 +4,9 @@ Covers the wire contract end to end: round-trips for all four analysis
 methods (in-process and over a real ``--wire`` subprocess), the
 malformed-JSON and unknown-method error envelopes, backpressure
 rejection against a saturated pool, concurrent sessions sharing one
-``AnalysisCache`` (warm-hit counters grow across sessions), and clean
-shutdown of both transports.
+``AnalysisCache`` (warm-hit counters grow across sessions), the
+per-program ground-truth memo behind every bit-identity verdict, and
+clean shutdown of both transports.
 """
 
 import json
@@ -19,6 +20,8 @@ import time
 import pytest
 
 import repro
+from repro.obs.metrics import metrics_registry
+from repro.serve import dispatch as dispatch_mod
 from repro.serve.dispatch import Dispatcher
 from repro.serve.pool import PoolSaturated, WorkerPool
 from repro.serve.protocol import (
@@ -210,12 +213,208 @@ class TestDispatcher:
         response = dispatcher.dispatch(rpc(7, method, params))
         assert response["error"]["code"] == INVALID_PARAMS
 
+    @pytest.mark.parametrize(
+        "method, params",
+        [
+            # The engine clamps a window below 1, so the echo would lie.
+            ("simulate", {"window": 0}),
+            ("speedup_sweep", {"window": -1}),
+            # JSON true is an int in Python but not a processor count.
+            ("speedup_sweep", {"processors": [True]}),
+            # A bare string must not be iterated as engine names.
+            ("speedup_sweep", {"engines": "hose"}),
+            # bool("false") is true.
+            ("simulate", {"batch": "false"}),
+            ("speedup_sweep", {"batch": 0}),
+            ("simulate", {"capacity": "8"}),
+        ],
+    )
+    def test_malformed_run_params(self, method, params):
+        dispatcher = Dispatcher()
+        response = dispatcher.dispatch(rpc(8, method, dict(params, dsl=DSL)))
+        assert response["error"]["code"] == INVALID_PARAMS
+        (name,) = params
+        assert f"{name!r} must be" in response["error"]["message"]
+
+    def test_metrics_report_ground_truth_and_request_latency(self):
+        registry = metrics_registry()
+        registry.reset()
+        registry.enable()
+        try:
+            dispatcher = Dispatcher()
+            dispatcher.dispatch(rpc(1, "simulate", {"dsl": DSL}))
+            dispatcher.dispatch(rpc(2, "simulate", {"dsl": DSL, "engine": "hose"}))
+            dispatcher.dispatch(rpc(3, "speedup_sweep", {"dsl": DSL}))
+            metrics = dispatcher.dispatch(rpc(4, "metrics"))["result"]
+        finally:
+            registry.disable()
+            registry.reset()
+        # simulate fills the memory, the second simulate hits, the sweep
+        # still needs the baseline cycles.
+        assert metrics["ground_truth"] == {"hits": 1, "misses": 2, "entries": 1}
+        latency = metrics["request_ms"]
+        assert 0 < latency["p50"] <= latency["p95"]
+
     def test_interner_eviction_is_bounded(self):
         dispatcher = Dispatcher(max_programs=2)
         sources = [DSL.replace("served", f"served{i}") for i in range(4)]
         for source in sources:
             dispatcher.dispatch(rpc(1, "analyze", {"dsl": source}))
         assert dispatcher.interned_programs() == 2
+
+
+# ----------------------------------------------------------------------
+# ground-truth memo
+# ----------------------------------------------------------------------
+@pytest.fixture
+def sequential_runs(monkeypatch):
+    """Count sequential runs made through the dispatcher's module names."""
+    runs = []
+    interpreter = dispatch_mod.SequentialInterpreter
+    baseline = dispatch_mod.sequential_baseline
+
+    class Counted(interpreter):
+        def run(self):
+            runs.append(("interpreter", self.program.name))
+            return super().run()
+
+    def counted_baseline(program, cost=None):
+        runs.append(("baseline", program.name))
+        return baseline(program, cost)
+
+    monkeypatch.setattr(dispatch_mod, "SequentialInterpreter", Counted)
+    monkeypatch.setattr(dispatch_mod, "sequential_baseline", counted_baseline)
+    return runs
+
+
+def _corrupting(engine_cls):
+    """``engine_cls`` whose final memory has one value off by one."""
+
+    class Corrupting(engine_cls):
+        def run(self):
+            result = super().run()
+            address = sorted(result.memory.snapshot())[0]
+            result.memory.store(address, result.memory.load(address) + 1.0)
+            return result
+
+    return Corrupting
+
+
+class TestGroundTruthMemo:
+    def test_repeat_simulate_runs_no_sequential_execution(self, sequential_runs):
+        dispatcher = Dispatcher()
+        for engine in ("case", "hose", "case"):
+            result = dispatcher.dispatch(
+                rpc(1, "simulate", {"dsl": DSL, "engine": engine})
+            )["result"]
+            assert result["bit_identical"] is True
+        assert sequential_runs == [("interpreter", "served")]
+
+    def test_repeat_sweep_runs_no_sequential_execution(self, sequential_runs):
+        dispatcher = Dispatcher()
+        for _ in range(2):
+            result = dispatcher.dispatch(rpc(1, "speedup_sweep", {"dsl": DSL}))
+            assert result["result"]["sequential_cycles"] > 0
+        # The baseline run also filled the memory simulate needs.
+        dispatcher.dispatch(rpc(2, "simulate", {"dsl": DSL}))
+        assert sequential_runs == [("baseline", "served")]
+
+    def test_sweep_after_simulate_reports_the_same_cycles(self):
+        cold = Dispatcher().dispatch(rpc(1, "speedup_sweep", {"dsl": DSL}))
+        dispatcher = Dispatcher()
+        dispatcher.dispatch(rpc(1, "simulate", {"dsl": DSL}))
+        warm = dispatcher.dispatch(rpc(2, "speedup_sweep", {"dsl": DSL}))
+        assert (
+            warm["result"]["sequential_cycles"]
+            == cold["result"]["sequential_cycles"]
+        )
+        assert dispatcher.ground_truth_stats()["misses"] == 2
+
+    def test_eviction_drops_the_entry(self, sequential_runs):
+        dispatcher = Dispatcher(max_programs=1)
+        other = DSL.replace("served", "other")
+        dispatcher.dispatch(rpc(1, "simulate", {"dsl": DSL}))
+        assert dispatcher.ground_truth_stats()["entries"] == 1
+        dispatcher.dispatch(rpc(2, "analyze", {"dsl": other}))
+        assert dispatcher.ground_truth_stats()["entries"] == 0
+        dispatcher.dispatch(rpc(3, "simulate", {"dsl": DSL}))
+        assert sequential_runs == [("interpreter", "served")] * 2
+
+    @pytest.mark.parametrize("method", ["simulate", "speedup_sweep"])
+    def test_corrupted_engine_result_fails_against_memo(
+        self, method, monkeypatch
+    ):
+        dispatcher = Dispatcher()
+        params = {"dsl": DSL, "engine": "hose", "engines": ["hose"]}
+        warm = dispatcher.dispatch(rpc(1, method, params))["result"]
+        misses = dispatcher.ground_truth_stats()["misses"]
+        monkeypatch.setattr(
+            dispatch_mod, "ENGINES", {"hose": _corrupting(dispatch_mod.HOSEEngine)}
+        )
+        cold = dispatcher.dispatch(rpc(2, method, params))["result"]
+        if method == "speedup_sweep":
+            warm, cold = warm["engines"]["hose"], cold["engines"]["hose"]
+        assert warm["bit_identical"] is True
+        assert cold["bit_identical"] is False
+        assert dispatcher.ground_truth_stats()["misses"] == misses
+
+    def test_concurrent_first_requests_agree(self, monkeypatch):
+        # Both fills must be in flight at once: each run waits for the
+        # other at the barrier, so neither finds the memo filled.
+        barrier = threading.Barrier(2, timeout=30)
+        interpreter = dispatch_mod.SequentialInterpreter
+
+        class Racing(interpreter):
+            def run(self):
+                barrier.wait()
+                return super().run()
+
+        monkeypatch.setattr(dispatch_mod, "SequentialInterpreter", Racing)
+        dispatcher = Dispatcher()
+        results = [None, None]
+
+        def send(i):
+            response = dispatcher.dispatch(rpc(i, "simulate", {"dsl": DSL}))
+            results[i] = response["result"]
+
+        threads = [threading.Thread(target=send, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        for result in results:
+            result.pop("meta")
+        assert results[0] == results[1]
+        assert results[0]["bit_identical"] is True
+        assert dispatcher.ground_truth_stats() == {
+            "hits": 0,
+            "misses": 2,
+            "entries": 1,
+        }
+
+    def test_fill_after_eviction_does_not_leak(self, monkeypatch):
+        dispatcher = Dispatcher(max_programs=1)
+        other = DSL.replace("s = s + y(i)", "s = s - y(i)")
+        first = dispatcher.resolve_program({"dsl": DSL})
+        interpreter = dispatch_mod.SequentialInterpreter
+
+        class Evicting(interpreter):
+            def run(self):
+                result = super().run()
+                if self.program is first:
+                    # Another session's request evicts this program
+                    # while its ground truth is still being computed.
+                    dispatcher.resolve_program({"dsl": other})
+                return result
+
+        monkeypatch.setattr(dispatch_mod, "SequentialInterpreter", Evicting)
+        response = dispatcher.dispatch(rpc(1, "simulate", {"dsl": DSL}))
+        assert response["result"]["bit_identical"] is True
+        assert dispatcher.ground_truth_stats()["entries"] == 0
+        response = dispatcher.dispatch(rpc(2, "simulate", {"dsl": other}))
+        assert response["result"]["bit_identical"] is True
+        assert dispatcher.ground_truth_stats()["misses"] == 2
+        assert dispatcher.resolve_program({"dsl": DSL}) is not first
 
 
 # ----------------------------------------------------------------------
@@ -414,8 +613,11 @@ class TestTCPServer:
             stats = server.dispatcher.cache.stats()
             assert stats["hits"] > 0, "no cross-request warm hits"
             assert server.dispatcher.interned_programs() == 1
-            response = clients[0].call("metrics")
-            assert response["result"]["cache"]["hits"] == stats["hits"]
+            metrics = clients[0].call("metrics")["result"]
+            assert metrics["cache"]["hits"] == stats["hits"]
+            # analyze never needs the sequential ground truth.
+            assert metrics["ground_truth"] == {"hits": 0, "misses": 0, "entries": 0}
+            assert set(metrics["request_ms"]) == {"p50", "p95"}
         finally:
             for client in clients:
                 client.close()

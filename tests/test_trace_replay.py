@@ -10,16 +10,19 @@ import pytest
 
 from conftest import drive_stream
 from repro.bench.workloads import FAMILIES, generate
+from repro.corpus import corpus
 from repro.ir.dsl import parse_program
 from repro.runtime.errors import SimulationError
 from repro.runtime.executor import segment_coroutine
-from repro.runtime.interpreter import run_program
+from repro.runtime.interpreter import SequentialInterpreter, run_program
 from repro.runtime.memory import MemoryImage
 from repro.runtime.trace import (
     record_trace,
     replay_segment,
     trace_eligibility,
 )
+from repro.timing.cost import DEFAULT_COST_MODEL
+from repro.timing.makespan import sequential_baseline
 
 
 def record_for(program, region):
@@ -53,6 +56,35 @@ class TestEquivalenceOnBenchFamilies:
         assert base.memory.differences(fast.memory) == {}, family
         assert base.stats.as_dict() == fast.stats.as_dict(), family
         assert base.stats.reference_counts == fast.stats.reference_counts, family
+
+
+class TestSequentialPathsAgree:
+    """The daemon memoizes whichever sequential run comes first, so the
+    replay interpreter, the coroutine interpreter and the cost-model
+    baseline run must leave bit-identical memory."""
+
+    @staticmethod
+    def assert_paths_agree(program):
+        replay = SequentialInterpreter(program).run()
+        direct = SequentialInterpreter(program, use_replay=False).run()
+        _, baseline = sequential_baseline(program, DEFAULT_COST_MODEL)
+        assert replay.memory.differences(direct.memory, tolerance=0.0) == {}
+        assert replay.memory.differences(baseline.memory, tolerance=0.0) == {}
+        assert direct.memory.differences(baseline.memory, tolerance=0.0) == {}
+        return replay
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_bench_families(self, family):
+        workload = generate(family, 20, 4)
+        replay = self.assert_paths_agree(workload.program)
+        assert replay.replayed_regions[workload.region.name], family
+
+    def test_seeded_fuzz_batch(self):
+        replayed = 0
+        for _index, program in corpus(40, seed=20261017):
+            replay = self.assert_paths_agree(program)
+            replayed += any(replay.replayed_regions.values())
+        assert replayed > 0, "no fuzz program took the replay path"
 
 
 class TestScatterWrite:
