@@ -263,11 +263,25 @@ def reference_dims(
     return tuple(dims)
 
 
+def _unexpanded_dims(
+    ref: MemoryReference,
+    region_index: Optional[str],
+    read_only_vars: Set[str],
+    memo: Dict[str, Tuple[Dim, ...]],
+) -> Tuple[Dim, ...]:
+    """:func:`reference_dims` of ``ref`` with no loop expanded, memoized."""
+    dims = memo.get(ref.uid)
+    if dims is None:
+        dims = memo[ref.uid] = reference_dims(ref, set(), region_index, read_only_vars)
+    return dims
+
+
 def write_covers_read(
     write: MemoryReference,
     read: MemoryReference,
     region_index: Optional[str],
     read_only_vars: Set[str],
+    dims_memo: Optional[Dict[str, Tuple[Dim, ...]]] = None,
 ) -> bool:
     """True when ``write`` is guaranteed to have stored to every location
     ``read`` may load, before the read executes, within one segment
@@ -275,6 +289,10 @@ def write_covers_read(
 
     Both references must be to the same variable, the write must precede
     the read in program order and must execute unconditionally.
+
+    ``dims_memo`` (keyed by reference uid) caches the dims of references
+    whose every enclosing loop is shared with the other reference: they
+    expand no loop, so their dims do not depend on the pairing.
     """
     if write.variable != read.variable:
         return False
@@ -286,13 +304,17 @@ def write_covers_read(
         return False
     if not write.subscripts:  # scalar: unconditional earlier write covers
         return True
-    shared = set(write.enclosing_loops) & set(read.enclosing_loops)
-    write_dims = reference_dims(
-        write, set(write.enclosing_loops) - shared, region_index, read_only_vars
-    )
-    read_dims = reference_dims(
-        read, set(read.enclosing_loops) - shared, region_index, read_only_vars
-    )
+    if dims_memo is not None and write.enclosing_loops is read.enclosing_loops:
+        write_dims = _unexpanded_dims(write, region_index, read_only_vars, dims_memo)
+        read_dims = _unexpanded_dims(read, region_index, read_only_vars, dims_memo)
+    else:
+        shared = set(write.enclosing_loops) & set(read.enclosing_loops)
+        write_dims = reference_dims(
+            write, set(write.enclosing_loops) - shared, region_index, read_only_vars
+        )
+        read_dims = reference_dims(
+            read, set(read.enclosing_loops) - shared, region_index, read_only_vars
+        )
     return all(_dim_contains(w, r) for w, r in zip(write_dims, read_dims))
 
 
@@ -374,13 +396,16 @@ def summarize_segment(
 
     # Coverage: pairwise check of each read against earlier unconditional
     # writes to the same variable.
+    dims_memo: Dict[str, Tuple[Dim, ...]] = {}
     for ref in ordered:
         if ref.access is not AccessType.READ:
             continue
         info = per_var[ref.variable]
         covering = None
         for write in info.writes:
-            if write_covers_read(write, ref, region_index, read_only_vars):
+            if write_covers_read(
+                write, ref, region_index, read_only_vars, dims_memo
+            ):
                 covering = write
                 break
         if covering is not None:

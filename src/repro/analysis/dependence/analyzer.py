@@ -13,8 +13,8 @@ paper's evaluation implicitly fixes:
   which is the sound interpretation of the paper's definitions;
   ``TEXTUAL`` orients them by textual program order inside the segment
   body, which reproduces the narrative of the paper's Figure 4 for the
-  count-down APPLU ``BUTS_DO1`` loop (see DESIGN.md for the discussion
-  of this deviation).
+  count-down APPLU ``BUTS_DO1`` loop (see "Dependence direction" in
+  docs/ANALYSIS.md for the discussion of this deviation).
 
 Variables recognised as *private* carry no cross-segment dependences
 (each segment gets its own copy at run time), so their cross-segment
@@ -26,7 +26,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.access import linear_terms
 from repro.analysis.cache import AnalysisCache
@@ -45,7 +45,12 @@ from repro.analysis.dependence.subscript_tests import (
 from repro.analysis.readonly import read_only_variables
 from repro.ir.reference import MemoryReference
 from repro.ir.region import ExplicitRegion, LoopRegion, Region
-from repro.ir.types import AccessType, DependenceScope
+from repro.ir.types import AccessType, DependenceKind, DependenceScope
+
+#: The edges one loop-region reference pair emits, in emission order, as
+#: ``(source is ref_a, kind, scope, distance)`` -- shared by every pair
+#: with the same plan key.
+_Plan = Tuple[Tuple[bool, DependenceKind, DependenceScope, Optional[int]], ...]
 
 
 def _subscript_facts(ref: MemoryReference, memo: Dict[str, tuple]) -> tuple:
@@ -269,37 +274,87 @@ class DependenceAnalyzer:
         # one segment: the region index and region-read-only scalars.
         invariant = set(read_only) | {region.index}
         memo: Dict[str, tuple] = {}
+        # A reference's *pattern* is everything about it that the per-pair
+        # decision reads: its signature group (which fixes the relation
+        # set), access type, textual subscripts (the intra-segment reverse
+        # test compares them), the identity of its enclosing ``Do`` tuple
+        # (the shared inner loops) and whether its variable is private.
+        # Two pairs with equal patterns, the same ``ref_a is ref_b`` and the
+        # same order comparison emit the same edges, so each plan key is
+        # decided once per pass and replayed for every other pair.
+        patterns: Dict[tuple, int] = {}
+        plans: Dict[Tuple[int, int, bool, bool], _Plan] = {}
+        append = graph.append
 
         for variable, refs in by_var.items():
             writes = [r for r in refs if r.access is AccessType.WRITE]
             if not writes:
                 continue  # read-only variables carry no dependences
+            private = variable in private_variables
             refs_sorted = sorted(refs, key=lambda r: r.order)
-            groups: Optional[List[int]] = None
-            if index is not None:
-                groups = [index.group_of(r) for r in refs_sorted]
+            groups: List[int] = []
+            pats: List[int] = []
+            for ref in refs_sorted:
+                subs = _subscript_facts(ref, memo)[0]
+                group = index.group_of(ref) if index is not None else -1
+                groups.append(group)
+                pattern = (group, ref.access, subs, id(ref.enclosing_loops), private)
+                pats.append(patterns.setdefault(pattern, len(patterns)))
             for i, ref_a in enumerate(refs_sorted):
                 a_is_read = ref_a.access is AccessType.READ
+                a_order = ref_a.order
                 for j in range(i, len(refs_sorted)):
                     ref_b = refs_sorted[j]
                     if a_is_read and ref_b.access is AccessType.READ:
                         continue
-                    if groups is not None:
+                    if index is not None:
                         relations = index.relations_of_groups(groups[i], groups[j])
+                        if not relations:
+                            continue
                     else:
                         relations = ALL_RELATIONS
-                    if not relations:
-                        continue
-                    self._emit_loop_dependences(
-                        graph,
-                        ref_a,
-                        ref_b,
-                        relations,
-                        variable,
-                        private_variables,
-                        invariant,
-                        memo,
-                    )
+                    # ``refs_sorted`` is in order, so ``==`` is the only
+                    # order comparison left open.
+                    key = (pats[i], pats[j], ref_a is ref_b, a_order == ref_b.order)
+                    plan = plans.get(key)
+                    if plan is None:
+                        plan = plans[key] = self._emission_plan(
+                            ref_a, ref_b, relations, variable,
+                            private_variables, invariant, memo,
+                        )
+                    for a_is_source, kind, scope, distance in plan:
+                        append(Dependence(
+                            ref_a if a_is_source else ref_b,
+                            ref_b if a_is_source else ref_a,
+                            kind, scope, variable, distance,
+                        ))
+
+    def _emission_plan(
+        self,
+        ref_a: MemoryReference,
+        ref_b: MemoryReference,
+        relations: RelationSet,
+        variable: str,
+        private_variables: Set[str],
+        invariant: Set[str],
+        memo: Dict[str, tuple],
+    ) -> _Plan:
+        """The edges :meth:`_emit_loop_dependences` emits for one pair,
+        with the pair's references abstracted to "source is ``ref_a``".
+
+        Any other pair with the same plan key (see :meth:`_analyze_loop`)
+        emits the same edges: the key holds everything the per-pair
+        decision reads.
+        """
+        scratch = DependenceGraph(variable)
+        self._emit_loop_dependences(
+            scratch, ref_a, ref_b, relations, variable,
+            private_variables, invariant, memo,
+        )
+        return tuple(
+            (dep.source is ref_a, dep.kind, dep.scope, dep.distance)
+            for dep in scratch
+        )
 
     def _emit_loop_dependences(
         self,

@@ -15,13 +15,43 @@ regions).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Set
+from dataclasses import dataclass, fields
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type, TypeVar, cast
 
 from repro.ir.reference import MemoryReference
 from repro.ir.types import AccessType, DependenceKind, DependenceScope
 
 
+_T = TypeVar("_T")
+
+
+def _slotted(cls: Type[_T]) -> Type[_T]:
+    """Rebuild a frozen dataclass with ``__slots__``.
+
+    ``dataclass(slots=True)`` needs Python 3.10.  A region's graph holds
+    tens of thousands of edges, and a per-instance ``__dict__`` is most
+    of each one's memory.  The generated ``__init__``/``__eq__``/
+    ``__hash__`` keep working because they read the field defaults from
+    their own closure, not from the class.  ``__reduce__`` pickles
+    through the constructor, since the frozen ``__setattr__`` refuses
+    the slot-by-slot state restore.
+    """
+    names = tuple(f.name for f in fields(cast(Any, cls)))
+    namespace = dict(cls.__dict__)
+    for name in names + ("__dict__", "__weakref__"):
+        namespace.pop(name, None)
+    namespace["__slots__"] = names
+
+    def __reduce__(self: Any) -> Tuple[Any, Tuple[Any, ...]]:
+        return (type(self), tuple(getattr(self, name) for name in names))
+
+    namespace["__reduce__"] = __reduce__
+    slotted = type(cls.__name__, cls.__bases__, namespace)
+    slotted.__qualname__ = cls.__qualname__
+    return cast(Type[_T], slotted)
+
+
+@_slotted
 @dataclass(frozen=True)
 class Dependence:
     """One may-dependence between two references."""
@@ -83,6 +113,15 @@ class DependenceGraph:
                 and existing.scope == dep.scope
             ):
                 return
+        self.append(dep)
+
+    def append(self, dep: Dependence) -> None:
+        """Insert a dependence the caller knows is not a duplicate.
+
+        O(1): no scan of the sink's edges.  The loop-region pass visits
+        each unordered reference pair once and emits at most one edge
+        per ``(source, sink, kind, scope)``, so it appends directly.
+        """
         self.dependences.append(dep)
         self._by_sink.setdefault(dep.sink.uid, []).append(dep)
         self._by_source.setdefault(dep.source.uid, []).append(dep)

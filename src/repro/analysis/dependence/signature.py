@@ -38,7 +38,7 @@ on the region text and the invariant-symbol set it was built with).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.dependence.subscript import AffineSubscript, affine_subscripts_of
 from repro.analysis.dependence.subscript_tests import (

@@ -1,17 +1,31 @@
-"""Dependence analyzer tests: granularity modes, signature relations, caching."""
+"""Dependence analyzer tests: granularity modes, signature relations,
+emission plans, edge records, access coverage, caching."""
 
+import copy
+import itertools
+import pickle
+
+import pytest
+
+from repro.analysis.access import summarize_segment, write_covers_read
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.dependence import (
+    DependenceAnalyzer,
     DependenceGranularity,
+    DirectionMode,
     SignatureIndex,
     analyze_dependences,
     relation_of_reference_pair,
 )
+from repro.analysis.dependence.graph import Dependence, DependenceGraph
+from repro.analysis.dependence.subscript_tests import ALL_RELATIONS
 from repro.analysis.readonly import read_only_variables
 from repro.bench.workloads import FAMILIES, generate
+from repro.corpus.generator import corpus
 from repro.idempotency.labeling import label_region
 from repro.ir.dsl import parse_program
-from repro.ir.types import AccessType
+from repro.ir.region import LoopRegion
+from repro.ir.types import AccessType, DependenceKind, DependenceScope, NodeMark
 
 
 def dep_set(graph):
@@ -111,3 +125,242 @@ class TestAnalysisCache:
         assert len(cache) > 0
         cache.invalidate(region)
         assert len(cache) == 0
+
+
+# ----------------------------------------------------------------------
+# Emission plans, O(1) insertion and the per-reference dims memo
+# ----------------------------------------------------------------------
+# Patterns a plan key must tell apart: equal affine forms written
+# differently (``j + 1`` / ``1 + j``: the same signature group, but only
+# identical text pins the shared index), the same subscripts under two
+# sibling inner loops (equal but distinct ``Do`` tuples), and a pair that
+# shares no inner loop.
+PATTERNS = """
+program plans
+  real a(40), b(40, 8), c(8)
+  region R do i = 1, 8
+    do j = 1, 4
+      a(j + 1) = a(j + 1) + 1.0
+      a(j + 1) = a(1 + j) * 2.0
+      b(j + 1, i) = b(j + 1, i) + a(j + 1)
+    end do
+    do j = 1, 4
+      a(j + 1) = b(1 + j, i) + a(j + 1)
+    end do
+    c(i) = a(2) + c(i)
+    liveout a, b, c
+  end region
+end program
+"""
+
+
+@pytest.fixture(scope="module")
+def programs():
+    """Every bench family (a few-statement and a 40-statement nest), the
+    plan-key patterns above and a seeded fuzz batch."""
+    out = [
+        generate(family, size, statements).program
+        for family in FAMILIES
+        for size, statements in ((24, 6), (16, 40))
+    ]
+    out.append(parse_program(PATTERNS))
+    out += [program for _, program in corpus(200, 20261017)]
+    return out
+
+
+@pytest.fixture(scope="module")
+def loop_regions(programs):
+    """(region, private variables, read-only variables) of every loop
+    region, as the labeling pipeline derives them."""
+    out = []
+    for program in programs:
+        for region in program.regions:
+            if isinstance(region, LoopRegion):
+                facts = label_region(region, program=program)
+                out.append((region, facts.private_vars, facts.read_only_vars))
+    return out
+
+
+def _fields(graph):
+    return [
+        (d.source, d.sink, d.kind, d.scope, d.variable, d.distance)
+        for d in graph
+    ]
+
+
+def _per_pair_graph(analyzer, region, private, read_only):
+    """The loop-region graph built by the per-pair decision function alone:
+    :meth:`DependenceAnalyzer._emit_loop_dependences` on every pair, in the
+    order the analyzer visits them."""
+    graph = DependenceGraph(region.name)
+    index = SignatureIndex(region=region, invariant_symbols=frozenset(read_only))
+    invariant = set(read_only) | {region.index}
+    memo = {}
+    by_var = {}
+    for ref in region.references:
+        by_var.setdefault(ref.variable, []).append(ref)
+    for variable, refs in by_var.items():
+        if all(r.access is AccessType.READ for r in refs):
+            continue
+        refs = sorted(refs, key=lambda r: r.order)
+        for i, j in itertools.combinations_with_replacement(range(len(refs)), 2):
+            a, b = refs[i], refs[j]
+            if a.access is AccessType.READ and b.access is AccessType.READ:
+                continue
+            if analyzer.granularity is DependenceGranularity.ELEMENT:
+                relations = index.relations_of(a, b)
+            else:
+                relations = ALL_RELATIONS
+            analyzer._emit_loop_dependences(
+                graph, a, b, relations, variable, private, invariant, memo
+            )
+    return graph
+
+
+MODES = [
+    (granularity, direction)
+    for granularity in DependenceGranularity
+    for direction in DirectionMode
+]
+
+
+class TestEmissionPlans:
+    @pytest.mark.parametrize("granularity,direction", MODES)
+    def test_loop_graph_equals_per_pair_oracle(
+        self, loop_regions, granularity, direction
+    ):
+        analyzer = DependenceAnalyzer(granularity=granularity, direction=direction)
+        edges = 0
+        for region, private_vars, read_only in loop_regions:
+            for private in (set(), private_vars):
+                graph = analyzer.analyze(
+                    region, private_variables=private, read_only=read_only
+                )
+                oracle = _per_pair_graph(analyzer, region, private, read_only)
+                assert _fields(graph) == _fields(oracle), region.name
+                for ref in region.references:
+                    assert graph.deps_with_sink(ref) == oracle.deps_with_sink(ref)
+                    assert graph.deps_with_source(ref) == oracle.deps_with_source(ref)
+                edges += len(graph)
+        assert len(loop_regions) > 200 and edges > 0
+
+    @pytest.mark.parametrize("granularity,direction", MODES)
+    def test_loop_pass_emits_no_duplicate_edge(
+        self, loop_regions, granularity, direction
+    ):
+        analyzer = DependenceAnalyzer(granularity=granularity, direction=direction)
+        for region, private, read_only in loop_regions:
+            graph = analyzer.analyze(
+                region, private_variables=private, read_only=read_only
+            )
+            keys = [(d.source.uid, d.sink.uid, d.kind, d.scope) for d in graph]
+            assert len(keys) == len(set(keys)), region.name
+
+    def test_add_still_merges_duplicates(self):
+        region = parse_program(STENCIL).regions[0]
+        graph = analyze_dependences(region)
+        merged = DependenceGraph(region.name, list(graph) + list(graph))
+        assert _fields(merged) == _fields(graph)
+
+
+class TestDependenceRecord:
+    def _pair(self):
+        region = parse_program(STENCIL).regions[0]
+        write, read = region.references[-1], region.references[0]
+        return [
+            Dependence(
+                source=write,
+                sink=read,
+                kind=DependenceKind.FLOW,
+                scope=DependenceScope.CROSS_SEGMENT,
+                variable="s",
+                distance=distance,
+            )
+            for distance in (None, None, 1)
+        ]
+
+    def test_value_equality_and_hash(self):
+        first, same, other = self._pair()
+        assert first is not same
+        assert first == same and hash(first) == hash(same)
+        assert first != other
+        assert len({first, same, other}) == 2
+        assert first.distance is None  # the default survives the rebuild
+
+    def test_repr_and_frozen(self):
+        first, _, other = self._pair()
+        assert repr(other) == f"<Dep {other.describe()}>"
+        assert "distance=1" in repr(other)
+        with pytest.raises(AttributeError):
+            first.kind = DependenceKind.ANTI
+
+    def test_slotted(self):
+        first, _, _ = self._pair()
+        assert not hasattr(first, "__dict__")
+        assert Dependence.__qualname__ == "Dependence"
+
+    def test_pickle_and_copy(self):
+        # References compare by identity, so a pickled or deep-copied
+        # edge is compared through its endpoints' uids.
+        def key(dep):
+            return (dep.source.uid, dep.sink.uid, dep.kind, dep.scope,
+                    dep.variable, dep.distance)
+
+        first, _, other = self._pair()
+        for dep in (first, other):
+            clone = pickle.loads(pickle.dumps(dep))
+            assert type(clone) is Dependence and key(clone) == key(dep)
+            assert key(copy.deepcopy(dep)) == key(dep)
+            assert copy.copy(dep) == dep
+            # One pickle keeps one reference graph: endpoints stay shared.
+            a, b = pickle.loads(pickle.dumps((dep, dep.source)))
+            assert a.source is b
+
+
+def _per_pair_coverage(info, region_index, read_only):
+    """Marks, covered/exposed reads and covering writes from
+    :func:`write_covers_read` on every (write, read) pair, no memo."""
+    covered, exposed, covering = [], [], {}
+    for read in info.reads:
+        write = next(
+            (w for w in info.writes if write_covers_read(w, read, region_index, read_only)),
+            None,
+        )
+        if write is None:
+            exposed.append(read)
+        else:
+            covered.append(read)
+            covering[read.uid] = write
+    if exposed:
+        mark = NodeMark.READ
+    elif any(not w.conditional for w in info.writes):
+        mark = NodeMark.WRITE
+    else:
+        mark = NodeMark.NULL
+    return mark, covered, exposed, covering
+
+
+class TestAccessDimsMemo:
+    def test_summaries_match_per_pair_coverage(self, programs):
+        reads = 0
+        for program in programs:
+            for region in program.regions:
+                region_index = region.index if isinstance(region, LoopRegion) else None
+                read_only = read_only_variables(region)
+                for name in region.segment_names():
+                    summary = summarize_segment(
+                        region.segment_references(name),
+                        segment=name,
+                        region_index=region_index,
+                        read_only_vars=read_only,
+                    )
+                    for info in summary.variables.values():
+                        expected = _per_pair_coverage(info, region_index, read_only)
+                        assert (
+                            info.mark,
+                            info.covered_reads,
+                            info.exposed_reads,
+                            info.covering_writes,
+                        ) == expected, (region.name, name, info.variable)
+                        reads += len(info.reads)
+        assert reads > 1000
