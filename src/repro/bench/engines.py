@@ -62,6 +62,8 @@ def _engine_row(result: SpeculativeResult, matches: bool) -> Dict:
         "segments_committed": stats.segments_committed,
         "batched_attempts": stats.batched_attempts,
         "batch_fallbacks": stats.batch_fallbacks,
+        "batch_drains": stats.batch_drains,
+        "batch_reexecutions": stats.batch_reexecutions,
         "batch_violations": stats.batch_violations,
         "matches_sequential": matches,
     }
@@ -179,6 +181,8 @@ def measure_engine_throughput(
                 side["batched_attempts"] = stats.batched_attempts
                 side["batched_ops"] = stats.batched_ops
                 side["batch_fallbacks"] = stats.batch_fallbacks
+                side["batch_drains"] = stats.batch_drains
+                side["batch_reexecutions"] = stats.batch_reexecutions
                 side["batch_violations"] = stats.batch_violations
             row[label] = side
         speedup = row["batched"]["ops_per_s"] / max(

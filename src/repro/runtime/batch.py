@@ -1,4 +1,4 @@
-"""Batched speculative replay: whole-segment attempts as slot programs.
+"""Batched speculative replay: whole-segment attempts as compiled programs.
 
 The op-interleaved scheduler of :mod:`repro.runtime.engines` simulates
 concurrency by age-ordered round-robin -- one operation per in-flight
@@ -34,14 +34,34 @@ straight-line slot program; this module executes it in one go:
    engine's write-through contract, re-executing through memory only
    when its logs turn out stale.
 
+**Compiled attempts.**  Each step of the recorded schedule (a control
+read or an assignment) has a *shape*: the address mode and route of
+every read and of the target, and whether a generated arithmetic
+closure exists.  :func:`build_batch_program` generates one specialized
+Python function per distinct shape (in the style of
+:func:`repro.runtime.trace.codegen_arith`) with the serving discipline
+of step 1 inlined; the attempt is one loop over runs of consecutive
+steps of one shape, each run a ``(shape, payloads)`` pair.  The
+generated code grows with the number of shapes, never with the trace
+length.
+
+**The batch-program memo.**  A compiled :class:`BatchProgram` is kept
+with its :class:`LoopRegion` (held weakly: when the program is dropped,
+e.g. evicted by the daemon's interner, its batch programs go with it),
+one per route map (HOSE routes everything speculatively, CASE routes
+by its labels).  A memoized program is reused only while the control
+reads its trace recorded still hold in memory; otherwise the region is
+recorded again.
+
 Fault injection (chaos runs) preserves the resilience recovery
 contract: with an injector attached, attempts are driven op-by-op
 through :func:`repro.runtime.trace.replay_segment` so ``perturb_op``
 sees every operation, forwarded serves go through ``store.forward``
 (letting ``corrupt_forward`` poison the consuming buffer for the
 engine's scrub), and a mid-attempt fault restarts the attempt plus
-everything younger -- exactly the interleaved footprint.  Timing is
-priced in bulk through :meth:`repro.timing.cost.CostModel.batch_cost`
+everything younger -- exactly the interleaved footprint.  The same
+op-stepped driver is the test oracle of the compiled attempts.  Timing
+is priced in bulk through :meth:`repro.timing.cost.CostModel.batch_cost`
 with one :meth:`repro.timing.events.TimingRecorder.batched` event per
 attempt.
 
@@ -55,7 +75,9 @@ and for explicit regions (control speculation stays op-interleaved).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import threading
+import weakref
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
 from repro.obs.log import get_logger
 
@@ -76,6 +98,11 @@ except ImportError as _numpy_exc:
 
 from repro.ir.region import LoopRegion
 from repro.ir.symbols import SymbolError
+from repro.runtime.engines import (
+    ROUTE_DIRECT,
+    ROUTE_PRIVATE,
+    ROUTE_SPECULATIVE,
+)
 from repro.runtime.errors import (
     AddressError,
     EngineLivelockError,
@@ -96,25 +123,20 @@ from repro.runtime.trace import (
     _program_subs,
     record_trace,
     replay_segment,
-    trace_eligibility,
 )
 
-#: Serving-route codes (dense ints for the hot dispatch; the string
-#: constants live in :mod:`repro.runtime.engines`).
+#: Serving-route codes (dense ints for the build-time dispatch; the
+#: string constants live in :mod:`repro.runtime.engines`).
 R_SPEC = 0
 R_DIRECT = 1
 R_PRIVATE = 2
 
-#: Flat step opcodes.
-STEP_CTRL = 0    # (STEP_CTRL, addr, route_code, expected, variable)
-STEP_ASSIGN = 1  # (STEP_ASSIGN, rhs_items, target_items, arith_fn,
-                 #  arith_program, env, target_item)
-# An item is ``(mode, payload, route_code)``:
-#   mode 0 -- address resolved at build time (payload = Address);
-#   mode 1 -- affine template (payload = index into the flattened
-#             base/coeff arrays, offset computed once per attempt);
-#   mode 2 -- slot-program subscripts (payload = (name, dims), resolved
-#             per access against the attempt's read-value slots).
+#: Address modes of a compiled read or target.  A step's shape holds
+#: ``(mode, route_code, extra)`` per item; its payload holds, per item:
+M_FIXED = 0    # the Address, resolved at build time
+M_AFFINE = 1   # an index into the attempt's affine address list
+M_PROGRAM = 2  # name, dims: slot-program subscripts (``_program_subs``)
+M_GATHER = 3   # name; ``extra`` is the slot holding the one subscript
 
 
 class _BuildError(Exception):
@@ -123,14 +145,11 @@ class _BuildError(Exception):
 
 def _route_codes_for(routes: Dict[str, str]):
     """Mapping closure uid -> dense route code (absent = speculative)."""
-    from repro.runtime.engines import ROUTE_DIRECT, ROUTE_PRIVATE
 
     def code(ref) -> int:
         if ref is None:
             return R_SPEC
         route = routes.get(ref.uid)
-        if route is None:
-            return R_SPEC
         if route == ROUTE_DIRECT:
             return R_DIRECT
         if route == ROUTE_PRIVATE:
@@ -140,19 +159,214 @@ def _route_codes_for(routes: Dict[str, str]):
     return code
 
 
+# ----------------------------------------------------------------------
+# shape code generation
+# ----------------------------------------------------------------------
+# One read serve per route, into ``{v}`` from the address in ``a``:
+# the three-route discipline of the module docstring (``fwd`` merges
+# the write logs of the older executed attempts, the nearest older
+# value winning).  ``ss`` counts reads served from speculative storage
+# (own speculative write, repeat of a forwarded read, or a fresh
+# forward); ``ph`` private-frame hits.
+_LOAD = {
+    R_SPEC: """\
+{v} = wlog.get(a)
+if {v} is not None:
+    if a in swlog:
+        ss += 1
+else:
+    c = rlog.get(a)
+    if c is not None:
+        {v} = c[0]
+        if c[1]:
+            ss += 1
+    else:
+        {v} = fwd.get(a)
+        if {v} is not None:
+            ss += 1
+            rlog[a] = ({v}, True)
+        else:
+            {v} = mget(a)
+            if {v} is None:
+                {v} = init[a[0]]
+            rlog[a] = ({v}, False)
+""",
+    R_DIRECT: """\
+{v} = dwlog.get(a)
+if {v} is None:
+    {v} = mget(a)
+    if {v} is None:
+        {v} = init[a[0]]
+""",
+    R_PRIVATE: """\
+{v} = plog.get(a)
+if {v} is not None:
+    ph += 1
+else:
+    {v} = mget(a)
+    if {v} is None:
+        {v} = init[a[0]]
+""",
+}
+_STORE = {
+    R_SPEC: "wlog[a] = r\nswlog[a] = None\n",
+    R_DIRECT: "wlog[a] = r\ndwlog[a] = r\n",
+    R_PRIVATE: "plog[a] = r\n",
+}
+
+
+def _values_tuple(n: int) -> str:
+    """Source of the tuple of the first ``n`` read values."""
+    if n == 1:
+        return "(v0,)"
+    return "(" + ", ".join(f"v{k}" for k in range(n)) + ")"
+
+
+def _address_source(mode: int, extra, at: int, n_values: int) -> Tuple[str, int]:
+    """Source computing ``a`` for one item whose payload starts at
+    ``p[at]``; returns the source and the payload width."""
+    if mode == M_FIXED:
+        return f"a = p[{at}]\n", 1
+    if mode == M_AFFINE:
+        return f"a = aa[p[{at}]]\n", 1
+    if mode == M_GATHER:
+        subs, width = f"(int(round(v{extra})),)", 1
+    else:
+        subs = f"_program_subs(p[{at + 1}], {_values_tuple(n_values)}, iv, env)"
+        width = 2
+    return (
+        "try:\n"
+        f"    a = address_of(p[{at}], {subs})\n"
+        "except SymbolError as exc:\n"
+        "    raise AddressError(str(exc)) from exc\n"
+    ), width
+
+
+def _shape_source(name: str, shape: Tuple) -> str:
+    """One specialized function ``name(ps)`` running a run of steps of
+    ``shape``, one payload ``p`` of ``ps`` per step.
+
+    Control read: ``("ctrl", route)``, payload ``(addr, expected,
+    variable)``.  Assignment: ``("assign", rhs_items, has_fn,
+    target_read_items, target_item)`` with items ``(mode, route,
+    extra)``; the payload is ``(env, <rhs item entries>, [arith_fn],
+    arith_program, <target-read item entries>, <target entries>)``.
+    """
+    body = ""
+    if shape[0] == "ctrl":
+        body += "a = p[0]\n" + _LOAD[shape[1]].format(v="v")
+        body += "if v != p[1]:\n    _diverged(region, p[2], v, p[1])\n"
+    else:
+        _, rhs_items, has_fn, target_reads, target = shape
+        at = 1
+        n = 0
+        for mode, code, extra in rhs_items:
+            source, width = _address_source(mode, extra, at, n)
+            body += source + _LOAD[code].format(v=f"v{n}")
+            at += width
+            n += 1
+        values = _values_tuple(n)
+        if has_fn:
+            body += (
+                f"vals = {values}\n"
+                "try:\n"
+                f"    r = p[{at}](vals, iv, env)\n"
+                "except _ARITH_FALLBACK_ERRORS:\n"
+                f"    r = _eval_arith(p[{at + 1}], vals, iv, env)\n"
+            )
+            at += 2
+        else:
+            body += f"r = _eval_arith(p[{at}], {values}, iv, env)\n"
+            at += 1
+        for mode, code, extra in target_reads:
+            source, width = _address_source(mode, extra, at, n)
+            body += source + _LOAD[code].format(v=f"v{n}")
+            at += width
+            n += 1
+        mode, code, extra = target
+        source, _ = _address_source(mode, extra, at, n)
+        body += source + "r = float(r)\n" + _STORE[code]
+        body = "env = p[0]\n" + body
+    counters = [c for c in ("ss", "ph") if f"{c} += 1" in body]
+    source = f"def {name}(ps):\n"
+    if counters:
+        source += f"    nonlocal {', '.join('n' + c for c in counters)}\n"
+        source += "".join(f"    {c} = 0\n" for c in counters)
+    source += "    for p in ps:\n" + "".join(
+        "        " + line + "\n" for line in body.splitlines()
+    )
+    source += "".join(f"    n{c} += {c}\n" for c in counters)
+    return source
+
+
+def _diverged(region: str, variable: str, got: float, expected: float):
+    raise SimulationError(
+        f"trace replay divergence in region {region!r}: control read "
+        f"{variable!r} returned {got!r}, recorded {expected!r}"
+    )
+
+
+def _compile_attempt(region: str, shapes: List[Tuple], address_of):
+    """The attempt function of one program: a nested function per
+    shape, then one loop over the ``(shape index, payloads)`` runs.
+
+    ``attempt(runs, aa, iv, wlog, swlog, dwlog, rlog, plog, fwd,
+    mget, init)`` returns ``(n_spec_spec, n_priv_hit)``.
+    """
+    names = [f"s{k}" for k in range(len(shapes))]
+    source = (
+        "def attempt(runs, aa, iv, wlog, swlog, dwlog, rlog, plog, "
+        "fwd, mget, init):\n"
+        "    nss = 0\n"
+        "    nph = 0\n"
+    )
+    for name, shape in zip(names, shapes):
+        source += "".join(
+            "    " + line + "\n"
+            for line in _shape_source(name, shape).splitlines()
+        )
+    source += (
+        f"    fns = ({''.join(n + ', ' for n in names)})\n"
+        "    for k, ps in runs:\n"
+        "        fns[k](ps)\n"
+        "    return nss, nph\n"
+    )
+    namespace = {
+        "address_of": address_of,
+        "region": region,
+        "_program_subs": _program_subs,
+        "_eval_arith": _eval_arith,
+        "_ARITH_FALLBACK_ERRORS": _ARITH_FALLBACK_ERRORS,
+        "_diverged": _diverged,
+        "SymbolError": SymbolError,
+        "AddressError": AddressError,
+    }
+    exec(compile(source, f"<batch attempt {region}>", "exec"), namespace)
+    return namespace["attempt"]
+
+
+# ----------------------------------------------------------------------
+# the compiled program
+# ----------------------------------------------------------------------
 class BatchProgram:
-    """One region's recorded schedule compiled to flat batch steps."""
+    """One region's recorded schedule compiled to an attempt function."""
 
     __slots__ = (
         "region",
         "trace",
-        "steps",
+        "symbols",
+        "ctrl_values",
+        "shapes",
+        "runs",
+        "n_steps",
+        "attempt",
+        "var_names",
         "aff_names",
         "aff_base",
         "aff_coeff",
         "aff_base_np",
         "aff_coeff_np",
-        "aff_bounds",
+        "iv_range",
         "n_reads",
         "n_writes",
         "reads_by_route",
@@ -163,20 +377,33 @@ class BatchProgram:
         "ref_counts",
         "batched_ops",
         "_weighted",
+        "__weakref__",
     )
 
-    def __init__(self, region: str, trace: SegmentTrace):
+    def __init__(self, region: str, trace: SegmentTrace, symbols):
         self.region = region
         self.trace = trace
-        self.steps: List[Tuple] = []
+        self.symbols = symbols
+        #: Variable -> value of every control read the trace recorded
+        #: (read-only scalars; the schedule is valid while they hold).
+        self.ctrl_values: Dict[str, float] = {}
+        #: Distinct step shapes; ``runs`` holds each maximal run of
+        #: consecutive steps of one shape as (shape index, payloads).
+        self.shapes: List[Tuple] = []
+        self.runs: List[Tuple[int, List[Tuple]]] = []
+        self.n_steps = 0
+        self.attempt = None
+        #: Every variable an attempt can touch (initial-value map keys).
+        self.var_names: set = set()
         self.aff_names: List[str] = []
         self.aff_base: List[int] = []
         self.aff_coeff: List[int] = []
         self.aff_base_np = None
         self.aff_coeff_np = None
-        #: Per affine item: ((base, coeff, extent), ...) per dimension,
-        #: validated against the actual iteration range at bind time.
-        self.aff_bounds: List[Tuple] = []
+        #: Region-index values keeping every affine subscript in
+        #: bounds, as an inclusive ``[low, high]`` (``high < low`` when
+        #: no value does); ``None`` means unbounded.
+        self.iv_range: Tuple[Optional[int], Optional[int]] = (None, None)
         self.n_reads = 0
         self.n_writes = 0
         self.reads_by_route = [0, 0, 0]
@@ -190,7 +417,8 @@ class BatchProgram:
         self.assign_stmts: List[object] = []
         self.ref_counts: Dict[str, int] = {}
         self.batched_ops = 0
-        self._weighted: Dict[int, int] = {}
+        #: CostModel (a frozen value) -> weighted attempt compute.
+        self._weighted: Dict[object, int] = {}
 
     # ------------------------------------------------------------------
     def finalize(self) -> None:
@@ -203,26 +431,67 @@ class BatchProgram:
         if _np is not None and self.aff_base:
             self.aff_base_np = _np.asarray(self.aff_base, dtype=_np.int64)
             self.aff_coeff_np = _np.asarray(self.aff_coeff, dtype=_np.int64)
+        self.attempt = _compile_attempt(
+            self.region, self.shapes, self.symbols.address_of
+        )
+
+    def matches(self, memory: MemoryImage) -> bool:
+        """True when this program's trace is still the schedule of its
+        region over ``memory``: same symbol table, and every recorded
+        control read still returns its recorded value."""
+        if memory.symbols is not self.symbols:
+            return False
+        read = memory.read
+        for variable, value in self.ctrl_values.items():
+            if float(read(variable)) != value:
+                return False
+        return True
+
+    def bound_dimension(self, base: int, coeff: int, extent: int) -> None:
+        """Narrow :attr:`iv_range` to the ``iv`` values for which
+        ``1 <= base + coeff * iv <= extent``."""
+        if coeff == 0:
+            if 1 <= base <= extent:
+                return
+            low, high = 1, 0
+        elif coeff > 0:
+            low, high = -((base - 1) // coeff), (extent - base) // coeff
+        else:
+            low, high = -((base - extent) // coeff), (1 - base) // coeff
+        old_low, old_high = self.iv_range
+        self.iv_range = (
+            low if old_low is None else max(low, old_low),
+            high if old_high is None else min(high, old_high),
+        )
 
     def bounds_ok(self, first_iv: int, last_iv: int) -> bool:
         """True when every affine subscript stays in bounds for the
         whole iteration range (each dimension is monotonic in ``iv``,
-        so the two extreme values suffice)."""
-        for bounds in self.aff_bounds:
-            for base, coeff, extent in bounds:
-                for iv in (first_iv, last_iv):
-                    sub = base + coeff * iv
-                    if sub < 1 or sub > extent:
-                        return False
-        return True
+        so the range's two ends suffice)."""
+        low, high = self.iv_range
+        return (low is None or low <= min(first_iv, last_iv)) and (
+            high is None or max(first_iv, last_iv) <= high
+        )
+
+    def affine_addresses(self, iv: int) -> List[Tuple[str, int]]:
+        """The address of every affine item at region index ``iv``."""
+        if self.aff_base_np is not None:
+            offsets = (self.aff_base_np + self.aff_coeff_np * iv).tolist()
+            return list(zip(self.aff_names, offsets))
+        return [
+            (name, base + coeff * iv)
+            for name, base, coeff in zip(
+                self.aff_names, self.aff_base, self.aff_coeff
+            )
+        ]
 
     def weighted_compute(self, cost) -> int:
         """Attempt compute cycles under a recorder's cost model
         (mirrors the interleaved engine's ``compute_cost`` hook, which
         prices assignment arithmetic with operator weights and control
-        computes at one cycle)."""
-        key = id(cost)
-        cached = self._weighted.get(key)
+        computes at one cycle).  Cached by the model's value: a
+        memoized program outlives the models that priced it."""
+        cached = self._weighted.get(cost)
         if cached is None:
             expression_cost = cost.expression_cost
             per_stmt: Dict[int, int] = {}
@@ -233,7 +502,7 @@ class BatchProgram:
                     c = expression_cost(stmt.rhs)
                     per_stmt[id(stmt)] = c
                 total += c
-            self._weighted[key] = cached = total
+            self._weighted[cost] = cached = total
         return cached
 
 
@@ -243,34 +512,60 @@ def build_batch_program(
     routes: Dict[str, str],
     symbols,
 ) -> BatchProgram:
-    """Compile a recorded trace into flat batch steps.
+    """Compile a recorded trace into shape-specialized attempt code.
 
-    Raises :class:`_BuildError` when the trace uses something the flat
-    executor cannot reproduce exactly (the caller falls back to the
-    op-interleaved scheduler, which reproduces any failure mode of the
-    original program verbatim).
+    Raises :class:`_BuildError` when the trace uses something the
+    compiled attempt cannot reproduce exactly (the caller falls back to
+    the op-interleaved scheduler, which reproduces any failure mode of
+    the original program verbatim).
     """
-    bp = BatchProgram(region.name, trace)
-    steps = bp.steps
+    bp = BatchProgram(region.name, trace, symbols)
+    runs = bp.runs
     address_of = symbols.address_of
     route_code = _route_codes_for(routes)
     ref_counts = bp.ref_counts
     reads_by_route = bp.reads_by_route
     writes_by_route = bp.writes_by_route
+    var_names = bp.var_names
+    shape_index: Dict[Tuple, int] = {}
+
+    def add_step(shape: Tuple, payload: Tuple) -> None:
+        k = shape_index.get(shape)
+        if k is None:
+            k = shape_index[shape] = len(bp.shapes)
+            bp.shapes.append(shape)
+        if runs and runs[-1][0] == k:
+            runs[-1][1].append(payload)
+        else:
+            runs.append((k, [payload]))
+        bp.n_steps += 1
 
     def count_ref(ref) -> None:
         if ref is not None:
             uid = ref.uid
             ref_counts[uid] = ref_counts.get(uid, 0) + 1
 
+    def fixed(name: str, subscripts) -> Tuple:
+        try:
+            return address_of(name, subscripts)
+        except SymbolError as exc:
+            raise _BuildError(str(exc)) from exc
+
+    affine_index: Dict[Tuple, int] = {}
+
     def add_affine(name: str, dims) -> int:
+        """Index of the affine address ``name(dims)``; items with the
+        same subscripts share one entry of the attempt's address list."""
+        key = (name, tuple(dims))
+        index = affine_index.get(key)
+        if index is not None:
+            return index
         symbol = symbols.get(name)
         if symbol is None or not symbol.is_array or len(dims) != symbol.rank:
             raise _BuildError(f"affine template shape mismatch for {name!r}")
         obase = 0
         ocoeff = 0
         stride = 1
-        bounds = []
         for (base, coeff), extent in zip(dims, symbol.shape):
             b = int(base)
             c = int(coeff)
@@ -278,33 +573,41 @@ def build_batch_program(
                 raise _BuildError(f"non-integral affine term for {name!r}")
             obase += (b - 1) * stride
             ocoeff += c * stride
-            bounds.append((b, c, int(extent)))
+            bp.bound_dimension(b, c, int(extent))
             stride *= int(extent)
-        index = len(bp.aff_names)
+        index = affine_index[key] = len(bp.aff_names)
         bp.aff_names.append(name)
         bp.aff_base.append(obase)
         bp.aff_coeff.append(ocoeff)
-        bp.aff_bounds.append(tuple(bounds))
         return index
 
-    def build_item(r) -> Tuple:
+    def dynamic(name: str, dims, code: int) -> Tuple[Tuple, Tuple]:
+        """(shape item, payload) of a value-dependent address."""
+        if symbols.get(name) is None:
+            raise _BuildError(f"undeclared variable {name!r}")
+        if len(dims) == 1 and type(dims[0]) is int:
+            return (M_GATHER, code, dims[0]), (name,)
+        return (M_PROGRAM, code, None), (name, dims)
+
+    def build_item(r, payload: List) -> Tuple:
         bp.n_reads += 1
         if type(r) is ReadOp:
-            count_ref(r.ref)
-            code = route_code(r.ref)
-            reads_by_route[code] += 1
-            try:
-                addr = address_of(r.variable, r.subscripts)
-            except SymbolError as exc:
-                raise _BuildError(str(exc)) from exc
-            return (0, addr, code)
-        name, ref = r[0], r[1]
+            name, ref = r.variable, r.ref
+        else:
+            name, ref = r[0], r[1]
+        var_names.add(name)
         count_ref(ref)
         code = route_code(ref)
         reads_by_route[code] += 1
+        if type(r) is ReadOp:
+            payload.append(fixed(name, r.subscripts))
+            return (M_FIXED, code, None)
         if len(r) == 3:  # all dims affine (base, coeff)
-            return (1, add_affine(name, r[2]), code)
-        return (2, (name, r[2]), code)
+            payload.append(add_affine(name, r[2]))
+            return (M_AFFINE, code, None)
+        item, extra = dynamic(name, r[2], code)
+        payload.extend(extra)
+        return item
 
     for event in trace.events_for(None):
         kind = event[0]
@@ -312,16 +615,17 @@ def build_batch_program(
             bp.default_compute += event[1].cycles
             bp.n_ctrl_computes += 1
         elif kind == EV_CTRL_READ:
-            rop = event[1]
+            rop, expected = event[1], event[2]
             bp.n_reads += 1
+            var_names.add(rop.variable)
+            bp.ctrl_values[rop.variable] = expected
             count_ref(rop.ref)
             code = route_code(rop.ref)
             reads_by_route[code] += 1
-            try:
-                addr = address_of(rop.variable, rop.subscripts)
-            except SymbolError as exc:
-                raise _BuildError(str(exc)) from exc
-            steps.append((STEP_CTRL, addr, code, event[2], rop.variable))
+            add_step(
+                ("ctrl", code),
+                (fixed(rop.variable, rop.subscripts), expected, rop.variable),
+            )
         elif kind == EV_ASSIGN:
             (
                 _,
@@ -338,41 +642,80 @@ def build_batch_program(
                 wref,
                 ca,
             ) = event
-            rhs_items = tuple(build_item(r) for r in rhs_reads)
-            target_items = tuple(build_item(r) for r in target_reads)
+            payload: List = [env]
+            rhs_items = tuple(build_item(r, payload) for r in rhs_reads)
+            if arith_fn is not None:
+                payload.append(arith_fn)
+            payload.append(arith_program)
+            target_items = tuple(build_item(r, payload) for r in target_reads)
             bp.n_writes += 1
+            var_names.add(target)
             count_ref(wref)
             wcode = route_code(wref)
             writes_by_route[wcode] += 1
             if subs_const:
-                try:
-                    taddr = address_of(target, subs_or_dims)
-                except SymbolError as exc:
-                    raise _BuildError(str(exc)) from exc
-                tgt = (0, taddr, wcode)
+                payload.append(fixed(target, subs_or_dims))
+                tgt = (M_FIXED, wcode, None)
             elif subs_affine:
-                tgt = (1, add_affine(target, subs_or_dims), wcode)
+                payload.append(add_affine(target, subs_or_dims))
+                tgt = (M_AFFINE, wcode, None)
             else:
-                tgt = (2, (target, subs_or_dims), wcode)
+                tgt, extra = dynamic(target, subs_or_dims, wcode)
+                payload.extend(extra)
             bp.default_compute += cost_op.cycles
             if ca is None or ca.stmt is None:  # pragma: no cover - defensive
                 raise _BuildError("assign event lacks its compiled statement")
             bp.assign_stmts.append(ca.stmt)
-            steps.append(
-                (
-                    STEP_ASSIGN,
-                    rhs_items,
-                    target_items,
-                    arith_fn,
-                    arith_program,
-                    env,
-                    tgt,
-                )
+            add_step(
+                ("assign", rhs_items, arith_fn is not None, target_items, tgt),
+                tuple(payload),
             )
         else:  # pragma: no cover - EV_CHARGE is stripped by events_for(None)
             raise _BuildError(f"unexpected trace event kind {kind}")
 
     bp.finalize()
+    return bp
+
+
+# ----------------------------------------------------------------------
+# the batch-program memo
+# ----------------------------------------------------------------------
+#: LoopRegion -> {route map: its compiled program}; weak, so a dropped
+#: program frees its entries.
+_MEMO: "weakref.WeakKeyDictionary[LoopRegion, Dict[FrozenSet, BatchProgram]]" = (
+    weakref.WeakKeyDictionary()
+)
+_MEMO_LOCK = threading.Lock()
+
+
+def batch_program(
+    region: LoopRegion, routes: Dict[str, str], memory: MemoryImage
+) -> Optional[BatchProgram]:
+    """The compiled program of ``region`` under ``routes``; None when
+    the region cannot be batched.
+
+    A memoized program is returned while :meth:`BatchProgram.matches`
+    holds; otherwise the region is recorded again against ``memory``
+    and the new program replaces the old one.  Concurrent runs may
+    record the same region twice; the last store wins and both
+    programs are equivalent.
+    """
+    key = frozenset(routes.items())
+    with _MEMO_LOCK:
+        programs = _MEMO.get(region)
+        if programs is None:
+            programs = _MEMO[region] = {}
+        bp = programs.get(key)
+    if bp is not None and bp.matches(memory):
+        return bp
+    try:
+        # Checks trace eligibility first (TraceError when ineligible).
+        trace = record_trace(region, memory.read)
+        bp = build_batch_program(region, trace, routes, memory.symbols)
+    except (TraceError, _BuildError):
+        return None
+    with _MEMO_LOCK:
+        programs[key] = bp
     return bp
 
 
@@ -467,6 +810,21 @@ class _BatchScheduler:
                 value += step
 
         self.values = iteration_values()
+        #: Memory loads inlined by the compiled attempts: the stored
+        #: values, then each variable's initial value.
+        self._mget = memory._values.get
+        self._init = {
+            name: memory.initial_value(name) for name in bp.var_names
+        }
+        #: Compute cycles of one attempt (recorder-weighted when timed)
+        #: and the compiled attempts not yet in ``stats``.
+        recorder = engine._recorder
+        self._compute = (
+            bp.weighted_compute(recorder.cost)
+            if recorder is not None
+            else bp.default_compute
+        )
+        self._compiled_attempts = 0
 
     # ------------------------------------------------------------------
     # lifecycle (mirrors the interleaved engine's accounting exactly)
@@ -618,252 +976,58 @@ class _BatchScheduler:
         against committed memory.  The attempt is a deterministic
         function of these values (own-log serves are internal), so
         success proves its write set equals a sequential re-execution."""
-        load = self.memory.load
+        mget = self._mget
+        init = self._init
         for addr, (value, _) in task.rlog.items():
-            if load(addr) != value:
+            current = mget(addr)
+            if current is None:
+                current = init[addr[0]]
+            if current != value:
                 return False
         return True
 
     # ------------------------------------------------------------------
-    # attempt execution: flat path (no injector)
+    # attempt execution: compiled path (no injector)
     # ------------------------------------------------------------------
-    def _run_flat(self, task: _BatchTask) -> None:
+    def _run_compiled(self, task: _BatchTask) -> None:
         bp = self.bp
-        iv = task.iv
-        wlog = task.wlog
-        swlog = task.swlog
-        dwlog = task.dwlog
-        rlog = task.rlog
-        plog = task.plog
-        load = self.memory.load
-        address_of = self.memory.symbols.address_of
-        names = bp.aff_names
-        if bp.aff_base_np is not None:
-            offs = (bp.aff_base_np + bp.aff_coeff_np * iv).tolist()
-        elif bp.aff_base:
-            offs = [b + c * iv for b, c in zip(bp.aff_base, bp.aff_coeff)]
-        else:
-            offs = ()
-        n_spec_spec = 0
-        n_priv_hit = 0
-        older: List[Dict] = []
+        # Oldest first, so a younger attempt's value overrides: each
+        # address maps to its nearest older executed write.
+        fwd: Dict = {}
         for other in self.active:
             if other is task:
                 break
             if other.executed:
-                older.append(other.wlog)
-        older.reverse()
-
-        for step in bp.steps:
-            if step[0] == STEP_ASSIGN:
-                _, rhs_items, target_items, arith_fn, program, env, tgt = step
-                values: List[float] = []
-                append = values.append
-                for item in rhs_items:
-                    mode = item[0]
-                    if mode == 1:
-                        k = item[1]
-                        addr = (names[k], offs[k])
-                    elif mode == 0:
-                        addr = item[1]
-                    else:
-                        name, dims = item[1]
-                        try:
-                            addr = address_of(
-                                name, _program_subs(dims, values, iv, env)
-                            )
-                        except SymbolError as exc:
-                            raise AddressError(str(exc)) from exc
-                    code = item[2]
-                    if code == 0:  # speculative
-                        v = wlog.get(addr)
-                        if v is not None:
-                            if addr in swlog:
-                                n_spec_spec += 1
-                        else:
-                            cached = rlog.get(addr)
-                            if cached is not None:
-                                v = cached[0]
-                                if cached[1]:
-                                    n_spec_spec += 1
-                            else:
-                                for owl in older:
-                                    v = owl.get(addr)
-                                    if v is not None:
-                                        break
-                                if v is not None:
-                                    n_spec_spec += 1
-                                    rlog[addr] = (v, True)
-                                else:
-                                    v = load(addr)
-                                    rlog[addr] = (v, False)
-                    elif code == 1:  # direct
-                        v = dwlog.get(addr)
-                        if v is None:
-                            v = load(addr)
-                    else:  # private
-                        v = plog.get(addr)
-                        if v is not None:
-                            n_priv_hit += 1
-                        else:
-                            v = load(addr)
-                    append(v)
-                if arith_fn is not None:
-                    try:
-                        rhs_value = arith_fn(values, iv, env)
-                    except _ARITH_FALLBACK_ERRORS:
-                        rhs_value = _eval_arith(program, values, iv, env)
-                else:
-                    rhs_value = _eval_arith(program, values, iv, env)
-                for item in target_items:
-                    mode = item[0]
-                    if mode == 1:
-                        k = item[1]
-                        addr = (names[k], offs[k])
-                    elif mode == 0:
-                        addr = item[1]
-                    else:
-                        name, dims = item[1]
-                        try:
-                            addr = address_of(
-                                name, _program_subs(dims, values, iv, env)
-                            )
-                        except SymbolError as exc:
-                            raise AddressError(str(exc)) from exc
-                    code = item[2]
-                    if code == 0:
-                        v = wlog.get(addr)
-                        if v is not None:
-                            if addr in swlog:
-                                n_spec_spec += 1
-                        else:
-                            cached = rlog.get(addr)
-                            if cached is not None:
-                                v = cached[0]
-                                if cached[1]:
-                                    n_spec_spec += 1
-                            else:
-                                for owl in older:
-                                    v = owl.get(addr)
-                                    if v is not None:
-                                        break
-                                if v is not None:
-                                    n_spec_spec += 1
-                                    rlog[addr] = (v, True)
-                                else:
-                                    v = load(addr)
-                                    rlog[addr] = (v, False)
-                    elif code == 1:
-                        v = dwlog.get(addr)
-                        if v is None:
-                            v = load(addr)
-                    else:
-                        v = plog.get(addr)
-                        if v is not None:
-                            n_priv_hit += 1
-                        else:
-                            v = load(addr)
-                    append(v)
-                mode = tgt[0]
-                if mode == 1:
-                    k = tgt[1]
-                    addr = (names[k], offs[k])
-                elif mode == 0:
-                    addr = tgt[1]
-                else:
-                    name, dims = tgt[1]
-                    try:
-                        addr = address_of(
-                            name, _program_subs(dims, values, iv, env)
-                        )
-                    except SymbolError as exc:
-                        raise AddressError(str(exc)) from exc
-                value = float(rhs_value)
-                code = tgt[2]
-                if code == 0:
-                    wlog[addr] = value
-                    swlog[addr] = None
-                elif code == 1:
-                    wlog[addr] = value
-                    dwlog[addr] = value
-                else:
-                    plog[addr] = value
-            else:  # STEP_CTRL
-                _, addr, code, expected, variable = step
-                if code == 0:
-                    v = wlog.get(addr)
-                    if v is not None:
-                        if addr in swlog:
-                            n_spec_spec += 1
-                    else:
-                        cached = rlog.get(addr)
-                        if cached is not None:
-                            v = cached[0]
-                            if cached[1]:
-                                n_spec_spec += 1
-                        else:
-                            for owl in older:
-                                v = owl.get(addr)
-                                if v is not None:
-                                    break
-                            if v is not None:
-                                n_spec_spec += 1
-                                rlog[addr] = (v, True)
-                            else:
-                                v = load(addr)
-                                rlog[addr] = (v, False)
-                elif code == 1:
-                    v = dwlog.get(addr)
-                    if v is None:
-                        v = load(addr)
-                else:
-                    v = plog.get(addr)
-                    if v is not None:
-                        n_priv_hit += 1
-                    else:
-                        v = load(addr)
-                if v != expected:
-                    raise SimulationError(
-                        f"trace replay divergence in region "
-                        f"{bp.trace.region!r}: control read {variable!r} "
-                        f"returned {v!r}, recorded {expected!r}"
-                    )
-
-        task.n_spec_spec = n_spec_spec
-        task.n_priv_hit = n_priv_hit
+                fwd.update(other.wlog)
+        task.n_spec_spec, task.n_priv_hit = bp.attempt(
+            bp.runs,
+            bp.affine_addresses(task.iv),
+            task.iv,
+            task.wlog,
+            task.swlog,
+            task.dwlog,
+            task.rlog,
+            task.plog,
+            fwd,
+            self._mget,
+            self._init,
+        )
         self._apply_attempt_stats(task)
 
     def _apply_attempt_stats(self, task: _BatchTask) -> None:
-        """Bulk accounting for one flat attempt (what the interleaved
-        scheduler accumulates per op)."""
-        bp = self.bp
-        stats = self.stats
-        engine = self.engine
-        reads_by_route = bp.reads_by_route
-        writes_by_route = bp.writes_by_route
-        stats.reads += bp.n_reads
-        stats.writes += bp.n_writes
-        stats.speculative_accesses += reads_by_route[0] + writes_by_route[0]
-        stats.idempotent_accesses += reads_by_route[1] + writes_by_route[1]
-        stats.private_accesses += reads_by_route[2] + writes_by_route[2]
-        counts = stats.reference_counts
-        for uid, n in bp.ref_counts.items():
-            counts[uid] = counts.get(uid, 0) + n
-        recorder = engine._recorder
-        if recorder is not None:
-            compute = bp.weighted_compute(recorder.cost)
-        else:
-            compute = bp.default_compute
+        """Accounting for one compiled attempt.  What every attempt of
+        the program adds alike is counted here and applied in bulk by
+        :meth:`_flush_attempt_stats`."""
+        self._compiled_attempts += 1
+        compute = self._compute
         task.cycles += compute
-        stats.cycles += compute
-        stats.batched_attempts += 1
-        stats.batched_ops += bp.batched_ops
-        stats.batch_log_entries += (
+        self.stats.batch_log_entries += (
             len(task.wlog) + len(task.rlog) + len(task.plog)
         )
+        recorder = self.engine._recorder
         if recorder is not None:
-            from repro.runtime.engines import ROUTE_PRIVATE, ROUTE_SPECULATIVE
-
+            bp = self.bp
+            writes_by_route = bp.writes_by_route
             priced = recorder.cost.batch_cost(
                 compute,
                 reads={
@@ -879,17 +1043,42 @@ class _BatchScheduler:
             )
             recorder.batched(task.age, priced)
 
+    def _flush_attempt_stats(self) -> None:
+        """Add the per-program counts of every compiled attempt run
+        (what the interleaved scheduler accumulates per op)."""
+        n = self._compiled_attempts
+        self._compiled_attempts = 0
+        if not n:
+            return
+        bp = self.bp
+        stats = self.stats
+        reads_by_route = bp.reads_by_route
+        writes_by_route = bp.writes_by_route
+        stats.reads += n * bp.n_reads
+        stats.writes += n * bp.n_writes
+        stats.speculative_accesses += n * (reads_by_route[0] + writes_by_route[0])
+        stats.idempotent_accesses += n * (reads_by_route[1] + writes_by_route[1])
+        stats.private_accesses += n * (reads_by_route[2] + writes_by_route[2])
+        counts = stats.reference_counts
+        for uid, k in bp.ref_counts.items():
+            counts[uid] = counts.get(uid, 0) + n * k
+        stats.cycles += n * self._compute
+        stats.batched_attempts += n
+        stats.batched_ops += n * bp.batched_ops
+
     # ------------------------------------------------------------------
-    # attempt execution: driver path (fault injector attached)
+    # attempt execution: op-stepped driver (fault injector attached)
     # ------------------------------------------------------------------
     def _run_driver(self, task: _BatchTask) -> None:
         """Pump the replayed attempt op-by-op through the fault hooks.
 
-        Same serving discipline as the flat path, but every operation
-        passes ``injector.perturb_op`` and forwarded serves go through
-        ``store.forward`` so ``corrupt_forward`` can fire and poison the
-        consuming buffer.  Stats accrue per op (a faulted attempt's
-        partial work must count, as in the interleaved scheduler).
+        Same serving discipline as the compiled path, but every
+        operation passes ``injector.perturb_op`` and forwarded serves go
+        through ``store.forward`` so ``corrupt_forward`` can fire and
+        poison the consuming buffer.  Stats accrue per op (a faulted
+        attempt's partial work must count, as in the interleaved
+        scheduler).  Without an injector it is the op-stepped oracle of
+        :meth:`_run_compiled`.
         """
         engine = self.engine
         injector = engine._injector
@@ -912,20 +1101,14 @@ class _BatchScheduler:
             if other.executed:
                 older.append(other)
         older.reverse()
-
-        from repro.runtime.engines import (
-            ROUTE_DIRECT,
-            ROUTE_PRIVATE,
-            ROUTE_SPECULATIVE,
-        )
-
         route_of = engine._routes.get
         ops = 0
         coroutine = replay_segment(self.bp.trace, iv)
         try:
             op = coroutine.send(None)
             while True:
-                op = injector.perturb_op(op)
+                if injector is not None:
+                    op = injector.perturb_op(op)
                 ops += 1
                 cls = type(op)
                 if cls is ComputeOp:
@@ -1051,6 +1234,7 @@ class _BatchScheduler:
         memory = self.memory
         stats.batch_fallbacks += 1
         if self._validate(head):
+            stats.batch_drains += 1
             stats.overflow_entries += head.buffer.entries
             drained = engine.store.commit(head.buffer, memory)
             stats.commit_entries += drained
@@ -1067,6 +1251,7 @@ class _BatchScheduler:
                 )
             self._commit(head, drained=True)
             return
+        stats.batch_reexecutions += 1
         stats.batch_violations += 1
         stats.violations += 1
         self._squash_restart(head)
@@ -1091,9 +1276,6 @@ class _BatchScheduler:
         store_value = memory.store
         address_of = memory.symbols.address_of
         plog = head.plog
-
-        from repro.runtime.engines import ROUTE_DIRECT, ROUTE_PRIVATE, ROUTE_SPECULATIVE
-
         route_of = engine._routes.get
         ops = 0
         coroutine = replay_segment(self.bp.trace, head.iv)
@@ -1175,7 +1357,6 @@ class _BatchScheduler:
         engine = self.engine
         stats = self.stats
         memory = self.memory
-        store_value = memory.store
         entries = 0
         if head.buffer is not None:
             entries = engine.store.commit(head.buffer, memory)
@@ -1184,11 +1365,10 @@ class _BatchScheduler:
         # The write log covers direct-route writes (which only exist in
         # the log until commit) and re-covers the buffered values with
         # the same program-order final values; a write-through fallback
-        # leaves the log empty, so only the private frame remains.
-        for address, value in head.wlog.items():
-            store_value(address, value)
-        for address, value in head.plog.items():
-            store_value(address, value)
+        # leaves the log empty, so only the private frame remains.  Both
+        # logs hold floats already, so they go straight into memory.
+        memory._values.update(head.wlog)
+        memory._values.update(head.plog)
         stats.segments_committed += 1
         engine._committed_age = head.age
         engine._rounds_since_commit = 0
@@ -1232,7 +1412,7 @@ class _BatchScheduler:
                 if run_driver:
                     self._run_driver(task)
                 else:
-                    self._run_flat(task)
+                    self._run_compiled(task)
             except (FaultInjected, AddressError):
                 if engine._injector is None:
                     raise
@@ -1269,30 +1449,18 @@ class _BatchScheduler:
             self._refill()
 
     def run(self) -> None:
-        self._refill()
-        while self.active:
-            self._sweep()
-            self._commit_phase()
+        try:
+            self._refill()
+            while self.active:
+                self._sweep()
+                self._commit_phase()
+        finally:
+            self._flush_attempt_stats()
 
 
 # ----------------------------------------------------------------------
 # engine entry point
 # ----------------------------------------------------------------------
-def _prepare(region: LoopRegion, routes: Dict[str, str], memory: MemoryImage):
-    """Record and compile ``region`` for batching; None = ineligible."""
-    eligible, _reason = trace_eligibility(region)
-    if not eligible:
-        return None
-    try:
-        trace = record_trace(region, memory.read)
-    except TraceError:
-        return None
-    try:
-        return build_batch_program(region, trace, routes, memory.symbols)
-    except _BuildError:
-        return None
-
-
 def try_run_batched(
     engine,
     region: LoopRegion,
@@ -1309,13 +1477,7 @@ def try_run_batched(
     region executed (or had no iterations) and its effects are in
     ``memory`` / ``stats``.
     """
-    cache = engine._batch_programs
-    name = region.name
-    if name in cache:
-        bp = cache[name]
-    else:
-        bp = _prepare(region, engine._routes, memory)
-        cache[name] = bp
+    bp = batch_program(region, engine._routes, memory)
     if bp is None:
         return False
     if step > 0:
@@ -1337,7 +1499,7 @@ def try_run_batched(
         with obs.span(
             "engine.batch",
             category="engine",
-            region=name,
+            region=region.name,
             engine=engine.engine_name,
             tasks=count,
             ops_per_attempt=bp.batched_ops,

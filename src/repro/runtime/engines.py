@@ -308,10 +308,10 @@ class SpeculativeEngine:
         #: default -- the batched protocol is bit-identical in final
         #: memory but has different micro-dynamics (fault-free runs
         #: validate instead of violating), so dynamics-sensitive
-        #: consumers opt in explicitly.
+        #: consumers opt in explicitly.  Compiled batch programs are
+        #: memoized with their region, so repeated runs of one program
+        #: record and compile each region once.
         self.batch = batch
-        #: Region name -> compiled BatchProgram (None = ineligible).
-        self._batch_programs: Dict[str, object] = {}
 
     # ------------------------------------------------------------------
     # routing (the only thing HOSE and CASE disagree on)

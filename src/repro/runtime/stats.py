@@ -53,6 +53,12 @@ class ExecutionStats:
     batch_fallbacks: int = 0
     batch_violations: int = 0
     batch_log_entries: int = 0
+    #: The two reasons a fallback resolves: the overflowed head's logs
+    #: still validated and its buffer drained early, or they were stale
+    #: and it re-executed in write-through mode
+    #: (``batch_fallbacks == batch_drains + batch_reexecutions``).
+    batch_drains: int = 0
+    batch_reexecutions: int = 0
 
     # ------------------------------------------------------------------
     def count_reference(self, uid: str) -> None:

@@ -39,6 +39,20 @@ class TestHarness:
         assert payload["references"] == len(workload.region.references)
 
 
+class TestEngineRows:
+    def test_rows_split_batch_fallbacks_by_reason(self):
+        from repro.bench.engines import measure_engine_family
+
+        entry = measure_engine_family(generate("stencil", 10, 2), capacities=(2,))
+        for side in ("hose", "case"):
+            row = entry["capacities"]["2"][side]
+            assert row["matches_sequential"] is True
+            assert row["batch_fallbacks"] > 0
+            assert row["batch_fallbacks"] == (
+                row["batch_drains"] + row["batch_reexecutions"]
+            )
+
+
 class TestCLI:
     def test_smoke_run_writes_json(self, tmp_path):
         out = tmp_path / "BENCH_results.json"
