@@ -26,7 +26,10 @@ copied — every warm hit hands back the same object (dependence graph,
 summary, RFW result).  Treat them as immutable; a caller that needs a
 private mutable copy must copy explicitly (e.g. rebuild a
 ``DependenceGraph`` from its ``dependences`` list), or use
-:meth:`AnalysisCache.invalidate` to force recomputation.
+:meth:`AnalysisCache.invalidate` to force recomputation.  A loop
+region's dependence graph builds its edge list on its first list query;
+that happens once, under the graph's own lock, so every thread sees the
+one list and the cached graph stays immutable to callers.
 
 **Concurrency contract:** one cache may be shared by concurrent
 sessions (the ``repro.serve`` daemon shares a single instance across

@@ -33,6 +33,8 @@ from repro.analysis.cache import AnalysisCache
 from repro.analysis.dependence.graph import (
     Dependence,
     DependenceGraph,
+    PairPlan,
+    PlanEdge,
     dependence_kind,
 )
 from repro.analysis.dependence.signature import SignatureIndex
@@ -46,11 +48,6 @@ from repro.analysis.readonly import read_only_variables
 from repro.ir.reference import MemoryReference
 from repro.ir.region import ExplicitRegion, LoopRegion, Region
 from repro.ir.types import AccessType, DependenceKind, DependenceScope
-
-#: The edges one loop-region reference pair emits, in emission order, as
-#: ``(source is ref_a, kind, scope, distance)`` -- shared by every pair
-#: with the same plan key.
-_Plan = Tuple[Tuple[bool, DependenceKind, DependenceScope, Optional[int]], ...]
 
 
 def _subscript_facts(ref: MemoryReference, memo: Dict[str, tuple]) -> tuple:
@@ -125,15 +122,14 @@ def _intra_reverse_may_alias(
     return True
 
 
-def _emit_intra_segment(
-    graph: DependenceGraph,
+def _intra_segment_edges(
     ref_a: MemoryReference,
     ref_b: MemoryReference,
-    variable: str,
     invariant: Set[str],
     memo: Dict[str, tuple],
-) -> None:
-    """Intra-segment dependences of one aliasing pair.
+) -> List[Tuple[MemoryReference, MemoryReference, DependenceKind]]:
+    """Intra-segment dependences of one aliasing pair, as
+    ``(source, sink, kind)``.
 
     Program order decides the direction for same-instance aliasing; a
     shared inner loop additionally interleaves the instances, making
@@ -147,19 +143,12 @@ def _emit_intra_segment(
         if _intra_reverse_may_alias(ref_a, ref_b, invariant, memo)
         else ((source, sink),)
     )
+    edges: List[Tuple[MemoryReference, MemoryReference, DependenceKind]] = []
     for src, snk in pairs:
         kind = dependence_kind(src, snk)
         if kind is not None:
-            graph.add(
-                Dependence(
-                    source=src,
-                    sink=snk,
-                    kind=kind,
-                    scope=DependenceScope.INTRA_SEGMENT,
-                    variable=variable,
-                    distance=0,
-                )
-            )
+            edges.append((src, snk, kind))
+    return edges
 
 
 class DependenceGranularity(enum.Enum):
@@ -281,10 +270,11 @@ class DependenceAnalyzer:
         # (the shared inner loops) and whether its variable is private.
         # Two pairs with equal patterns, the same ``ref_a is ref_b`` and the
         # same order comparison emit the same edges, so each plan key is
-        # decided once per pass and replayed for every other pair.
+        # decided once per pass; every pair hands its plan to the compact
+        # graph, which builds edges only on a list query.
         patterns: Dict[tuple, int] = {}
-        plans: Dict[Tuple[int, int, bool, bool], _Plan] = {}
-        append = graph.append
+        plans: Dict[Tuple[int, int, bool, bool], PairPlan] = {}
+        add_pair = graph.add_pair
 
         for variable, refs in by_var.items():
             writes = [r for r in refs if r.access is AccessType.WRITE]
@@ -322,12 +312,7 @@ class DependenceAnalyzer:
                             ref_a, ref_b, relations, variable,
                             private_variables, invariant, memo,
                         )
-                    for a_is_source, kind, scope, distance in plan:
-                        append(Dependence(
-                            ref_a if a_is_source else ref_b,
-                            ref_b if a_is_source else ref_a,
-                            kind, scope, variable, distance,
-                        ))
+                    add_pair(ref_a, ref_b, plan, variable)
 
     def _emission_plan(
         self,
@@ -338,23 +323,46 @@ class DependenceAnalyzer:
         private_variables: Set[str],
         invariant: Set[str],
         memo: Dict[str, tuple],
-    ) -> _Plan:
-        """The edges :meth:`_emit_loop_dependences` emits for one pair,
+    ) -> PairPlan:
+        """The per-pair decision: the edges one loop-region pair emits,
         with the pair's references abstracted to "source is ``ref_a``".
 
         Any other pair with the same plan key (see :meth:`_analyze_loop`)
-        emits the same edges: the key holds everything the per-pair
-        decision reads.
+        emits the same edges: the key holds everything this reads.
         """
-        scratch = DependenceGraph(variable)
-        self._emit_loop_dependences(
-            scratch, ref_a, ref_b, relations, variable,
-            private_variables, invariant, memo,
-        )
-        return tuple(
-            (dep.source is ref_a, dep.kind, dep.scope, dep.distance)
-            for dep in scratch
-        )
+        edges: List[PlanEdge] = []
+        # Intra-segment dependences (same iteration).
+        if AliasRelation.SAME in relations and ref_a is not ref_b:
+            for src, _, intra_kind in _intra_segment_edges(
+                ref_a, ref_b, invariant, memo
+            ):
+                edges.append(
+                    (src is ref_a, intra_kind, DependenceScope.INTRA_SEGMENT, 0)
+                )
+        # Cross-segment dependences.
+        carried = relations & {AliasRelation.BEFORE, AliasRelation.AFTER}
+        if variable in private_variables or not carried:
+            return PairPlan(tuple(edges))
+        if self.direction is DirectionMode.TEXTUAL:
+            source, sink = (
+                (ref_a, ref_b) if ref_a.order <= ref_b.order else (ref_b, ref_a)
+            )
+            kind = dependence_kind(source, sink)
+            if kind is not None:
+                edges.append(
+                    (source is ref_a, kind, DependenceScope.CROSS_SEGMENT, None)
+                )
+        else:
+            # Execution-order direction: BEFORE means ref_a's segment is older.
+            if AliasRelation.BEFORE in relations:
+                kind = dependence_kind(ref_a, ref_b)
+                if kind is not None:
+                    edges.append((True, kind, DependenceScope.CROSS_SEGMENT, None))
+            if AliasRelation.AFTER in relations and ref_a is not ref_b:
+                kind = dependence_kind(ref_b, ref_a)
+                if kind is not None:
+                    edges.append((False, kind, DependenceScope.CROSS_SEGMENT, None))
+        return PairPlan(tuple(edges))
 
     def _emit_loop_dependences(
         self,
@@ -367,57 +375,18 @@ class DependenceAnalyzer:
         invariant: Set[str],
         memo: Dict[str, tuple],
     ) -> None:
-        # Intra-segment dependences (same iteration).
-        if AliasRelation.SAME in relations and ref_a is not ref_b:
-            _emit_intra_segment(graph, ref_a, ref_b, variable, invariant, memo)
-
-        # Cross-segment dependences.
-        if variable in private_variables:
-            return
-        carried = relations & {AliasRelation.BEFORE, AliasRelation.AFTER}
-        if not carried:
-            return
-        if self.direction is DirectionMode.TEXTUAL:
-            source, sink = (
-                (ref_a, ref_b) if ref_a.order <= ref_b.order else (ref_b, ref_a)
-            )
-            kind = dependence_kind(source, sink)
-            if kind is not None:
-                graph.add(
-                    Dependence(
-                        source=source,
-                        sink=sink,
-                        kind=kind,
-                        scope=DependenceScope.CROSS_SEGMENT,
-                        variable=variable,
-                    )
-                )
-            return
-        # Execution-order direction: BEFORE means ref_a's segment is older.
-        if AliasRelation.BEFORE in relations:
-            kind = dependence_kind(ref_a, ref_b)
-            if kind is not None:
-                graph.add(
-                    Dependence(
-                        source=ref_a,
-                        sink=ref_b,
-                        kind=kind,
-                        scope=DependenceScope.CROSS_SEGMENT,
-                        variable=variable,
-                    )
-                )
-        if AliasRelation.AFTER in relations and ref_a is not ref_b:
-            kind = dependence_kind(ref_b, ref_a)
-            if kind is not None:
-                graph.add(
-                    Dependence(
-                        source=ref_b,
-                        sink=ref_a,
-                        kind=kind,
-                        scope=DependenceScope.CROSS_SEGMENT,
-                        variable=variable,
-                    )
-                )
+        """Add one pair's edges to ``graph`` as :class:`Dependence`
+        records: the per-pair decision without the plan memo or the
+        compact graph, which :meth:`_analyze_loop` is tested against."""
+        plan = self._emission_plan(
+            ref_a, ref_b, relations, variable, private_variables, invariant, memo
+        )
+        for a_is_source, kind, scope, distance in plan.edges:
+            graph.add(Dependence(
+                ref_a if a_is_source else ref_b,
+                ref_b if a_is_source else ref_a,
+                kind, scope, variable, distance,
+            ))
 
     # ------------------------------------------------------------------
     # explicit regions
@@ -458,9 +427,10 @@ class DependenceAnalyzer:
                     if not explicit_pair_may_alias(ref_a, ref_b):
                         continue
                 if ref_a.segment == ref_b.segment:
-                    _emit_intra_segment(
-                        graph, ref_a, ref_b, variable, read_only, memo
-                    )
+                    for edge in _intra_segment_edges(ref_a, ref_b, read_only, memo):
+                        graph.add(Dependence(
+                            *edge, DependenceScope.INTRA_SEGMENT, variable, 0
+                        ))
                 else:
                     if variable in private_variables:
                         continue

@@ -293,22 +293,20 @@ def _label_region(
             if rfw.is_rfw(ref) and not dependences.is_cross_segment_sink(ref):
                 mark_idempotent(ref, IdempotencyCategory.SHARED_DEPENDENT)
 
-        # Idempotent reads (Theorem 2): no dependences sink into the read, or
-        # everything sinking into it is intra-segment with an idempotent source.
+        # Idempotent reads (Theorem 2): the read sinks no cross-segment
+        # dependence, and every intra-segment one it sinks has an idempotent
+        # write as its source (read-read pairs carry no dependence).
         for ref in region.references:
             if ref.access is not AccessType.READ:
                 continue
             if labels[ref.uid] is RefLabel.IDEMPOTENT:
                 continue
-            sink_deps = dependences.deps_with_sink(ref)
-            if not sink_deps:
-                mark_idempotent(ref, IdempotencyCategory.SHARED_DEPENDENT)
+            if dependences.is_cross_segment_sink(ref):
                 continue
             if all(
-                not dep.is_cross_segment
-                and dep.source.access is AccessType.WRITE
-                and labels[dep.source.uid] is RefLabel.IDEMPOTENT
-                for dep in sink_deps
+                source.access is AccessType.WRITE
+                and labels[source.uid] is RefLabel.IDEMPOTENT
+                for source in dependences.intra_sources_into(ref)
             ):
                 mark_idempotent(ref, IdempotencyCategory.SHARED_DEPENDENT)
 

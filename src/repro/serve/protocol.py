@@ -13,7 +13,9 @@ Error codes are the standard JSON-RPC set plus one extension:
 name                      code     meaning
 ========================  =======  =====================================
 ``PARSE_ERROR``           -32700   line is not valid JSON
-``INVALID_REQUEST``       -32600   JSON but not a JSON-RPC 2.0 request
+``INVALID_REQUEST``       -32600   JSON but not a JSON-RPC 2.0 request,
+                                   or a line over the session's limit
+                                   (``data.max_line_bytes``)
 ``METHOD_NOT_FOUND``      -32601   unknown method
 ``INVALID_PARAMS``        -32602   bad program payload / parameters
 ``INTERNAL_ERROR``        -32603   handler raised unexpectedly

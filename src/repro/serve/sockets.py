@@ -8,6 +8,10 @@ concurrent workers never interleave partial lines.  Saturation is
 answered inline from the reader thread (``OVERLOADED``), which is what
 keeps the daemon responsive while the pool is busy.
 
+Request lines are read with a bounded ``readline``: a line longer than
+:data:`MAX_LINE_BYTES` gets one ``INVALID_REQUEST`` envelope, the rest
+of it is discarded, and the session keeps serving.
+
 ``shutdown`` is transport-level, not a dispatcher method: the session
 acknowledges it, stops reading, and (TCP) asks the server to stop
 accepting -- so a scripted client can end an entire daemon run
@@ -18,12 +22,13 @@ from __future__ import annotations
 
 import socket
 import threading
-from typing import Callable, List, Optional
+from typing import Callable, Iterator, List, Optional
 
 from repro.obs.log import get_logger
 from repro.serve.dispatch import Dispatcher
 from repro.serve.pool import PoolSaturated, WorkerPool
 from repro.serve.protocol import (
+    INVALID_REQUEST,
     OVERLOADED,
     PARSE_ERROR,
     ProtocolError,
@@ -38,9 +43,13 @@ LOG = get_logger("serve")
 #: Method handled by the session itself (stops the transport).
 SHUTDOWN_METHOD = "shutdown"
 
+#: Longest request line a session reads, in bytes, newline excluded.
+MAX_LINE_BYTES = 1 << 20
+
 
 class Session:
-    """One client connection: reads request lines, writes response lines."""
+    """One client connection (binary streams): reads request lines,
+    writes response lines."""
 
     def __init__(
         self,
@@ -64,19 +73,20 @@ class Session:
     def run(self) -> None:
         """Serve until EOF or ``shutdown``; never raises to the caller."""
         LOG.debug("session open", session=self.name)
-        for raw in self.reader:
-            if isinstance(raw, bytes):
-                try:
-                    line = raw.decode("utf-8")
-                except UnicodeDecodeError as exc:
-                    self._write(
-                        error_response(
-                            None, PARSE_ERROR, f"parse error: {exc}"
-                        )
-                    )
-                    continue
-            else:
-                line = raw
+        for raw in self._lines():
+            if raw is None:
+                limit = {"max_line_bytes": MAX_LINE_BYTES}
+                self._write(error_response(
+                    None, INVALID_REQUEST, "request line too long", limit
+                ))
+                continue
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                self._write(
+                    error_response(None, PARSE_ERROR, f"parse error: {exc}")
+                )
+                continue
             line = line.strip()
             if not line:
                 continue
@@ -111,6 +121,20 @@ class Session:
                     )
         self._closed = True
         LOG.debug("session closed", session=self.name)
+
+    def _lines(self) -> Iterator[Optional[bytes]]:
+        """Request lines until EOF; ``None`` stands for a line longer than
+        :data:`MAX_LINE_BYTES`, whose rest has been read and dropped."""
+        while True:
+            raw = self.reader.readline(MAX_LINE_BYTES + 1)
+            if not raw:
+                return
+            if len(raw) <= MAX_LINE_BYTES or raw.endswith(b"\n"):
+                yield raw
+                continue
+            while raw and not raw.endswith(b"\n"):
+                raw = self.reader.readline(MAX_LINE_BYTES + 1)
+            yield None
 
     # ------------------------------------------------------------------
     def _write(self, payload) -> None:
@@ -256,20 +280,22 @@ class TCPServer:
 
     def _serve_client(self, client: socket.socket, name: str) -> None:
         try:
-            stream = client.makefile("rwb")
+            # Separate streams: a ``"rwb"`` pair's ``readline`` ignores
+            # its size limit.
+            streams = (client.makefile("rb"), client.makefile("wb"))
             session = Session(
-                stream,
-                stream,
+                *streams,
                 self.dispatcher,
                 self.pool,
                 name=name,
                 on_shutdown=self._deferred_shutdown,
             )
             session.run()
-            try:
-                stream.close()
-            except (OSError, ValueError):
-                pass
+            for stream in streams:
+                try:
+                    stream.close()
+                except (OSError, ValueError):
+                    pass
         except (OSError, ValueError):
             pass
         finally:

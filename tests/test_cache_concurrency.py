@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.analysis.cache import AnalysisCache
+from repro.bench.workloads import generate
 from repro.idempotency.labeling import label_region
 from repro.ir.dsl import parse_program
 
@@ -129,3 +130,44 @@ class TestCacheConcurrentLabeling:
             assert res.categories == reference.categories
         assert cache.hits > 0
         assert cache.misses > 0
+
+
+class TestLazyGraphMaterialization:
+    def test_threads_materialize_one_cached_graph_once(self, tight_switching):
+        # A cached loop-region graph builds its edges on the first list
+        # query.  Eight threads asking at once -- by iterating, by len and
+        # by per-sink lookup -- must all see one edge list, built once:
+        # unsynchronized, two threads building at once interleave appends
+        # and duplicate edges.
+        program = generate("stencil", 16, 40).program
+        region = program.regions[0]
+        cache = AnalysisCache()
+        graph = label_region(region, program=program, cache=cache).dependences
+        assert graph._pending, "labeling should leave the edges unbuilt"
+        refs = region.references
+        barrier = threading.Barrier(THREADS, timeout=30)
+
+        def query(worker):
+            barrier.wait()
+            if worker % 3 == 0:
+                edges = list(graph)
+            elif worker % 3 == 1:
+                size = len(graph)
+                edges = list(graph)
+                assert size == len(edges)
+            else:
+                by_sink = [d for ref in refs for d in graph.deps_with_sink(ref)]
+                edges = list(graph)
+                assert sorted(map(id, by_sink)) == sorted(map(id, edges))
+            return edges
+
+        with ThreadPoolExecutor(max_workers=THREADS) as pool:
+            futures = [pool.submit(query, t) for t in range(THREADS)]
+            seen = [future.result(timeout=60) for future in futures]
+
+        first = seen[0]
+        keys = [(d.source.uid, d.sink.uid, d.kind, d.scope) for d in first]
+        assert len(keys) == len(set(keys)) > 1000
+        for edges in seen[1:]:
+            assert len(edges) == len(first)
+            assert all(a is b for a, b in zip(edges, first))

@@ -263,6 +263,58 @@ class TestEmissionPlans:
         assert _fields(merged) == _fields(graph)
 
 
+class TestCompactQueries:
+    @pytest.mark.parametrize("granularity,direction", MODES)
+    def test_compact_queries_equal_materialized_edges(
+        self, loop_regions, granularity, direction
+    ):
+        analyzer = DependenceAnalyzer(granularity=granularity, direction=direction)
+        for region, private_vars, read_only in loop_regions:
+            for private in (set(), private_vars):
+                graph = analyzer.analyze(
+                    region, private_variables=private, read_only=read_only
+                )
+                # Asked before the first list query builds the edges.
+                has_cross = graph.has_cross_segment_dependences()
+                answers = [
+                    (graph.is_cross_segment_sink(ref),
+                     [id(s) for s in graph.intra_sources_into(ref)])
+                    for ref in region.references
+                ]
+                edges = list(graph)
+                assert has_cross == any(d.is_cross_segment for d in edges)
+                for ref, answer in zip(region.references, answers):
+                    into = [d for d in edges if d.sink is ref]
+                    assert answer == (
+                        any(d.is_cross_segment for d in into),
+                        [id(d.source) for d in into if not d.is_cross_segment],
+                    ), (region.name, ref.uid)
+
+    def test_labeling_a_loop_region_builds_no_dependence(self, monkeypatch):
+        built = []
+        init = Dependence.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(Dependence, "__init__", counting_init)
+        total = 0
+        for family in FAMILIES:
+            for size, statements in ((24, 6), (16, 40)):
+                program = generate(family, size, statements).program
+                region = program.regions[0]
+                assert isinstance(region, LoopRegion)
+                result = label_region(region, program=program)
+                assert not built, family
+                # The counter sees the edges once a list query builds them.
+                edges = len(result.dependences)
+                assert len(built) == edges
+                built.clear()
+                total += edges
+        assert total > 0
+
+
 class TestDependenceRecord:
     def _pair(self):
         region = parse_program(STENCIL).regions[0]

@@ -9,6 +9,7 @@ per-program ground-truth memo behind every bit-identity verdict, and
 clean shutdown of both transports.
 """
 
+import io
 import json
 import os
 import socket
@@ -37,7 +38,7 @@ from repro.serve.protocol import (
     ok_response,
     parse_request,
 )
-from repro.serve.sockets import TCPServer
+from repro.serve.sockets import MAX_LINE_BYTES, TCPServer, serve_stdio
 
 DSL = """
 program served
@@ -637,6 +638,56 @@ class TestTCPServer:
         started = time.perf_counter()
         server.shutdown()
         assert time.perf_counter() - started < 1.0
+
+
+# ----------------------------------------------------------------------
+# request-line limit
+# ----------------------------------------------------------------------
+def _ping_line(req_id, length):
+    """A valid ``ping`` request padded with inner whitespace to ``length``
+    bytes, newline excluded."""
+    head = '{"jsonrpc": "2.0", "method": "ping",'
+    tail = f' "id": {json.dumps(req_id)}}}'
+    line = head + " " * (length - len(head) - len(tail)) + tail
+    assert len(line) == length and parse_request(line).method == "ping"
+    return line.encode("utf-8") + b"\n"
+
+
+def _check_line_limit(responses):
+    """The padded ping over the limit got one INVALID_REQUEST envelope;
+    the pings at the limit and after it got pong."""
+    errors = [r for r in responses if "error" in r]
+    assert len(errors) == 1, responses
+    assert errors[0]["id"] is None
+    assert errors[0]["error"]["code"] == INVALID_REQUEST
+    assert errors[0]["error"]["data"] == {"max_line_bytes": MAX_LINE_BYTES}
+    pongs = {r["id"]: r["result"]["pong"] for r in responses if "result" in r}
+    assert pongs == {"at-limit": True, "after": True}
+
+
+class TestLineLimit:
+    LINES = (
+        _ping_line("at-limit", MAX_LINE_BYTES)
+        + _ping_line("over", MAX_LINE_BYTES + 1)
+        + _ping_line("after", 64)
+    )
+
+    def test_over_long_line_over_stdio(self):
+        pool = WorkerPool(workers=1, max_inflight=4)
+        out = io.BytesIO()
+        serve_stdio(Dispatcher(), pool, reader=io.BytesIO(self.LINES), writer=out)
+        pool.close()
+        _check_line_limit([json.loads(r) for r in out.getvalue().splitlines()])
+
+    def test_over_long_line_over_socket(self, server):
+        client = _Client(server.port)
+        try:
+            client.stream.write(self.LINES)
+            client.stream.flush()
+            _check_line_limit([client.recv() for _ in range(3)])
+            assert client.call("ping")["result"]["pong"] is True
+        finally:
+            client.close()
 
 
 # ----------------------------------------------------------------------
