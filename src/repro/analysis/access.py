@@ -180,6 +180,8 @@ def reference_is_deterministic(
     read_only_vars: Set[str],
 ) -> bool:
     """Address determinism of a whole reference (all of its subscripts)."""
+    if not ref.subscripts:
+        return True
     loop_locals = {do.index for do in ref.enclosing_loops}
     return all(
         subscript_is_deterministic(sub, loop_locals, region_index, read_only_vars)
@@ -263,25 +265,11 @@ def reference_dims(
     return tuple(dims)
 
 
-def _unexpanded_dims(
-    ref: MemoryReference,
-    region_index: Optional[str],
-    read_only_vars: Set[str],
-    memo: Dict[str, Tuple[Dim, ...]],
-) -> Tuple[Dim, ...]:
-    """:func:`reference_dims` of ``ref`` with no loop expanded, memoized."""
-    dims = memo.get(ref.uid)
-    if dims is None:
-        dims = memo[ref.uid] = reference_dims(ref, set(), region_index, read_only_vars)
-    return dims
-
-
 def write_covers_read(
     write: MemoryReference,
     read: MemoryReference,
     region_index: Optional[str],
     read_only_vars: Set[str],
-    dims_memo: Optional[Dict[str, Tuple[Dim, ...]]] = None,
 ) -> bool:
     """True when ``write`` is guaranteed to have stored to every location
     ``read`` may load, before the read executes, within one segment
@@ -289,10 +277,6 @@ def write_covers_read(
 
     Both references must be to the same variable, the write must precede
     the read in program order and must execute unconditionally.
-
-    ``dims_memo`` (keyed by reference uid) caches the dims of references
-    whose every enclosing loop is shared with the other reference: they
-    expand no loop, so their dims do not depend on the pairing.
     """
     if write.variable != read.variable:
         return False
@@ -304,18 +288,58 @@ def write_covers_read(
         return False
     if not write.subscripts:  # scalar: unconditional earlier write covers
         return True
-    if dims_memo is not None and write.enclosing_loops is read.enclosing_loops:
-        write_dims = _unexpanded_dims(write, region_index, read_only_vars, dims_memo)
-        read_dims = _unexpanded_dims(read, region_index, read_only_vars, dims_memo)
-    else:
-        shared = set(write.enclosing_loops) & set(read.enclosing_loops)
-        write_dims = reference_dims(
-            write, set(write.enclosing_loops) - shared, region_index, read_only_vars
-        )
-        read_dims = reference_dims(
-            read, set(read.enclosing_loops) - shared, region_index, read_only_vars
-        )
+    shared = set(write.enclosing_loops) & set(read.enclosing_loops)
+    write_dims = reference_dims(
+        write, set(write.enclosing_loops) - shared, region_index, read_only_vars
+    )
+    read_dims = reference_dims(
+        read, set(read.enclosing_loops) - shared, region_index, read_only_vars
+    )
     return all(_dim_contains(w, r) for w, r in zip(write_dims, read_dims))
+
+
+def _cover_reads(
+    info: "VariableAccessInfo",
+    region_index: Optional[str],
+    read_only_vars: Set[str],
+) -> None:
+    """Sort the reads of ``info`` into covered and exposed ones: a read's
+    covering write is the first earlier unconditional write that covers it
+    (:func:`write_covers_read`).  Without loop expansion every dimension
+    is a point, so a write under the read's own loops covers it exactly
+    when their dims are equal and known: such writes are grouped by
+    (loops, dims) and a read looks up its group's earliest write.  Writes
+    under other loops are tested one by one, up to that write."""
+    writes = [w for w in info.writes if not w.conditional]
+    earliest: Dict[Tuple[int, Tuple[Dim, ...]], MemoryReference] = {}
+    before = 0  # writes[:before] precede the current read
+    for read in info.reads:
+        while before < len(writes) and writes[before].order < read.order:
+            write = writes[before]
+            before += 1
+            dims = reference_dims(write, set(), region_index, read_only_vars)
+            earliest.setdefault((id(write.enclosing_loops), dims), write)
+        covering: Optional[MemoryReference] = None
+        if before:
+            loops = read.enclosing_loops
+            dims = reference_dims(read, set(), region_index, read_only_vars)
+            if _UNKNOWN not in dims:
+                covering = earliest.get((id(loops), dims))
+            limit = covering.order if covering is not None else read.order
+            for write in writes:
+                if write.order >= limit:
+                    break
+                if write.enclosing_loops is not loops and write_covers_read(
+                    write, read, region_index, read_only_vars
+                ):
+                    covering = write
+                    break
+        if covering is not None:
+            info.covered_reads.append(read)
+            info.covering_writes[read.uid] = covering
+        else:
+            info.exposed_reads.append(read)
+            info.has_exposed_read = True
 
 
 # ----------------------------------------------------------------------
@@ -359,11 +383,6 @@ class AccessSummary:
     def referenced_variables(self) -> Set[str]:
         return set(self.variables)
 
-    def exposed_read_variables(self) -> Set[str]:
-        return {
-            name for name, info in self.variables.items() if info.has_exposed_read
-        }
-
 
 def summarize_segment(
     references: Sequence[MemoryReference],
@@ -394,25 +413,11 @@ def summarize_segment(
             if not ref.conditional:
                 info.has_unconditional_write = True
 
-    # Coverage: pairwise check of each read against earlier unconditional
-    # writes to the same variable.
-    dims_memo: Dict[str, Tuple[Dim, ...]] = {}
-    for ref in ordered:
-        if ref.access is not AccessType.READ:
-            continue
-        info = per_var[ref.variable]
-        covering = None
-        for write in info.writes:
-            if write_covers_read(
-                write, ref, region_index, read_only_vars, dims_memo
-            ):
-                covering = write
-                break
-        if covering is not None:
-            info.covered_reads.append(ref)
-            info.covering_writes[ref.uid] = covering
-        else:
-            info.exposed_reads.append(ref)
+    for info in per_var.values():
+        if info.has_unconditional_write:
+            _cover_reads(info, region_index, read_only_vars)
+        elif info.reads:
+            info.exposed_reads.extend(info.reads)
             info.has_exposed_read = True
 
     for info in per_var.values():

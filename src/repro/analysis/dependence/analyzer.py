@@ -34,7 +34,9 @@ from repro.analysis.dependence.graph import (
     Dependence,
     DependenceGraph,
     PairPlan,
+    PatternTable,
     PlanEdge,
+    PlanKey,
     dependence_kind,
 )
 from repro.analysis.dependence.signature import SignatureIndex
@@ -51,10 +53,8 @@ from repro.ir.types import AccessType, DependenceKind, DependenceScope
 
 
 def _subscript_facts(ref: MemoryReference, memo: Dict[str, tuple]) -> tuple:
-    """Cached (textual subscripts, affine decompositions) of one reference.
-
-    Computed once per reference per analysis run -- the pair loops below
-    consult these facts O(n^2) times per variable.
+    """Cached (textual subscripts, affine decompositions) of one reference,
+    which the intra-segment reverse test reads for every plan it decides.
     """
     facts = memo.get(ref.uid)
     if facts is None:
@@ -270,49 +270,41 @@ class DependenceAnalyzer:
         # (the shared inner loops) and whether its variable is private.
         # Two pairs with equal patterns, the same ``ref_a is ref_b`` and the
         # same order comparison emit the same edges, so each plan key is
-        # decided once per pass; every pair hands its plan to the compact
-        # graph, which builds edges only on a list query.
+        # decided once per pass, from one representative pair; per variable
+        # the graph gets a pattern table and answers labeling from it.
         patterns: Dict[tuple, int] = {}
-        plans: Dict[Tuple[int, int, bool, bool], PairPlan] = {}
-        add_pair = graph.add_pair
+        groups: List[int] = []  # per pattern id
+        plans: Dict[PlanKey, Optional[PairPlan]] = {}
+
+        def decide(
+            key: PlanKey, ref_a: MemoryReference, ref_b: MemoryReference
+        ) -> Optional[PairPlan]:
+            relations = (
+                index.relations_of_groups(groups[key[0]], groups[key[1]])
+                if index is not None else ALL_RELATIONS
+            )
+            if not relations:
+                return None
+            plan = self._emission_plan(
+                ref_a, ref_b, relations, ref_a.variable, private_variables, invariant, memo
+            )
+            return plan if plan.edges else None  # read-read pairs emit nothing
 
         for variable, refs in by_var.items():
-            writes = [r for r in refs if r.access is AccessType.WRITE]
-            if not writes:
+            if all(r.access is AccessType.READ for r in refs):
                 continue  # read-only variables carry no dependences
             private = variable in private_variables
             refs_sorted = sorted(refs, key=lambda r: r.order)
-            groups: List[int] = []
             pats: List[int] = []
             for ref in refs_sorted:
-                subs = _subscript_facts(ref, memo)[0]
-                group = index.group_of(ref) if index is not None else -1
-                groups.append(group)
-                pattern = (group, ref.access, subs, id(ref.enclosing_loops), private)
-                pats.append(patterns.setdefault(pattern, len(patterns)))
-            for i, ref_a in enumerate(refs_sorted):
-                a_is_read = ref_a.access is AccessType.READ
-                a_order = ref_a.order
-                for j in range(i, len(refs_sorted)):
-                    ref_b = refs_sorted[j]
-                    if a_is_read and ref_b.access is AccessType.READ:
-                        continue
-                    if index is not None:
-                        relations = index.relations_of_groups(groups[i], groups[j])
-                        if not relations:
-                            continue
-                    else:
-                        relations = ALL_RELATIONS
-                    # ``refs_sorted`` is in order, so ``==`` is the only
-                    # order comparison left open.
-                    key = (pats[i], pats[j], ref_a is ref_b, a_order == ref_b.order)
-                    plan = plans.get(key)
-                    if plan is None:
-                        plan = plans[key] = self._emission_plan(
-                            ref_a, ref_b, relations, variable,
-                            private_variables, invariant, memo,
-                        )
-                    add_pair(ref_a, ref_b, plan, variable)
+                texts = tuple(map(str, ref.subscripts))
+                group = index.group_of(ref, texts) if index is not None else -1
+                pattern = (group, ref.access, texts, id(ref.enclosing_loops), private)
+                if pattern not in patterns:
+                    patterns[pattern] = len(groups)
+                    groups.append(group)
+                pats.append(patterns[pattern])
+            graph.add_table(PatternTable(variable, refs_sorted, pats, plans, decide))
 
     def _emission_plan(
         self,
@@ -340,7 +332,7 @@ class DependenceAnalyzer:
                     (src is ref_a, intra_kind, DependenceScope.INTRA_SEGMENT, 0)
                 )
         # Cross-segment dependences.
-        carried = relations & {AliasRelation.BEFORE, AliasRelation.AFTER}
+        carried = AliasRelation.BEFORE in relations or AliasRelation.AFTER in relations
         if variable in private_variables or not carried:
             return PairPlan(tuple(edges))
         if self.direction is DirectionMode.TEXTUAL:

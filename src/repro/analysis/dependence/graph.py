@@ -6,11 +6,10 @@ the classic naming (flow = write before read, anti = read before write,
 output = write before write) and the scope records whether the two
 references belong to the same segment or to different segments.
 
-A loop region's graph is *compact*: the analyzer records one
-``(ref_a, ref_b, plan, variable)`` per reference pair
-(:meth:`DependenceGraph.add_pair`), and the graph keeps summaries from
-which the labeling algorithm's queries are answered in O(1), without
-building a :class:`Dependence`:
+A loop region's graph is *compact*: per variable the analyzer hands it
+one :class:`PatternTable` (:meth:`DependenceGraph.add_table`), which
+answers the labeling algorithm's queries at pattern cost, without
+visiting every reference pair or building a :class:`Dependence`:
 
 * ``has_cross_segment_dependences()`` (Lemma 7, fully-independent
   regions);
@@ -25,8 +24,10 @@ edges once, in emission order, under the graph's lock.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple, Type, TypeVar, cast
+from typing import Any, Callable, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import Type, TypeVar, cast
 
 from repro.ir.reference import MemoryReference
 from repro.ir.types import AccessType, DependenceKind, DependenceScope
@@ -118,26 +119,158 @@ class PairPlan:
 
     def __init__(self, edges: Tuple[PlanEdge, ...]):
         self.edges = edges
-        into = {(a_is_source, scope) for a_is_source, _, scope, _ in edges}
-        self.cross_into_a = (False, DependenceScope.CROSS_SEGMENT) in into
-        self.cross_into_b = (True, DependenceScope.CROSS_SEGMENT) in into
-        self.intra_into_a = (False, DependenceScope.INTRA_SEGMENT) in into
-        self.intra_into_b = (True, DependenceScope.INTRA_SEGMENT) in into
+        cross = [a for a, _, scope, _ in edges if scope is DependenceScope.CROSS_SEGMENT]
+        intra = [a for a, _, scope, _ in edges if scope is DependenceScope.INTRA_SEGMENT]
+        self.cross_into_a, self.cross_into_b = False in cross, True in cross
+        self.intra_into_a, self.intra_into_b = False in intra, True in intra
+
+
+#: ``(pattern of ref_a, pattern of ref_b, ref_a is ref_b, equal orders)`` of
+#: a loop-region pair, ``ref_a`` first: pairs with equal keys emit equal edges.
+PlanKey = Tuple[int, int, bool, bool]
+#: A key's plan, from one representative pair; ``None`` when it emits no edge.
+PlanDecider = Callable[[PlanKey, MemoryReference, MemoryReference], Optional[PairPlan]]
+_UNDECIDED = object()
+
+
+class PatternTable:
+    """One variable's loop-region references at pattern granularity.
+
+    ``refs`` are in order, ``pats`` holds each one's pattern id, and refs
+    with equal ``order`` form an *order block*.  Pair ``i <= j`` has the
+    plan of key ``(pats[i], pats[j], i == j, equal orders)``.  The table
+    decides each key its own references produce once (``plans`` is shared
+    by the region's tables, so its key set says nothing about this
+    variable), and keeps per pattern two cross-segment thresholds and the
+    patterns whose references are intra-segment sources into it.
+    """
+
+    def __init__(self, variable: str, refs: List[MemoryReference], pats: List[int],
+                 plans: Dict[PlanKey, Optional[PairPlan]], decide: PlanDecider):
+        self.variable, self.refs, self.pats, self.plans = variable, refs, pats, plans
+        self._orders = orders = [ref.order for ref in refs]
+        # Patterns in order of first occurrence: first orders do not decrease.
+        members: Dict[int, List[int]] = {}
+        for k, pat in enumerate(pats):
+            members.setdefault(pat, []).append(k)
+        ids = list(members)
+        firsts = [orders[m[0]] for m in members.values()]
+        writes = [p for p in ids if refs[members[p][0]].access is AccessType.WRITE]
+        write_firsts = [orders[members[p][0]] for p in writes]
+        # A reference is a cross-segment sink when into_b[pattern] < its
+        # order or into_a[pattern] > its order.
+        into_a = dict.fromkeys(ids, orders[0] - 1)
+        into_b = dict.fromkeys(ids, orders[-1] + 1)
+        earlier: Dict[int, List[int]] = {}
+        later: Dict[int, List[int]] = {}
+        self._members, self._earlier, self._later = members, earlier, later
+        self._merged: Dict[Tuple[int, bool], List[int]] = {}
+        plan: Any
+        for q, positions in members.items():
+            ref_b, last = refs[positions[-1]], orders[positions[-1]]
+            if ref_b.access is AccessType.WRITE:
+                plan = self._plan(positions[-1], positions[-1], decide)
+                if plan is not None and (plan.cross_into_a or plan.cross_into_b):
+                    into_b[q] = orders[0] - 1  # the self pair: every ref a sink
+                cut = bisect_left(firsts, last)
+                partners = zip(ids[:cut], firsts[:cut])
+            else:  # read-read pairs carry no dependence
+                cut = bisect_left(write_firsts, last)
+                partners = zip(writes[:cut], write_firsts[:cut])
+            for p, first in partners:
+                key = (p, q, False, False)
+                plan = plans.get(key, _UNDECIDED)
+                if plan is _UNDECIDED:
+                    plan = plans[key] = decide(key, refs[members[p][0]], ref_b)
+                if plan is None:
+                    continue
+                if plan.cross_into_b and first < into_b[q]:
+                    into_b[q] = first
+                if plan.cross_into_a and last > into_a[p]:
+                    into_a[p] = last
+                if plan.intra_into_b:
+                    earlier.setdefault(q, []).append(p)
+                if plan.intra_into_a:
+                    later.setdefault(p, []).append(q)
+        self.cross_sinks = [
+            ref.uid
+            for ref, pat, order in zip(refs, pats, orders)
+            if into_b[pat] < order or into_a[pat] > order
+        ]
+        if len(set(orders)) < len(orders):  # pairs inside an order block
+            for i in range(len(refs)):
+                for j in range(i + 1, bisect_right(orders, orders[i])):
+                    plan = self._plan(i, j, decide)
+                    if plan is not None and plan.cross_into_a:
+                        self.cross_sinks.append(refs[i].uid)
+                    if plan is not None and plan.cross_into_b:
+                        self.cross_sinks.append(refs[j].uid)
+
+    def _plan(self, i: int, j: int, decide: Optional[PlanDecider] = None) -> Optional[PairPlan]:
+        """Plan of pair ``i <= j``; undecided without ``decide``: read-read."""
+        key = (self.pats[i], self.pats[j], i == j, self._orders[i] == self._orders[j])
+        plan = self.plans.get(key, _UNDECIDED)
+        if plan is _UNDECIDED:
+            if decide is None:
+                return None
+            plan = self.plans[key] = decide(key, self.refs[i], self.refs[j])
+        return cast(Optional[PairPlan], plan)
+
+    def intra_sources_into(self, ref: MemoryReference) -> List[MemoryReference]:
+        """Sources of the intra-segment edges into ``ref``, in emission
+        order: pairs ``(i, ref)`` from earlier blocks, then from its own
+        block, then pairs ``(ref, j)`` likewise."""
+        refs, orders = self.refs, self._orders
+        lo = bisect_left(orders, ref.order)
+        hi = bisect_right(orders, ref.order, lo)
+        for k in range(lo, hi):
+            if refs[k] is ref:
+                break
+        else:  # not a reference of this table
+            return []
+        earlier, later = self._sources(self.pats[k], True), self._sources(self.pats[k], False)
+        out = earlier[: bisect_left(earlier, lo)]
+        if hi - lo > 1:
+            out += [i for i in range(lo, k) if getattr(self._plan(i, k), "intra_into_b", 0)]
+            out += [j for j in range(k + 1, hi) if getattr(self._plan(k, j), "intra_into_a", 0)]
+        out += later[bisect_left(later, hi):]
+        return [refs[i] for i in out]
+
+    def _sources(self, pat: int, earlier: bool) -> List[int]:
+        """Sorted positions of the partners whose earlier (else later)
+        references feed ``pat``'s, memoized (a benign race across threads)."""
+        positions = self._merged.get((pat, earlier))
+        if positions is None:
+            partners = (self._earlier if earlier else self._later).get(pat, ())
+            positions = sorted(i for s in partners for i in self._members[s])
+            self._merged[(pat, earlier)] = positions
+        return positions
+
+    def edges(self) -> Iterator[Dependence]:
+        """Every edge, replaying the pairs ``i <= j`` in order."""
+        refs, pats, orders, plans = self.refs, self.pats, self._orders, self.plans
+        for i, ref_a in enumerate(refs):
+            for j in range(i, len(refs)):
+                plan = plans.get((pats[i], pats[j], i == j, orders[i] == orders[j]))
+                for a_is_source, kind, scope, distance in plan.edges if plan else ():
+                    source, sink = (ref_a, refs[j]) if a_is_source else (refs[j], ref_a)
+                    yield Dependence(source, sink, kind, scope, self.variable, distance)
 
 
 class DependenceGraph:
     """All may-dependences of one region, with the queries labeling needs.
 
     Edges arrive as :class:`Dependence` records (:meth:`add`,
-    :meth:`append`) or as loop-region pairs (:meth:`add_pair`), built on
-    the first list query.  Either way the graph keeps the cross-segment
-    sinks and, per sink, its intra-segment sources.
+    :meth:`append`) or as loop-region pattern tables (:meth:`add_table`),
+    whose edges are built on the first list query.  Either way the graph
+    keeps the cross-segment sinks and answers intra-segment sources.
     """
 
     def __init__(self, region_name: str, dependences: Iterable[Dependence] = ()):
         self.region_name = region_name
-        #: ``(ref_a, ref_b, plan, variable)`` of pairs not yet materialized.
-        self._pending: List[Tuple[MemoryReference, MemoryReference, PairPlan, str]] = []
+        #: Pattern tables whose edges are not yet built.
+        self._pending: List[PatternTable] = []
+        self._tables: Dict[str, PatternTable] = {}
         self._edges: List[Dependence] = []
         self._by_sink: Dict[str, List[Dependence]] = {}
         self._by_source: Dict[str, List[Dependence]] = {}
@@ -173,40 +306,25 @@ class DependenceGraph:
         else:
             self._intra_sources.setdefault(dep.sink.uid, []).append(dep.source)
 
-    def add_pair(
-        self,
-        ref_a: MemoryReference,
-        ref_b: MemoryReference,
-        plan: PairPlan,
-        variable: str,
-    ) -> None:
-        """Record one loop-region pair's edges without building them.  No
-        duplicate check: the loop pass visits each unordered pair once and
-        emits at most one edge per ``(source, sink, kind, scope)``."""
-        self._pending.append((ref_a, ref_b, plan, variable))
-        if plan.cross_into_a:
-            self._cross_sinks.add(ref_a.uid)
-        if plan.cross_into_b:
-            self._cross_sinks.add(ref_b.uid)
-        if plan.intra_into_a:
-            self._intra_sources.setdefault(ref_a.uid, []).append(ref_b)
-        if plan.intra_into_b:
-            self._intra_sources.setdefault(ref_b.uid, []).append(ref_a)
+    def add_table(self, table: PatternTable) -> None:
+        """Record one variable's loop-region pairs without building them
+        (no duplicate check: no pair repeats an edge)."""
+        self._pending.append(table)
+        self._tables[table.variable] = table
+        self._cross_sinks.update(table.cross_sinks)
 
     def _materialized(self) -> List[Dependence]:
-        """The edge list, built from the pending pairs once, in order.
+        """The edge list, built from the pending tables once, in order.
         ``_pending`` empties only after the last edge is in place."""
         if self._pending:
             with self._lock:
                 if self._pending:
                     edges, by_sink, by_source = self._edges, self._by_sink, self._by_source
-                    for ref_a, ref_b, plan, variable in self._pending:
-                        for a_is_source, kind, scope, distance in plan.edges:
-                            source, sink = (ref_a, ref_b) if a_is_source else (ref_b, ref_a)
-                            dep = Dependence(source, sink, kind, scope, variable, distance)
+                    for table in self._pending:
+                        for dep in table.edges():
                             edges.append(dep)
-                            by_sink.setdefault(sink.uid, []).append(dep)
-                            by_source.setdefault(source.uid, []).append(dep)
+                            by_sink.setdefault(dep.sink.uid, []).append(dep)
+                            by_source.setdefault(dep.source.uid, []).append(dep)
                     self._pending = []
         return self._edges
 
@@ -230,7 +348,9 @@ class DependenceGraph:
 
     def intra_sources_into(self, ref: MemoryReference) -> List[MemoryReference]:
         """Sources of the intra-segment dependences whose sink is ``ref``."""
-        return list(self._intra_sources.get(ref.uid, ()))
+        table = self._tables.get(ref.variable)
+        sources = table.intra_sources_into(ref) if table is not None else []
+        return sources + self._intra_sources.get(ref.uid, [])
 
     def has_cross_segment_dependences(self) -> bool:
         """True when the region carries any cross-segment data dependence."""

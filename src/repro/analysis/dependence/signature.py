@@ -50,6 +50,7 @@ from repro.analysis.dependence.subscript_tests import (
 )
 from repro.ir.reference import MemoryReference
 from repro.ir.region import LoopRegion
+from repro.ir.stmt import Do
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,7 @@ class SignatureIndex:
     _group_ids: Dict[ReferenceSignature, int] = field(default_factory=dict)
     _groups: List[ReferenceSignature] = field(default_factory=list)
     _ref_groups: Dict[str, int] = field(default_factory=dict)
+    _shape_groups: Dict[Tuple[Tuple[str, ...], Tuple[Do, ...]], int] = field(default_factory=dict)
     _pair_relations: Dict[Tuple[int, int], RelationSet] = field(default_factory=dict)
     pair_tests_run: int = 0
     pair_tests_saved: int = 0
@@ -137,17 +139,24 @@ class SignatureIndex:
         self.bounds = LoopBounds.of_region(self.region)
 
     # ------------------------------------------------------------------
-    def group_of(self, ref: MemoryReference) -> int:
-        """Signature group id of ``ref`` (computed once per reference)."""
+    def group_of(self, ref: MemoryReference, texts: Optional[Tuple[str, ...]] = None) -> int:
+        """Signature group id of ``ref``, computed once per shape: textual
+        subscripts (``texts``, if the caller has them) and loop tuple."""
         gid = self._ref_groups.get(ref.uid)
         if gid is not None:
             return gid
-        sig = signature_of(ref, self.region.index, self.invariant_symbols)
-        gid = self._group_ids.get(sig)
+        if texts is None:
+            texts = tuple(map(str, ref.subscripts))
+        shape = (texts, ref.enclosing_loops)
+        gid = self._shape_groups.get(shape)
         if gid is None:
-            gid = len(self._groups)
-            self._group_ids[sig] = gid
-            self._groups.append(sig)
+            sig = signature_of(ref, self.region.index, self.invariant_symbols)
+            gid = self._group_ids.get(sig)
+            if gid is None:
+                gid = len(self._groups)
+                self._group_ids[sig] = gid
+                self._groups.append(sig)
+            self._shape_groups[shape] = gid
         self._ref_groups[ref.uid] = gid
         return gid
 
@@ -176,7 +185,8 @@ class SignatureIndex:
         return len(self._groups)
 
     def stats(self) -> Dict[str, int]:
-        """Counters for diagnostics and the benchmark report."""
+        """Counters for diagnostics and the benchmark report
+        (``pair_tests_saved`` counts plan-key lookups, not reference pairs)."""
         return {
             "groups": len(self._groups),
             "references": len(self._ref_groups),

@@ -40,22 +40,6 @@ class AffineSubscript:
     #: False when the expression could not be decomposed.
     affine: bool = True
 
-    @property
-    def inner(self) -> Dict[str, int]:
-        return dict(self.inner_coeffs)
-
-    @property
-    def symbols(self) -> Dict[str, int]:
-        return dict(self.symbol_coeffs)
-
-    @property
-    def uses_region_index(self) -> bool:
-        return self.region_coeff != 0
-
-    @property
-    def uses_inner_indices(self) -> bool:
-        return bool(self.inner_coeffs)
-
     @staticmethod
     def non_affine() -> "AffineSubscript":
         return AffineSubscript(0, (), (), 0, affine=False)

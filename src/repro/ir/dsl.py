@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.ir.expr import BinOp, Call, Const, Expr, Index, UnaryOp, Var, intrinsics
 from repro.ir.program import Program
@@ -79,183 +79,120 @@ class DSLSyntaxError(Exception):
 # ----------------------------------------------------------------------
 _TOKEN_RE = re.compile(
     r"""
-    (?P<number>\d+\.\d*(?:[eEdD][-+]?\d+)?|\.\d+(?:[eEdD][-+]?\d+)?|\d+(?:[eEdD][-+]?\d+)?)
-  | (?P<name>[A-Za-z_][A-Za-z_0-9]*)
-  | (?P<op>\*\*|<=|>=|==|!=|->|[-+*/%(),<>=])
-  | (?P<ws>\s+)
-""",
+    \s*(?:
+    (\d+\.\d*(?:[eEdD][-+]?\d+)?|\.\d+(?:[eEdD][-+]?\d+)?|\d+(?:[eEdD][-+]?\d+)?)
+  | ([A-Za-z_][A-Za-z_0-9]*)
+  | (\*\*|<=|>=|==|!=|->|[-+*/%(),<>=])
+  | (\S)
+)""",
     re.VERBOSE,
 )
 
 _KEYWORD_OPS = {"and", "or", "not"}
 
-
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number" | "name" | "op"
-    text: str
+#: A token: ``(kind, text)`` with kind ``"number"``, ``"name"`` or ``"op"``.
+Token = Tuple[str, str]
 
 
-def tokenize_expression(text: str, line_no: Optional[int] = None) -> List[_Token]:
+def tokenize_expression(text: str, line_no: Optional[int] = None) -> List[Token]:
     """Tokenize one expression string."""
-    tokens: List[_Token] = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            raise DSLSyntaxError(f"unexpected character {text[pos]!r}", line_no)
-        pos = match.end()
-        kind = match.lastgroup
-        if kind == "ws":
-            continue
-        value = match.group()
-        if kind == "name" and value.lower() in _KEYWORD_OPS:
-            tokens.append(_Token("op", value.lower()))
+    tokens: List[Token] = []
+    for number, name, op, bad in _TOKEN_RE.findall(text):
+        if bad:
+            raise DSLSyntaxError(f"unexpected character {bad!r}", line_no)
+        if name.lower() in _KEYWORD_OPS:
+            tokens.append(("op", name.lower()))
         else:
-            tokens.append(_Token(kind, value))
+            tokens.append(("number", number) if number else ("name", name) if name else ("op", op))
     return tokens
 
 
-class _ExprParser:
-    """Recursive-descent expression parser over a token list."""
-
-    def __init__(self, tokens: Sequence[_Token], line_no: Optional[int] = None):
-        self.tokens = list(tokens)
-        self.pos = 0
-        self.line_no = line_no
-
-    # -- token helpers --------------------------------------------------
-    def peek(self) -> Optional[_Token]:
-        return self.tokens[self.pos] if self.pos < len(self.tokens) else None
-
-    def advance(self) -> _Token:
-        tok = self.peek()
-        if tok is None:
-            raise DSLSyntaxError("unexpected end of expression", self.line_no)
-        self.pos += 1
-        return tok
-
-    def accept(self, text: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text == text:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, text: str) -> None:
-        if not self.accept(text):
-            got = self.peek().text if self.peek() else "<end>"
-            raise DSLSyntaxError(f"expected {text!r}, got {got!r}", self.line_no)
-
-    def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
-
-    # -- grammar ----------------------------------------------------------
-    def parse(self) -> Expr:
-        expr = self.parse_or()
-        if not self.at_end():
-            raise DSLSyntaxError(
-                f"trailing tokens after expression: {self.peek().text!r}", self.line_no
-            )
-        return expr
-
-    def parse_or(self) -> Expr:
-        expr = self.parse_and()
-        while self.accept("or"):
-            expr = BinOp("or", expr, self.parse_and())
-        return expr
-
-    def parse_and(self) -> Expr:
-        expr = self.parse_not()
-        while self.accept("and"):
-            expr = BinOp("and", expr, self.parse_not())
-        return expr
-
-    def parse_not(self) -> Expr:
-        if self.accept("not"):
-            return UnaryOp("not", self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> Expr:
-        expr = self.parse_additive()
-        tok = self.peek()
-        if tok is not None and tok.kind == "op" and tok.text in (
-            "<",
-            "<=",
-            ">",
-            ">=",
-            "==",
-            "!=",
-        ):
-            self.pos += 1
-            expr = BinOp(tok.text, expr, self.parse_additive())
-        return expr
-
-    def parse_additive(self) -> Expr:
-        expr = self.parse_multiplicative()
-        while True:
-            if self.accept("+"):
-                expr = BinOp("+", expr, self.parse_multiplicative())
-            elif self.accept("-"):
-                expr = BinOp("-", expr, self.parse_multiplicative())
-            else:
-                return expr
-
-    def parse_multiplicative(self) -> Expr:
-        expr = self.parse_unary()
-        while True:
-            if self.accept("*"):
-                expr = BinOp("*", expr, self.parse_unary())
-            elif self.accept("/"):
-                expr = BinOp("/", expr, self.parse_unary())
-            elif self.accept("%"):
-                expr = BinOp("%", expr, self.parse_unary())
-            else:
-                return expr
-
-    def parse_unary(self) -> Expr:
-        if self.accept("-"):
-            return UnaryOp("-", self.parse_unary())
-        if self.accept("+"):
-            return self.parse_unary()
-        return self.parse_power()
-
-    def parse_power(self) -> Expr:
-        base = self.parse_primary()
-        if self.accept("**"):
-            return BinOp("**", base, self.parse_unary())
-        return base
-
-    def parse_primary(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == "number":
-            text = tok.text.lower().replace("d", "e")
-            if any(c in text for c in ".e"):
-                return Const(float(text))
-            return Const(int(text))
-        if tok.kind == "name":
-            name = tok.text
-            if self.accept("("):
-                args: List[Expr] = []
-                if not self.accept(")"):
-                    args.append(self.parse_or())
-                    while self.accept(","):
-                        args.append(self.parse_or())
-                    self.expect(")")
-                if name.lower() in intrinsics():
-                    return Call(name.lower(), args)
-                return Index(name, args)
-            return Var(name)
-        if tok.kind == "op" and tok.text == "(":
-            expr = self.parse_or()
-            self.expect(")")
-            return expr
-        raise DSLSyntaxError(f"unexpected token {tok.text!r}", self.line_no)
+# Binding levels, loosest first: or 1, and 2, prefix not 3, comparison 4,
+# + - 5, * / % 6, prefix - + 7, ** 8.  Per binary operator: its level, its
+# right operand's level, and the highest level an operator taking the result
+# as left operand may have (comparison is non-associative, ** right-associative).
+_BINARY: Dict[str, Tuple[int, int, int]] = {
+    "or": (1, 2, 1), "and": (2, 3, 2), "**": (8, 7, 8),
+    **{op: (4, 5, 3) for op in ("<", "<=", ">", ">=", "==", "!=")},
+    **{op: (5, 6, 5) for op in "+-"},
+    **{op: (6, 7, 6) for op in "*/%"},
+}
+_NOT_LEVEL = 3
+_SIGN_LEVEL = 7
+_PRIMARY = 9
+_INTRINSICS = frozenset(intrinsics())
 
 
 def parse_expression(text: str, line_no: Optional[int] = None) -> Expr:
-    """Parse one expression string into an :class:`Expr`."""
-    return _ExprParser(tokenize_expression(text, line_no), line_no).parse()
+    """Parse one expression string into an :class:`Expr` (precedence
+    climbing over the token list)."""
+    tokens = tokenize_expression(text, line_no)
+    end = len(tokens)
+    pos = 0
+
+    def expect_close() -> None:
+        nonlocal pos
+        if pos < end and tokens[pos] == ("op", ")"):
+            pos += 1
+            return
+        got = tokens[pos][1] if pos < end else "<end>"
+        raise DSLSyntaxError(f"expected ')', got {got!r}", line_no)
+
+    def parse(min_level: int) -> Expr:
+        nonlocal pos
+        if pos >= end:
+            raise DSLSyntaxError("unexpected end of expression", line_no)
+        kind, value = tokens[pos]
+        pos += 1
+        lhs: Expr
+        limit = _PRIMARY
+        if kind == "number":
+            number = value.lower().replace("d", "e")
+            lhs = Const(float(number) if "." in number or "e" in number else int(number))
+        elif kind == "name":
+            if pos < end and tokens[pos] == ("op", "("):
+                pos += 1
+                args: List[Expr] = []
+                if pos >= end or tokens[pos] != ("op", ")"):
+                    args.append(parse(1))
+                    while pos < end and tokens[pos] == ("op", ","):
+                        pos += 1
+                        args.append(parse(1))
+                expect_close()
+                name = value.lower()
+                lhs = Call(name, args) if name in _INTRINSICS else Index(value, args)
+            else:
+                lhs = Var(value)
+        elif value == "(":
+            lhs = parse(1)
+            expect_close()
+        elif value == "-":
+            lhs, limit = UnaryOp("-", parse(_SIGN_LEVEL)), _SIGN_LEVEL - 1
+        elif value == "+":
+            lhs, limit = parse(_SIGN_LEVEL), _SIGN_LEVEL - 1
+        elif value == "not" and min_level <= _NOT_LEVEL:
+            lhs, limit = UnaryOp("not", parse(_NOT_LEVEL)), _NOT_LEVEL - 1
+        else:
+            raise DSLSyntaxError(f"unexpected token {value!r}", line_no)
+        while pos < end:
+            value = tokens[pos][1]
+            binding = _BINARY.get(value)  # no name or number is an operator
+            if binding is None:
+                break
+            level, right_level, result_limit = binding
+            if level < min_level or level > limit:
+                break
+            pos += 1
+            lhs = BinOp(value, lhs, parse(right_level))
+            limit = result_limit
+        return lhs
+
+    expr = parse(1)
+    if pos < end:
+        raise DSLSyntaxError(
+            f"trailing tokens after expression: {tokens[pos][1]!r}", line_no
+        )
+    return expr
 
 
 # ----------------------------------------------------------------------
@@ -274,6 +211,7 @@ _DO_RE = re.compile(
     r"^do\s+(?P<index>[A-Za-z_][A-Za-z_0-9]*)\s*=\s*(?P<rest>.+)$", re.IGNORECASE
 )
 _IF_THEN_RE = re.compile(r"^if\s*\((?P<cond>.+)\)\s*then$", re.IGNORECASE)
+_GUARDED_IF_RE = re.compile(r"^if\s*\(", re.IGNORECASE)
 
 
 def _split_guarded_if(text: str, line_no: int) -> Tuple[str, str]:
@@ -282,9 +220,7 @@ def _split_guarded_if(text: str, line_no: int) -> Tuple[str, str]:
     The condition may itself contain parentheses, so the closing paren is
     found by balance counting rather than by a regular expression.
     """
-    open_pos = text.find("(")
-    if open_pos < 0:
-        raise DSLSyntaxError(f"guarded IF without condition: {text!r}", line_no)
+    open_pos = text.index("(")
     depth = 0
     for i in range(open_pos, len(text)):
         if text[i] == "(":
@@ -300,6 +236,8 @@ def _split_guarded_if(text: str, line_no: int) -> Tuple[str, str]:
                     )
                 return cond, stmt
     raise DSLSyntaxError(f"unbalanced parentheses in IF: {text!r}", line_no)
+
+
 _REGION_LOOP_RE = re.compile(
     r"^region\s+(?P<name>[A-Za-z_][A-Za-z_0-9]*)\s*(?P<hint>speculative|parallel)?\s*"
     r"do\s+(?P<index>[A-Za-z_][A-Za-z_0-9]*)\s*=\s*(?P<rest>.+)$",
@@ -448,7 +386,6 @@ class _ProgramParser:
     def _parse_statement(self) -> Statement:
         line = self.advance()
         text = line.text
-        lower = text.lower()
 
         match = _IF_THEN_RE.match(text)
         if match is not None:
@@ -474,7 +411,7 @@ class _ProgramParser:
             self.advance()
             return Do(index, lower_e, upper_e, body, step=step_e)
 
-        if lower.startswith("if") and not lower.endswith("then"):
+        if _GUARDED_IF_RE.match(text):
             cond_text, stmt_text = _split_guarded_if(text, line.no)
             cond = parse_expression(cond_text, line.no)
             inner = self._parse_assignment(stmt_text, line.no)
@@ -551,7 +488,7 @@ class _ProgramParser:
             lower = line.text.lower()
             if lower in terminators:
                 return body, live_out
-            if lower.startswith("liveout"):
+            if re.match(r"liveout\b", lower):  # whole word: not ``liveoutx = 1``
                 self.advance()
                 names = line.text[len("liveout") :].strip()
                 live_out = {n.strip() for n in names.split(",") if n.strip()}
@@ -572,7 +509,7 @@ class _ProgramParser:
             if lower == "end region":
                 self.advance()
                 break
-            if lower.startswith("segment"):
+            if re.match(r"segment\b", lower):
                 self.advance()
                 match = re.match(
                     r"^segment\s+([A-Za-z_][A-Za-z_0-9]*)$", line.text, re.I
@@ -590,7 +527,7 @@ class _ProgramParser:
                     if inner_lower == "end segment":
                         self.advance()
                         break
-                    if inner_lower.startswith("branch"):
+                    if re.match(r"branch\b", inner_lower):
                         self.advance()
                         expr_text = inner.text[len("branch") :].strip()
                         if expr_text.startswith("(") and expr_text.endswith(")"):
@@ -600,7 +537,7 @@ class _ProgramParser:
                     body.append(self._parse_statement())
                 segments.append(Segment(seg_name, body, branch=branch))
                 continue
-            if lower.startswith("edges"):
+            if re.match(r"edges\b", lower):
                 self.advance()
                 match = re.match(
                     r"^edges\s+([A-Za-z_][A-Za-z_0-9]*)\s*->\s*(.+)$", line.text, re.I
@@ -611,7 +548,7 @@ class _ProgramParser:
                 dsts = [d.strip() for d in match.group(2).split(",") if d.strip()]
                 edges.setdefault(src, []).extend(dsts)
                 continue
-            if lower.startswith("liveout"):
+            if re.match(r"liveout\b", lower):
                 self.advance()
                 names = line.text[len("liveout") :].strip()
                 live_out = {n.strip() for n in names.split(",") if n.strip()}

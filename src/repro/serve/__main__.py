@@ -19,7 +19,8 @@ Modes (exactly one):
     probe got the expected envelope.  This is the CI smoke.
 
 Common knobs: ``--workers`` (pool threads), ``--max-inflight``
-(backpressure bound), ``--max-programs`` (interner capacity).
+(backpressure bound), ``--max-programs`` (interner capacity),
+``--diagnostics`` (answer ``sleep``, for the selfcheck's backpressure probe).
 """
 
 from __future__ import annotations
@@ -97,6 +98,10 @@ def _parse_args(argv):
         help="interned programs held live (LRU; default %(default)s)",
     )
     parser.add_argument(
+        "--diagnostics", action="store_true",
+        help="answer 'sleep', which parks a worker for up to 2 s (backpressure tests)",
+    )
+    parser.add_argument(
         "--quiet",
         action="store_true",
         help="suppress informational log output",
@@ -134,7 +139,9 @@ def main(argv=None) -> int:
     # Arm the metrics registry so per-request meta deltas are scoped
     # through the obs counters and `metrics` reports live numbers.
     metrics_registry().enable()
-    dispatcher = Dispatcher(max_programs=args.max_programs)
+    dispatcher = Dispatcher(
+        max_programs=args.max_programs, diagnostics=args.diagnostics
+    )
     pool = WorkerPool(workers=args.workers, max_inflight=args.max_inflight)
     LOG.info(
         "daemon starting",
@@ -178,6 +185,7 @@ def _selfcheck(args) -> int:
             "2",
             "--max-inflight",
             "2",
+            "--diagnostics",
             "--quiet",
         ],
         stdin=subprocess.PIPE,

@@ -139,6 +139,7 @@ class Dispatcher:
         self,
         cache: Optional[AnalysisCache] = None,
         max_programs: int = DEFAULT_MAX_PROGRAMS,
+        diagnostics: bool = False,
     ):
         if max_programs < 1:
             raise ValueError("max_programs must be >= 1")
@@ -158,8 +159,10 @@ class Dispatcher:
             "speedup_sweep": self._speedup_sweep,
             "metrics": self._metrics,
             "ping": self._ping,
-            "sleep": self._sleep,
         }
+        if diagnostics:
+            # Lets any client park a worker, so only on request.
+            self._handlers["sleep"] = self._sleep
 
     @property
     def methods(self) -> Tuple[str, ...]:

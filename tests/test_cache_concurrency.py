@@ -16,6 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 import pytest
 
 from repro.analysis.cache import AnalysisCache
+from repro.analysis.dependence import analyze_dependences
 from repro.bench.workloads import generate
 from repro.idempotency.labeling import label_region
 from repro.ir.dsl import parse_program
@@ -171,3 +172,27 @@ class TestLazyGraphMaterialization:
         for edges in seen[1:]:
             assert len(edges) == len(first)
             assert all(a is b for a, b in zip(edges, first))
+
+    def test_threads_share_one_graphs_intra_source_memo(self, tight_switching):
+        # A pattern table merges a pattern's intra-source positions on the
+        # first query and memoizes them on the shared graph.  Threads
+        # querying a fresh graph at once must all get the answers of a
+        # graph queried by one thread.
+        region = generate("reduction", 16, 40).region
+        fresh = analyze_dependences(region)
+        expected = [[id(s) for s in fresh.intra_sources_into(ref)] for ref in region.references]
+        assert sum(map(len, expected)) > 1000
+        for _ in range(10):
+            graph = analyze_dependences(region)
+            barrier = threading.Barrier(THREADS, timeout=30)
+
+            def query(worker):
+                barrier.wait()
+                return [[id(s) for s in graph.intra_sources_into(ref)]
+                        for ref in region.references[worker % 2:] + region.references]
+
+            with ThreadPoolExecutor(max_workers=THREADS) as pool:
+                futures = [pool.submit(query, t) for t in range(THREADS)]
+                seen = [future.result(timeout=60) for future in futures]
+            for worker, answers in enumerate(seen):
+                assert answers == expected[worker % 2:] + expected

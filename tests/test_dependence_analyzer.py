@@ -154,16 +154,45 @@ end program
 """
 
 
+# Read coverage: writes of one subscript under one loop (a group), a
+# conditional write between them, reads under a sibling loop and outside
+# any inner loop (covered through loop expansion), constant subscripts
+# and scalars.
+COVERAGE = """
+program cover
+  real a(40), b(40, 8), s
+  region R do i = 1, 8
+    do j = 1, 4
+      a(j) = 1.0
+      if (s > 0.5) a(j + 1) = 2.0
+      a(j) = a(j) + a(j + 1)
+      b(j, i) = a(j)
+    end do
+    do j = 1, 4
+      s = a(j) + b(j, i) + a(j + 1)
+    end do
+    a(2) = b(3, i)
+    s = a(2) + a(3) + s
+    do t = 1, 4
+      a(t) = a(2) + a(t) + b(t, i)
+    end do
+    liveout a, b, s
+  end region
+end program
+"""
+
+
 @pytest.fixture(scope="module")
 def programs():
     """Every bench family (a few-statement and a 40-statement nest), the
-    plan-key patterns above and a seeded fuzz batch."""
+    plan-key and coverage patterns above and a seeded fuzz batch."""
     out = [
         generate(family, size, statements).program
         for family in FAMILIES
         for size, statements in ((24, 6), (16, 40))
     ]
     out.append(parse_program(PATTERNS))
+    out.append(parse_program(COVERAGE))
     out += [program for _, program in corpus(200, 20261017)]
     return out
 
@@ -263,6 +292,53 @@ class TestEmissionPlans:
         assert _fields(merged) == _fields(graph)
 
 
+def _assert_compact_queries_equal_edges(graph, region):
+    """The compact answers, asked before the first list query builds the
+    edges, equal what the built edges say."""
+    has_cross = graph.has_cross_segment_dependences()
+    answers = [
+        (graph.is_cross_segment_sink(ref),
+         [id(s) for s in graph.intra_sources_into(ref)])
+        for ref in region.references
+    ]
+    edges = list(graph)
+    assert has_cross == any(d.is_cross_segment for d in edges)
+    for ref, answer in zip(region.references, answers):
+        into = [d for d in edges if d.sink is ref]
+        assert answer == (
+            any(d.is_cross_segment for d in into),
+            [id(d.source) for d in into if not d.is_cross_segment],
+        ), (region.name, ref.uid)
+
+
+# Two variables whose references share pattern ids (equal subscripts and
+# loops, so equal signature groups) in opposite orders: ``a`` has its
+# write pattern before its read pattern, ``b`` the other way round.
+SHARED = """
+program shared
+  real a(40), b(40)
+  region R do i = 1, 8
+    do j = 1, 4
+      a(j) = b(j + 1) + b(j + 1)
+      b(j) = a(j + 1) + a(j + 1) + a(j)
+    end do
+    a(i) = a(i) + b(i) + a(i - 1)
+    liveout a, b
+  end region
+end program
+"""
+
+
+def _order_blocks(merge):
+    """SHARED's region with the orders of every ``merge`` consecutive
+    references made equal (order blocks, some holding several references
+    of one pattern)."""
+    region = parse_program(SHARED).regions[0]
+    for ref in region.references:
+        ref.order //= merge
+    return region
+
+
 class TestCompactQueries:
     @pytest.mark.parametrize("granularity,direction", MODES)
     def test_compact_queries_equal_materialized_edges(
@@ -274,21 +350,27 @@ class TestCompactQueries:
                 graph = analyzer.analyze(
                     region, private_variables=private, read_only=read_only
                 )
-                # Asked before the first list query builds the edges.
-                has_cross = graph.has_cross_segment_dependences()
-                answers = [
-                    (graph.is_cross_segment_sink(ref),
-                     [id(s) for s in graph.intra_sources_into(ref)])
-                    for ref in region.references
-                ]
-                edges = list(graph)
-                assert has_cross == any(d.is_cross_segment for d in edges)
-                for ref, answer in zip(region.references, answers):
-                    into = [d for d in edges if d.sink is ref]
-                    assert answer == (
-                        any(d.is_cross_segment for d in into),
-                        [id(d.source) for d in into if not d.is_cross_segment],
-                    ), (region.name, ref.uid)
+                _assert_compact_queries_equal_edges(graph, region)
+
+    @pytest.mark.parametrize("granularity,direction", MODES)
+    def test_shared_patterns_and_order_blocks(self, granularity, direction):
+        analyzer = DependenceAnalyzer(granularity=granularity, direction=direction)
+        for merge in (1, 2, 3):
+            region = _order_blocks(merge)
+            read_only = read_only_variables(region)
+            orders = [ref.order for ref in region.references]
+            assert merge == 1 or len(set(orders)) < len(orders)
+            for private in (set(), {"b"}):
+                graph = analyzer.analyze(
+                    region, private_variables=private, read_only=read_only
+                )
+                if not private:  # a private ``b`` has patterns of its own
+                    tables = graph._tables
+                    assert set(tables["a"].pats) & set(tables["b"].pats)
+                _assert_compact_queries_equal_edges(graph, region)
+                oracle = _per_pair_graph(analyzer, region, private, read_only)
+                assert _fields(graph) == _fields(oracle), (merge, private)
+                assert len(graph) > 0
 
     def test_labeling_a_loop_region_builds_no_dependence(self, monkeypatch):
         built = []

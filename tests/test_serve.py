@@ -197,6 +197,20 @@ class TestDispatcher:
         assert response["error"]["code"] == METHOD_NOT_FOUND
         assert "analyze" in response["error"]["data"]["methods"]
 
+    def test_sleep_only_with_diagnostics(self):
+        # ``sleep`` lets a client park a worker: a default dispatcher
+        # refuses it and does not list it.
+        dispatcher = Dispatcher()
+        response = dispatcher.dispatch(rpc(7, "sleep", {"seconds": 0.0}))
+        assert response["error"]["code"] == METHOD_NOT_FOUND
+        assert "sleep" not in response["error"]["data"]["methods"]
+        metrics = dispatcher.dispatch(rpc(8, "metrics"))["result"]
+        assert "sleep" not in metrics["methods"]
+        enabled = Dispatcher(diagnostics=True)
+        assert "sleep" in enabled.dispatch(rpc(9, "metrics"))["result"]["methods"]
+        response = enabled.dispatch(rpc(10, "sleep", {"seconds": 0.0}))
+        assert response["result"]["slept"] == 0.0
+
     @pytest.mark.parametrize(
         "params",
         [
@@ -532,15 +546,24 @@ class _Client:
             pass
 
 
-@pytest.fixture
-def server():
-    dispatcher = Dispatcher()
+def _serve(dispatcher):
     pool = WorkerPool(workers=2, max_inflight=2)
     tcp = TCPServer(dispatcher, pool)
     tcp.start()
     yield tcp
     tcp.shutdown()
     pool.close()
+
+
+@pytest.fixture
+def server():
+    yield from _serve(Dispatcher())
+
+
+@pytest.fixture
+def diagnostic_server():
+    """A server whose dispatcher answers ``sleep``."""
+    yield from _serve(Dispatcher(diagnostics=True))
 
 
 class TestTCPServer:
@@ -564,11 +587,11 @@ class TestTCPServer:
         finally:
             client.close()
 
-    def test_backpressure_rejects_when_saturated(self, server):
+    def test_backpressure_rejects_when_saturated(self, diagnostic_server):
         # The fixture pool has two workers and max_inflight=2: two
         # sleeps occupy it, so the ping must bounce with OVERLOADED
         # (written inline by the reader thread, ahead of the sleeps).
-        client = _Client(server.port)
+        client = _Client(diagnostic_server.port)
         try:
             client.send("sleep", {"seconds": 1.0}, req_id="a")
             client.send("sleep", {"seconds": 1.0}, req_id="b")
