@@ -40,7 +40,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.ir.expr import BinOp, Const, Expr, Index, UnaryOp, Var, const_int
+from repro.ir.expr import BinOp, Const, Expr, UnaryOp, Var, const_int
 from repro.ir.reference import MemoryReference
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -154,38 +154,22 @@ def linear_terms(expr: Expr) -> Optional[Tuple[Dict[str, int], int]]:
     return None
 
 
-def subscript_is_deterministic(
-    expr: Expr,
-    loop_locals: Set[str],
-    region_index: Optional[str],
-    read_only_vars: Set[str],
-) -> bool:
-    """True when the subscript value is identical on every re-execution.
-
-    Constants, inner loop indices, the region index and region-read-only
-    scalars are deterministic; subscripted subscripts and reads of
-    variables written in the region are not.
-    """
-    if any(isinstance(node, Index) for node in expr.walk()):
-        return False
-    allowed = set(loop_locals) | set(read_only_vars)
-    if region_index is not None:
-        allowed.add(region_index)
-    return all(occ.name in allowed for occ in expr.reads())
-
-
 def reference_is_deterministic(
     ref: MemoryReference,
     region_index: Optional[str],
     read_only_vars: Set[str],
 ) -> bool:
-    """Address determinism of a whole reference (all of its subscripts)."""
-    if not ref.subscripts:
-        return True
+    """True when every subscript of ``ref`` has the same value on every
+    re-execution: it reads only inner loop indices, the region index and
+    region-read-only scalars.  A subscripted subscript (its array read is
+    an occurrence with subscripts) or a read of a variable written in the
+    region makes the address non-deterministic."""
     loop_locals = {do.index for do in ref.enclosing_loops}
     return all(
-        subscript_is_deterministic(sub, loop_locals, region_index, read_only_vars)
+        not subscripts
+        and (name in loop_locals or name == region_index or name in read_only_vars)
         for sub in ref.subscripts
+        for name, subscripts in sub.reads()
     )
 
 
@@ -399,13 +383,22 @@ def summarize_segment(
     read_only_vars = set(read_only_vars or ())
     per_var: Dict[str, VariableAccessInfo] = {}
     ordered = sorted(references, key=lambda r: r.order)
+    # Address determinism, decided once per (subscripts, enclosing loops) and
+    # not at all for a variable already known to be non-deterministic.
+    deterministic: Dict[Tuple[Tuple[Expr, ...], Tuple[Do, ...]], bool] = {}
 
     for ref in ordered:
-        info = per_var.setdefault(
-            ref.variable, VariableAccessInfo(variable=ref.variable)
-        )
-        if not reference_is_deterministic(ref, region_index, read_only_vars):
-            info.deterministic = False
+        info = per_var.get(ref.variable)
+        if info is None:
+            info = per_var[ref.variable] = VariableAccessInfo(variable=ref.variable)
+        if info.deterministic and ref.subscripts:
+            key = (ref.subscripts, ref.enclosing_loops)
+            verdict = deterministic.get(key)
+            if verdict is None:
+                verdict = deterministic[key] = reference_is_deterministic(
+                    ref, region_index, read_only_vars
+                )
+            info.deterministic = verdict
         if ref.access is AccessType.READ:
             info.reads.append(ref)
         else:

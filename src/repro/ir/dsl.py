@@ -42,7 +42,8 @@ Explicit-segment regions (used by the Figure 2 / Figure 3 examples)::
         liveout c
       end region
 
-Comments start with ``!`` or ``#`` and run to the end of the line.
+Comments start with ``#``, or with a ``!`` that does not begin ``!=``, and
+run to the end of the line.
 Declarations use ``real`` / ``integer`` (treated identically) and may
 carry initial values for scalars.  ``liveout`` lines inside a region
 list the variables that are live after the region.  A region may be
@@ -53,16 +54,19 @@ without a marker the compiler's dependence analysis decides.
 
 from __future__ import annotations
 
+import itertools
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.ir.expr import BinOp, Call, Const, Expr, Index, UnaryOp, Var, intrinsics
-from repro.ir.program import Program
-from repro.ir.region import ExplicitRegion, LoopRegion, Region
-from repro.ir.segment import Segment
-from repro.ir.stmt import Assign, Do, If, Statement
-from repro.ir.symbols import SymbolTable
+from repro.ir.expr import (
+    BinOp, Call, Const, Expr, ExpressionError, Index, UnaryOp, Var, intrinsics)
+from repro.ir.program import Program, ProgramError
+from repro.ir.region import ExplicitRegion, LoopRegion, Region, RegionError
+from repro.ir.segment import Segment, SegmentError
+from repro.ir.stmt import Assign, Do, If, Statement, StatementError
+from repro.ir.symbols import SymbolError, SymbolTable
 
 
 class DSLSyntaxError(Exception):
@@ -77,35 +81,24 @@ class DSLSyntaxError(Exception):
 # ----------------------------------------------------------------------
 # Expression tokenizer / parser
 # ----------------------------------------------------------------------
+#: One group, so ``findall`` returns plain strings.  Names, operators and
+#: numbers start with different characters, so their order does not matter.
 _TOKEN_RE = re.compile(
     r"""
-    \s*(?:
-    (\d+\.\d*(?:[eEdD][-+]?\d+)?|\.\d+(?:[eEdD][-+]?\d+)?|\d+(?:[eEdD][-+]?\d+)?)
-  | ([A-Za-z_][A-Za-z_0-9]*)
-  | (\*\*|<=|>=|==|!=|->|[-+*/%(),<>=])
-  | (\S)
+    \s*(
+    [A-Za-z_][A-Za-z_0-9]*
+  | \*\*|<=|>=|==|!=|->|[-+*/%(),<>=]
+  | \d+\.\d*(?:[eEdD][-+]?\d+)?|\.\d+(?:[eEdD][-+]?\d+)?|\d+(?:[eEdD][-+]?\d+)?
+  | \S
 )""",
     re.VERBOSE,
 )
-
-_KEYWORD_OPS = {"and", "or", "not"}
-
-#: A token: ``(kind, text)`` with kind ``"number"``, ``"name"`` or ``"op"``.
-Token = Tuple[str, str]
-
-
-def tokenize_expression(text: str, line_no: Optional[int] = None) -> List[Token]:
-    """Tokenize one expression string."""
-    tokens: List[Token] = []
-    for number, name, op, bad in _TOKEN_RE.findall(text):
-        if bad:
-            raise DSLSyntaxError(f"unexpected character {bad!r}", line_no)
-        if name.lower() in _KEYWORD_OPS:
-            tokens.append(("op", name.lower()))
-        else:
-            tokens.append(("number", number) if number else ("name", name) if name else ("op", op))
-    return tokens
-
+_NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+#: Every spelling of a keyword operator, to its lowercase form: the parser
+#: looks names up instead of lowercasing each one.
+_KEYWORDS: Dict[str, str] = {
+    "".join(s): w for w in ("and", "or", "not") for s in itertools.product(*zip(w, w.upper()))
+}
 
 # Binding levels, loosest first: or 1, and 2, prefix not 3, comparison 4,
 # + - 5, * / % 6, prefix - + 7, ** 8.  Per binary operator: its level, its
@@ -121,78 +114,126 @@ _NOT_LEVEL = 3
 _SIGN_LEVEL = 7
 _PRIMARY = 9
 _INTRINSICS = frozenset(intrinsics())
+_new = object.__new__
 
 
-def parse_expression(text: str, line_no: Optional[int] = None) -> Expr:
-    """Parse one expression string into an :class:`Expr` (precedence
-    climbing over the token list)."""
-    tokens = tokenize_expression(text, line_no)
-    end = len(tokens)
-    pos = 0
+def _is_bad(token: str) -> bool:
+    """True for a character no token starts with (the ``\\S`` fallback):
+    every other one-character token is a name, a digit or an operator."""
+    return len(token) == 1 and not (
+        token in _NAME_START or token.isdecimal() or token in _BINARY or token in "(),="
+    )
+
+
+def _parse_tokens(
+    tokens: List[str], start: int, end: int, line_no: Optional[int], many: bool = False
+):
+    """Parse all of ``tokens[start:end]`` as one expression (with ``many``, a
+    comma-separated list) by precedence climbing.  ``Const``, ``Var``,
+    ``Index`` and ``BinOp`` skip their constructors' checks, which the grammar
+    guarantees.  A bad character is reported in place of any other error."""
+    pos = start
 
     def expect_close() -> None:
         nonlocal pos
-        if pos < end and tokens[pos] == ("op", ")"):
+        if pos < end and tokens[pos] == ")":
             pos += 1
             return
-        got = tokens[pos][1] if pos < end else "<end>"
+        got = _KEYWORDS.get(tokens[pos], tokens[pos]) if pos < end else "<end>"
         raise DSLSyntaxError(f"expected ')', got {got!r}", line_no)
 
     def parse(min_level: int) -> Expr:
         nonlocal pos
         if pos >= end:
             raise DSLSyntaxError("unexpected end of expression", line_no)
-        kind, value = tokens[pos]
+        token = tokens[pos]
         pos += 1
         lhs: Expr
         limit = _PRIMARY
-        if kind == "number":
-            number = value.lower().replace("d", "e")
-            lhs = Const(float(number) if "." in number or "e" in number else int(number))
-        elif kind == "name":
-            if pos < end and tokens[pos] == ("op", "("):
+        first = token[0]
+        if first in _NAME_START and token not in _KEYWORDS:
+            if pos < end and tokens[pos] == "(":
                 pos += 1
-                args: List[Expr] = []
-                if pos >= end or tokens[pos] != ("op", ")"):
+                args = []
+                if pos >= end or tokens[pos] != ")":
                     args.append(parse(1))
-                    while pos < end and tokens[pos] == ("op", ","):
+                    while pos < end and tokens[pos] == ",":
                         pos += 1
                         args.append(parse(1))
                 expect_close()
-                name = value.lower()
-                lhs = Call(name, args) if name in _INTRINSICS else Index(value, args)
+                func = token.lower()
+                if func in _INTRINSICS:
+                    lhs = Call(func, args)
+                elif not args:
+                    raise ExpressionError(f"array read of {token!r} needs subscripts")
+                else:
+                    lhs = _new(Index)
+                    lhs.name, lhs.subscripts = token, tuple(args)
             else:
-                lhs = Var(value)
-        elif value == "(":
-            lhs = parse(1)
-            expect_close()
-        elif value == "-":
-            lhs, limit = UnaryOp("-", parse(_SIGN_LEVEL)), _SIGN_LEVEL - 1
-        elif value == "+":
-            lhs, limit = parse(_SIGN_LEVEL), _SIGN_LEVEL - 1
-        elif value == "not" and min_level <= _NOT_LEVEL:
-            lhs, limit = UnaryOp("not", parse(_NOT_LEVEL)), _NOT_LEVEL - 1
+                lhs = _new(Var)
+                lhs.name = token
+        elif first.isdecimal() or (first == "." and len(token) > 1):
+            lhs = _new(Const)
+            lhs.value = (
+                int(token) if token.isdigit()
+                else float(token.lower().replace("d", "e"))
+            )
         else:
-            raise DSLSyntaxError(f"unexpected token {value!r}", line_no)
+            token = _KEYWORDS.get(token, token)
+            if token == "(":
+                lhs = parse(1)
+                expect_close()
+            elif token == "-":
+                lhs, limit = UnaryOp("-", parse(_SIGN_LEVEL)), _SIGN_LEVEL - 1
+            elif token == "+":
+                lhs, limit = parse(_SIGN_LEVEL), _SIGN_LEVEL - 1
+            elif token == "not" and min_level <= _NOT_LEVEL:
+                lhs, limit = UnaryOp("not", parse(_NOT_LEVEL)), _NOT_LEVEL - 1
+            else:
+                raise DSLSyntaxError(f"unexpected token {token!r}", line_no)
         while pos < end:
-            value = tokens[pos][1]
-            binding = _BINARY.get(value)  # no name or number is an operator
+            op = tokens[pos]
+            op = _KEYWORDS.get(op, op)
+            binding = _BINARY.get(op)  # no name or number is an operator
             if binding is None:
                 break
             level, right_level, result_limit = binding
             if level < min_level or level > limit:
                 break
             pos += 1
-            lhs = BinOp(value, lhs, parse(right_level))
+            node = _new(BinOp)
+            node.op, node.left, node.right = op, lhs, parse(right_level)
+            lhs = node
             limit = result_limit
         return lhs
 
-    expr = parse(1)
-    if pos < end:
-        raise DSLSyntaxError(
-            f"trailing tokens after expression: {tokens[pos][1]!r}", line_no
-        )
-    return expr
+    try:
+        if many:
+            result = []
+            if pos < end:
+                result.append(parse(1))
+                while pos < end and tokens[pos] == ",":
+                    pos += 1
+                    result.append(parse(1))
+        else:
+            result = parse(1)
+        if pos < end:
+            token = _KEYWORDS.get(tokens[pos], tokens[pos])
+            raise DSLSyntaxError(f"trailing tokens after expression: {token!r}", line_no)
+    except (DSLSyntaxError, ExpressionError):
+        for token in tokens[start:end]:
+            if _is_bad(token):
+                raise DSLSyntaxError(
+                    f"unexpected character {token!r}", line_no
+                ) from None
+        raise
+    return result
+
+
+def parse_expression(text: str, line_no: Optional[int] = None) -> Expr:
+    """Parse one expression string into an :class:`Expr`."""
+    tokens = _TOKEN_RE.findall(text)
+    return _parse_tokens(tokens, 0, len(tokens), line_no)
 
 
 # ----------------------------------------------------------------------
@@ -204,9 +245,7 @@ class _Line:
     text: str
 
 
-_ASSIGN_RE = re.compile(
-    r"^(?P<target>[A-Za-z_][A-Za-z_0-9]*)\s*(?:\((?P<subs>[^=]*)\))?\s*=\s*(?P<rhs>.+)$"
-)
+_COMMENT_RE = re.compile(r"!(?!=)|#")
 _DO_RE = re.compile(
     r"^do\s+(?P<index>[A-Za-z_][A-Za-z_0-9]*)\s*=\s*(?P<rest>.+)$", re.IGNORECASE
 )
@@ -277,16 +316,38 @@ def _split_top_level_commas(text: str, line_no: int) -> List[str]:
     return parts
 
 
+#: Errors the IR constructors raise on a malformed program.
+_IR_ERRORS = (ExpressionError, StatementError, RegionError, SegmentError, SymbolError,
+              ProgramError, ValueError)
+
+
+@contextmanager
+def _at_line(line_no: int, statement_line: Optional[int] = None) -> Iterator[None]:
+    """Report IR constructor errors as syntax errors of ``line_no``, or of
+    ``statement_line`` for a ``StatementError`` when that line is known."""
+    try:
+        yield
+    except _IR_ERRORS as exc:
+        if isinstance(exc, StatementError) and statement_line is not None:
+            line_no = statement_line
+        raise DSLSyntaxError(str(exc), line_no) from None
+
+
 class _ProgramParser:
     """Parses the full line-oriented program grammar."""
 
     def __init__(self, source: str):
         self.lines: List[_Line] = []
         for no, raw in enumerate(source.splitlines(), start=1):
-            text = raw.split("!", 1)[0].split("#", 1)[0].strip()
+            comment = _COMMENT_RE.search(raw)
+            text = (raw[: comment.start()] if comment else raw).strip()
             if text:
                 self.lines.append(_Line(no, text))
         self.pos = 0
+        #: Induction locals in scope (region and DO indices) and the line of
+        #: the region's first assignment to one, which its constructor rejects.
+        self.induction: frozenset = frozenset()
+        self.local_write: Optional[int] = None
 
     # -- line helpers --------------------------------------------------
     def peek(self) -> Optional[_Line]:
@@ -311,7 +372,7 @@ class _ProgramParser:
         match = re.match(r"^program\s+([A-Za-z_][A-Za-z_0-9]*)$", line.text, re.I)
         if match is None:
             raise DSLSyntaxError("expected 'program NAME'", line.no)
-        name = match.group(1)
+        name, header = match.group(1), line.no
         symbols = SymbolTable()
         init: List[Statement] = []
         finale: List[Statement] = []
@@ -342,33 +403,35 @@ class _ProgramParser:
                 raise DSLSyntaxError(
                     f"unexpected line at program level: {line.text!r}", line.no
                 )
-        return Program(name, symbols=symbols, init=init, regions=regions, finale=finale)
+        with _at_line(header):
+            return Program(name, symbols=symbols, init=init, regions=regions, finale=finale)
 
     # -- declarations ----------------------------------------------------
     def _parse_declaration(self, line: _Line, symbols: SymbolTable) -> None:
         rest = _DECL_RE.match(line.text).group("rest")
-        for item in _split_top_level_commas(rest, line.no):
-            match = re.match(
-                r"^([A-Za-z_][A-Za-z_0-9]*)\s*(?:\(([^)]*)\))?\s*(?:=\s*(.+))?$", item
-            )
-            if match is None:
-                raise DSLSyntaxError(f"bad declaration {item!r}", line.no)
-            name, dims, init_text = match.group(1), match.group(2), match.group(3)
-            if dims:
-                shape = []
-                for dim in dims.split(","):
-                    dim = dim.strip()
-                    if not dim.isdigit():
-                        raise DSLSyntaxError(
-                            f"array extents must be integer literals, got {dim!r}",
-                            line.no,
-                        )
-                    shape.append(int(dim))
-                initial = float(init_text) if init_text else 0.0
-                symbols.array(name, shape, initial=initial)
-            else:
-                initial = float(init_text) if init_text else 0.0
-                symbols.scalar(name, initial=initial)
+        with _at_line(line.no):
+            for item in _split_top_level_commas(rest, line.no):
+                match = re.match(
+                    r"^([A-Za-z_][A-Za-z_0-9]*)\s*(?:\(([^)]*)\))?\s*(?:=\s*(.+))?$", item
+                )
+                if match is None:
+                    raise DSLSyntaxError(f"bad declaration {item!r}", line.no)
+                name, dims, init_text = match.group(1), match.group(2), match.group(3)
+                if dims:
+                    shape = []
+                    for dim in dims.split(","):
+                        dim = dim.strip()
+                        if not dim.isdigit():
+                            raise DSLSyntaxError(
+                                f"array extents must be integer literals, got {dim!r}",
+                                line.no,
+                            )
+                        shape.append(int(dim))
+                    initial = float(init_text) if init_text else 0.0
+                    symbols.array(name, shape, initial=initial)
+                else:
+                    initial = float(init_text) if init_text else 0.0
+                    symbols.scalar(name, initial=initial)
 
     # -- statements -------------------------------------------------------
     def _parse_statement_block(self, terminators: set) -> List[Statement]:
@@ -386,51 +449,73 @@ class _ProgramParser:
     def _parse_statement(self) -> Statement:
         line = self.advance()
         text = line.text
+        try:
+            match = _IF_THEN_RE.match(text)
+            if match is not None:
+                cond = parse_expression(match.group("cond"), line.no)
+                then_body = self._parse_statement_block({"else", "end if", "endif"})
+                else_body: List[Statement] = []
+                terminator = self.advance()
+                if terminator.text.lower() == "else":
+                    else_body = self._parse_statement_block({"end if", "endif"})
+                    self.advance()
+                return If(cond, then_body, else_body)
 
-        match = _IF_THEN_RE.match(text)
-        if match is not None:
-            cond = parse_expression(match.group("cond"), line.no)
-            then_body = self._parse_statement_block({"else", "end if", "endif"})
-            else_body: List[Statement] = []
-            terminator = self.advance()
-            if terminator.text.lower() == "else":
-                else_body = self._parse_statement_block({"end if", "endif"})
+            match = _DO_RE.match(text)
+            if match is not None:
+                index = match.group("index")
+                parts = _split_top_level_commas(match.group("rest"), line.no)
+                if len(parts) not in (2, 3):
+                    raise DSLSyntaxError("DO needs 'lower, upper[, step]'", line.no)
+                lower_e = parse_expression(parts[0], line.no)
+                upper_e = parse_expression(parts[1], line.no)
+                step_e = parse_expression(parts[2], line.no) if len(parts) == 3 else Const(1)
+                outer, self.induction = self.induction, self.induction | {index}
+                body = self._parse_statement_block({"end do", "enddo"})
+                self.induction = outer
                 self.advance()
-            return If(cond, then_body, else_body)
+                return Do(index, lower_e, upper_e, body, step=step_e)
 
-        match = _DO_RE.match(text)
-        if match is not None:
-            index = match.group("index")
-            parts = _split_top_level_commas(match.group("rest"), line.no)
-            if len(parts) not in (2, 3):
-                raise DSLSyntaxError("DO needs 'lower, upper[, step]'", line.no)
-            lower_e = parse_expression(parts[0], line.no)
-            upper_e = parse_expression(parts[1], line.no)
-            step_e = parse_expression(parts[2], line.no) if len(parts) == 3 else Const(1)
-            body = self._parse_statement_block({"end do", "enddo"})
-            self.advance()
-            return Do(index, lower_e, upper_e, body, step=step_e)
+            if _GUARDED_IF_RE.match(text):
+                cond_text, stmt_text = _split_guarded_if(text, line.no)
+                cond = parse_expression(cond_text, line.no)
+                inner = self._parse_assignment(stmt_text, line.no)
+                inner.guard = cond
+                return inner
 
-        if _GUARDED_IF_RE.match(text):
-            cond_text, stmt_text = _split_guarded_if(text, line.no)
-            cond = parse_expression(cond_text, line.no)
-            inner = self._parse_assignment(stmt_text, line.no)
-            inner.guard = cond
-            return inner
-
-        return self._parse_assignment(text, line.no)
+            return self._parse_assignment(text, line.no)
+        except ExpressionError as exc:  # an array read without subscripts
+            raise DSLSyntaxError(str(exc), line.no) from None
 
     def _parse_assignment(self, text: str, line_no: int) -> Assign:
-        match = _ASSIGN_RE.match(text)
-        if match is None:
+        """``target[(subscripts)] = rhs`` from one token stream.  The ``=`` is
+        the line's first ``=``; the subscripts lie between the ``(`` after the
+        target and the ``)`` before the ``=``."""
+        tokens = _TOKEN_RE.findall(text)
+        eq = text.find("=")
+        double = text.startswith("=", eq + 1)  # '==': the rhs starts with '='
+        # The token holding that '=' (none when it ends '<=', '>=' or '!=').
+        assign = 0 if eq < 1 or text[eq - 1] in "<>!" else tokens.index("==" if double else "=")
+        has_subs = assign > 2 and tokens[1] == "(" and tokens[assign - 1] == ")"
+        if not (tokens[0][0] in _NAME_START and (assign == 1 or has_subs)
+                and (double or assign + 1 < len(tokens))):
             raise DSLSyntaxError(f"cannot parse statement {text!r}", line_no)
-        target = match.group("target")
-        subs_text = match.group("subs")
-        rhs = parse_expression(match.group("rhs"), line_no)
+        if double:
+            parse_expression(text[eq + 1 :], line_no)  # raises on the leading '='
+        target = tokens[0]
+        rhs = _parse_tokens(tokens, assign + 1, len(tokens), line_no)
         subscripts: List[Expr] = []
-        if subs_text is not None:
-            for part in _split_top_level_commas(subs_text, line_no):
-                subscripts.append(parse_expression(part, line_no))
+        if has_subs:
+            try:
+                subscripts = _parse_tokens(tokens, 2, assign - 1, line_no, many=True)
+            except (DSLSyntaxError, ExpressionError):
+                # Not one list: splitting the text at top-level commas reports
+                # the error (or accepts the trailing comma) it always did.
+                subs_text = text[text.index("(") + 1 : text.rindex(")", 0, eq)]
+                subscripts = [parse_expression(part, line_no)
+                              for part in _split_top_level_commas(subs_text, line_no)]
+        if target in self.induction and self.local_write is None:
+            self.local_write = line_no
         return Assign(target, rhs, subscripts=subscripts)
 
     # -- regions -----------------------------------------------------------
@@ -446,21 +531,24 @@ class _ProgramParser:
             parts = _split_top_level_commas(match.group("rest"), line.no)
             if len(parts) not in (2, 3):
                 raise DSLSyntaxError("region DO needs 'lower, upper[, step]'", line.no)
-            lower_e = parse_expression(parts[0], line.no)
-            upper_e = parse_expression(parts[1], line.no)
-            step_e = parse_expression(parts[2], line.no) if len(parts) == 3 else Const(1)
+            with _at_line(line.no):
+                lower_e = parse_expression(parts[0], line.no)
+                upper_e = parse_expression(parts[1], line.no)
+                step_e = parse_expression(parts[2], line.no) if len(parts) == 3 else Const(1)
+            self.induction, self.local_write = frozenset((index,)), None
             body, live_out = self._parse_region_body({"end region"})
             self.expect_keyword("end region")
-            return LoopRegion(
-                name,
-                index,
-                lower_e,
-                upper_e,
-                body,
-                step=step_e,
-                live_out=live_out,
-                speculative=self._hint_value(hint),
-            )
+            with _at_line(line.no, self.local_write):
+                return LoopRegion(
+                    name,
+                    index,
+                    lower_e,
+                    upper_e,
+                    body,
+                    step=step_e,
+                    live_out=live_out,
+                    speculative=self._hint_value(hint),
+                )
 
         match = _REGION_EXPLICIT_RE.match(text)
         if match is not None:
@@ -501,6 +589,7 @@ class _ProgramParser:
         segments: List[Segment] = []
         edges: Dict[str, List[str]] = {}
         live_out: Optional[set] = None
+        self.induction, self.local_write = frozenset(), None
         while True:
             line = self.peek()
             if line is None:
@@ -532,7 +621,8 @@ class _ProgramParser:
                         expr_text = inner.text[len("branch") :].strip()
                         if expr_text.startswith("(") and expr_text.endswith(")"):
                             expr_text = expr_text[1:-1]
-                        branch = parse_expression(expr_text, inner.no)
+                        with _at_line(inner.no):
+                            branch = parse_expression(expr_text, inner.no)
                         continue
                     body.append(self._parse_statement())
                 segments.append(Segment(seg_name, body, branch=branch))
@@ -556,13 +646,14 @@ class _ProgramParser:
             raise DSLSyntaxError(
                 f"unexpected line inside explicit region: {line.text!r}", line.no
             )
-        return ExplicitRegion(
-            name,
-            segments,
-            edges=edges if edges else None,
-            live_out=live_out,
-            speculative=hint,
-        )
+        with _at_line(header_line, self.local_write):
+            return ExplicitRegion(
+                name,
+                segments,
+                edges=edges if edges else None,
+                live_out=live_out,
+                speculative=hint,
+            )
 
 
 def parse_program(source: str) -> Program:

@@ -22,8 +22,7 @@ operands, and intrinsic arguments left to right.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 Number = Union[int, float]
 #: Signature of the memory-read callback used by :meth:`Expr.evaluate`.
@@ -45,8 +44,14 @@ class Expr:
         raise NotImplementedError
 
     # -- structural queries --------------------------------------------
-    def reads(self) -> Iterator["ReadOccurrence"]:
-        """Yield every memory-read occurrence in evaluation order."""
+    def reads(self) -> List["ReadOccurrence"]:
+        """Every memory-read occurrence, in evaluation order."""
+        out: List[ReadOccurrence] = []
+        self._add_reads(out)
+        return out
+
+    def _add_reads(self, out: List["ReadOccurrence"]) -> None:
+        """Append the read occurrences of this tree to ``out``."""
         raise NotImplementedError
 
     def children(self) -> Tuple["Expr", ...]:
@@ -68,8 +73,7 @@ class Expr:
         return f"{type(self).__name__}({self})"
 
 
-@dataclass(frozen=True)
-class ReadOccurrence:
+class ReadOccurrence(NamedTuple):
     """One textual read occurrence inside an expression.
 
     ``subscripts`` are the (unevaluated) subscript expressions: an empty
@@ -82,6 +86,11 @@ class ReadOccurrence:
     @property
     def is_array(self) -> bool:
         return bool(self.subscripts)
+
+
+#: ``_occurrence(ReadOccurrence, (name, subscripts))`` skips the named
+#: tuple's Python-level ``__new__``.
+_occurrence: Any = tuple.__new__
 
 
 # ----------------------------------------------------------------------
@@ -102,8 +111,8 @@ class Const(Expr):
     def evaluate(self, reader: Reader) -> Number:
         return self.value
 
-    def reads(self) -> Iterator[ReadOccurrence]:
-        return iter(())
+    def _add_reads(self, out: List[ReadOccurrence]) -> None:
+        pass
 
     def children(self) -> Tuple[Expr, ...]:
         return ()
@@ -131,8 +140,8 @@ class Var(Expr):
     def evaluate(self, reader: Reader) -> Number:
         return reader(self.name, ())
 
-    def reads(self) -> Iterator[ReadOccurrence]:
-        yield ReadOccurrence(self.name, ())
+    def _add_reads(self, out: List[ReadOccurrence]) -> None:
+        out.append(_occurrence(ReadOccurrence, (self.name, ())))
 
     def children(self) -> Tuple[Expr, ...]:
         return ()
@@ -165,10 +174,10 @@ class Index(Expr):
         subs = tuple(int(round(s.evaluate(reader))) for s in self.subscripts)
         return reader(self.name, subs)
 
-    def reads(self) -> Iterator[ReadOccurrence]:
+    def _add_reads(self, out: List[ReadOccurrence]) -> None:
         for sub in self.subscripts:
-            yield from sub.reads()
-        yield ReadOccurrence(self.name, self.subscripts)
+            sub._add_reads(out)
+        out.append(_occurrence(ReadOccurrence, (self.name, self.subscripts)))
 
     def children(self) -> Tuple[Expr, ...]:
         return self.subscripts
@@ -251,9 +260,9 @@ class BinOp(Expr):
         except (OverflowError, ValueError):  # pragma: no cover - defensive
             return 0.0
 
-    def reads(self) -> Iterator[ReadOccurrence]:
-        yield from self.left.reads()
-        yield from self.right.reads()
+    def _add_reads(self, out: List[ReadOccurrence]) -> None:
+        self.left._add_reads(out)
+        self.right._add_reads(out)
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.left, self.right)
@@ -287,8 +296,8 @@ class UnaryOp(Expr):
     def evaluate(self, reader: Reader) -> Number:
         return _UNARY_OPS[self.op](self.operand.evaluate(reader))
 
-    def reads(self) -> Iterator[ReadOccurrence]:
-        yield from self.operand.reads()
+    def _add_reads(self, out: List[ReadOccurrence]) -> None:
+        self.operand._add_reads(out)
 
     def children(self) -> Tuple[Expr, ...]:
         return (self.operand,)
@@ -325,9 +334,9 @@ class Call(Expr):
         except (TypeError, ValueError, OverflowError):  # pragma: no cover
             return 0.0
 
-    def reads(self) -> Iterator[ReadOccurrence]:
+    def _add_reads(self, out: List[ReadOccurrence]) -> None:
         for arg in self.args:
-            yield from arg.reads()
+            arg._add_reads(out)
 
     def children(self) -> Tuple[Expr, ...]:
         return self.args

@@ -25,7 +25,7 @@ References are extracted from a segment body by
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, List, Sequence, Set, Tuple
 
 from repro.ir.expr import Expr
 from repro.ir.stmt import Assign, Do, If, Statement, StatementError
@@ -112,17 +112,6 @@ class _ExtractionContext:
     counter: int = 0
     out: List[MemoryReference] = field(default_factory=list)
 
-    def next_uid(self, access: AccessType) -> str:
-        tag = "w" if access is AccessType.WRITE else "r"
-        uid = f"{self.uid_prefix}.{tag}{self.counter}"
-        self.counter += 1
-        return uid
-
-    def next_order(self) -> int:
-        order = self.order
-        self.order += 1
-        return order
-
 
 def _emit(
     ctx: _ExtractionContext,
@@ -132,23 +121,17 @@ def _emit(
     stmt: Statement,
     conditional: bool,
     is_control: bool = False,
-) -> Optional[MemoryReference]:
-    """Create one reference unless the variable is an induction local."""
-    if variable in ctx.locals_in_scope:
-        return None
+) -> MemoryReference:
+    """Create one reference (callers skip induction locals)."""
+    counter, order = ctx.counter, ctx.order
+    ctx.counter, ctx.order = counter + 1, order + 1
+    tag = "w" if access is AccessType.WRITE else "r"
+    # Positional arguments in field order: matching twelve keywords would
+    # cost more than building the reference.
     ref = MemoryReference(
-        uid=ctx.next_uid(access),
-        variable=variable,
-        access=access,
-        subscripts=subscripts,
-        stmt=stmt,
-        segment=ctx.segment,
-        region=ctx.region,
-        order=ctx.next_order(),
-        conditional=conditional,
-        in_inner_loop=ctx.in_inner_loop,
-        is_control=is_control,
-        enclosing_loops=ctx.enclosing_loops,
+        f"{ctx.uid_prefix}.{tag}{counter}", variable, access, subscripts, stmt,
+        ctx.segment, ctx.region, order, conditional, ctx.in_inner_loop, is_control,
+        ctx.enclosing_loops,
     )
     ctx.out.append(ref)
     return ref
@@ -162,18 +145,11 @@ def _emit_expr_reads(
     is_control: bool = False,
 ) -> List[MemoryReference]:
     refs: List[MemoryReference] = []
-    for occ in expr.reads():
-        ref = _emit(
-            ctx,
-            occ.name,
-            AccessType.READ,
-            occ.subscripts,
-            stmt,
-            conditional,
-            is_control=is_control,
-        )
-        if ref is not None:
-            refs.append(ref)
+    for name, subscripts in expr.reads():
+        if name not in ctx.locals_in_scope:
+            refs.append(
+                _emit(ctx, name, AccessType.READ, subscripts, stmt, conditional, is_control)
+            )
     return refs
 
 

@@ -96,11 +96,6 @@ class Assign(Statement):
         self.rhs: Expr = as_expr(rhs)
         self.guard: Optional[Expr] = as_expr(guard) if guard is not None else None
 
-    @property
-    def targets_array(self) -> bool:
-        """True when the target is an array element."""
-        return bool(self.target_subscripts)
-
     def __str__(self) -> str:
         subs = (
             "(" + ", ".join(str(s) for s in self.target_subscripts) + ")"
@@ -192,14 +187,3 @@ class Do(Statement):
             f"do {self.index} = {self.lower}, {self.upper}, {self.step} "
             f"<{len(self.body)} stmts>"
         )
-
-
-def iter_statements(body: Sequence[Statement]) -> Iterator[Statement]:
-    """Pre-order traversal of a statement list (including nested bodies)."""
-    for stmt in body:
-        yield from stmt.walk()
-
-
-def induction_locals(body: Sequence[Statement]) -> set:
-    """Names of all ``DO`` index variables appearing anywhere in ``body``."""
-    return {s.index for s in iter_statements(body) if isinstance(s, Do)}

@@ -7,7 +7,11 @@ import pickle
 
 import pytest
 
-from repro.analysis.access import summarize_segment, write_covers_read
+from repro.analysis.access import (
+    reference_is_deterministic,
+    summarize_segment,
+    write_covers_read,
+)
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.dependence import (
     DependenceAnalyzer,
@@ -498,3 +502,60 @@ class TestAccessDimsMemo:
                         ) == expected, (region.name, name, info.variable)
                         reads += len(info.reads)
         assert reads > 1000
+
+
+# ``a(j)`` twice: under ``do j`` the subscript is the loop's index, after
+# the loop it reads the scalar ``j``, which the region writes.
+SHADOWED_INDEX = """
+program shadowed
+  real a(8), x(8), j
+  region R do k = 1, 8
+    j = x(k)
+    do j = 1, 4
+      a(j) = 1.0
+    end do
+    a(j) = 2.0
+    liveout a
+  end region
+end program
+"""
+
+
+class TestDeterminismMemo:
+    """``summarize_segment`` decides address determinism once per
+    (subscripts, enclosing loops); its oracle is
+    :func:`reference_is_deterministic` on every reference."""
+
+    @staticmethod
+    def _check(program):
+        variables = 0
+        for region in program.regions:
+            region_index = region.index if isinstance(region, LoopRegion) else None
+            read_only = read_only_variables(region)
+            for name in region.segment_names():
+                refs = region.segment_references(name)
+                summary = summarize_segment(refs, name, region_index, read_only)
+                for variable, info in summary.variables.items():
+                    expected = all(
+                        reference_is_deterministic(r, region_index, read_only)
+                        for r in refs
+                        if r.variable == variable
+                    )
+                    assert info.deterministic == expected, (region.name, variable)
+                    variables += 1
+        return variables
+
+    def test_equal_subscripts_under_different_loops(self):
+        program = parse_program(SHADOWED_INDEX)
+        (region,) = program.regions
+        writes = [r for r in region.references if r.variable == "a"]
+        assert [str(s) for w in writes for s in w.subscripts] == ["j", "j"]
+        assert [len(w.enclosing_loops) for w in writes] == [1, 0]
+        self._check(program)
+        summary = summarize_segment(
+            region.references, "<iteration>", region.index, read_only_variables(region)
+        )
+        assert not summary.variables["a"].deterministic
+
+    def test_corpus(self):
+        assert sum(self._check(program) for _, program in corpus(300, 7)) > 1000

@@ -233,6 +233,16 @@ PROGRAM_ERRORS = [
     ("program p\n  region R explicit", "line 2: missing 'end region'"),
     (_program(region=_explicit("    segment S0", "      branch (y >", "    end segment")),
      "line 5: unexpected end of expression"),
+    # What the IR constructors reject is an error of the statement, region
+    # header or declaration line.
+    (_program(region=_loop("    x(i) = x()")), "line 4: array read of 'x' needs subscripts"),
+    (_program(region=_loop("    x(i) = 1", "    i = 1")),
+     "line 5: assignment to induction local 'i' is not allowed"),
+    (_program(region=_loop("    do j = 1, 2", "      j = 3", "    end do")),
+     "line 5: assignment to induction local 'j' is not allowed"),
+    (_program(region=["  region R do i = 1, 2, 0", "    y = 1", "  end region"]),
+     "line 3: loop region 'R' has zero step"),
+    (_program("  real z = abc"), "line 3: could not convert string to float: 'abc'"),
 ]
 
 
@@ -361,3 +371,117 @@ def test_format_parse_round_trip():
         assert format_program(again) == text, program.name
         assert program_shapes(again) == program_shapes(program), program.name
     assert len(programs) == 312
+
+
+# ----------------------------------------------------------------------
+# '!=' is an operator in program text, not the start of a comment
+# ----------------------------------------------------------------------
+NOT_EQUAL = _program(region=_loop("    if (x(i) != 0) a(i) = 1  ! a comment != one",
+                                  "    y = x(i) != a(i)   # another"))
+
+
+def test_not_equal_in_program_text():
+    guarded, compare = parse_program(NOT_EQUAL).regions[0].body
+    assert shape(guarded.guard) == B("!=", X("x", V("i")), I(0))
+    assert shape(guarded.rhs) == I(1)
+    assert shape(compare.rhs) == B("!=", X("x", V("i")), X("a", V("i")))
+
+
+def test_not_equal_guard_round_trip():
+    program = parse_program(NOT_EQUAL)
+    text = format_program(program)
+    assert "!=" in text
+    again = parse_program(text)
+    assert format_program(again) == text
+    assert program_shapes(again) == program_shapes(program)
+
+
+# ----------------------------------------------------------------------
+# Front-end differential oracle: the references of a program built
+# through the checking constructors equal those of its printed text.
+# ----------------------------------------------------------------------
+def _reference_fields(program):
+    out = []
+    for region in program.regions:
+        for ref in region.references:
+            out.append((
+                ref.uid, ref.variable, ref.access,
+                tuple(shape(s) for s in ref.subscripts),
+                ref.order, ref.conditional, ref.in_inner_loop, ref.is_control,
+                ref.segment, ref.stmt.sid,
+                tuple(do.sid for do in ref.enclosing_loops),
+            ))
+    return out
+
+
+def _oracle_programs():
+    programs = [program for _, program in corpus(300, 7)]
+    programs += [parse_program(source) for source in _cold_pool_sources()]
+    return programs
+
+
+def test_printed_programs_have_the_same_references():
+    references = 0
+    for program in _oracle_programs():
+        expected = _reference_fields(program)
+        assert _reference_fields(parse_program(format_program(program))) == expected, (
+            program.name
+        )
+        references += len(expected)
+    assert references > 9000
+
+
+def _generator_reads(expr):
+    """The read order of :meth:`Expr.reads` as nested generators:
+    subscripts before the element they index, left before right operand,
+    arguments left to right."""
+    if isinstance(expr, Var):
+        yield (expr.name, ())
+    elif isinstance(expr, Index):
+        for sub in expr.subscripts:
+            yield from _generator_reads(sub)
+        yield (expr.name, expr.subscripts)
+    elif isinstance(expr, BinOp):
+        yield from _generator_reads(expr.left)
+        yield from _generator_reads(expr.right)
+    elif isinstance(expr, UnaryOp):
+        yield from _generator_reads(expr.operand)
+    elif isinstance(expr, Call):
+        for arg in expr.args:
+            yield from _generator_reads(arg)
+
+
+def _statement_expressions(body):
+    for stmt in body:
+        if isinstance(stmt, Assign):
+            yield stmt.rhs
+            yield from stmt.target_subscripts
+            if stmt.guard is not None:
+                yield stmt.guard
+        elif isinstance(stmt, If):
+            yield stmt.cond
+            yield from _statement_expressions(stmt.then_body)
+            yield from _statement_expressions(stmt.else_body)
+        elif isinstance(stmt, Do):
+            yield from (stmt.lower, stmt.upper, stmt.step)
+            yield from _statement_expressions(stmt.body)
+
+
+def test_read_list_walk_matches_generator_order():
+    occurrences = 0
+    for program in _oracle_programs():
+        exprs = list(_statement_expressions(program.init + program.finale))
+        for region in program.regions:
+            if isinstance(region, LoopRegion):
+                exprs += [region.lower, region.upper, region.step]
+            exprs += _statement_expressions(
+                [s for name in region.segment_names() for s in region.segment_body(name)]
+            )
+            if isinstance(region, ExplicitRegion):
+                exprs += [s.branch for s in region.segments if s.branch is not None]
+        for expr in exprs:
+            reads = expr.reads()
+            assert [(o.name, o.subscripts) for o in reads] == list(_generator_reads(expr))
+            assert all(o.is_array == bool(o.subscripts) for o in reads)
+            occurrences += len(reads)
+    assert occurrences > 10000

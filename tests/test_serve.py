@@ -229,6 +229,26 @@ class TestDispatcher:
         assert response["error"]["code"] == INVALID_PARAMS
 
     @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("    y(i) = x(i-1) + x(i+1)", "    y(i) = x()",
+             "line 6: array read of 'x' needs subscripts"),
+            ("    s = s + y(i)", "    i = s + y(i)",
+             "line 7: assignment to induction local 'i' is not allowed"),
+            ("do i = 2, 31", "do i = 2, 31, 0", "line 5: loop region 'L' has zero step"),
+            ("  real s", "  real s = abc",
+             "line 4: could not convert string to float: 'abc'"),
+        ],
+    )
+    def test_malformed_dsl_is_invalid_params(self, old, new, message):
+        # Programs the IR constructors reject are the client's error, with
+        # the line of the statement, region header or declaration.
+        dispatcher = Dispatcher()
+        response = dispatcher.dispatch(rpc(7, "analyze", {"dsl": DSL.replace(old, new)}))
+        assert response["error"]["code"] == INVALID_PARAMS
+        assert response["error"]["message"] == f"invalid params: {message}"
+
+    @pytest.mark.parametrize(
         "method, params",
         [
             # The engine clamps a window below 1, so the echo would lie.
