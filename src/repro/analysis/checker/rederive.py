@@ -935,6 +935,17 @@ def rederive_region(
             _ref_deterministic(w, region_index, read_only) for w in writes
         )
 
+    # Definition 5 is per element: a guarded write re-occurs only when an
+    # unconditional write of the segment stores the same element (same
+    # subscripts, same enclosing loops) on every re-execution.
+    def _rewritten(w: MemoryReference, writes: List[MemoryReference]) -> bool:
+        return not w.conditional or any(
+            not u.conditional
+            and u.subscripts == w.subscripts
+            and u.enclosing_loops == w.enclosing_loops
+            for u in writes
+        )
+
     if isinstance(region, LoopRegion):
         for var in variables:
             mark = facts.marks2[var][LOOP_BODY_SEGMENT]
@@ -947,7 +958,9 @@ def rederive_region(
                 color = NodeColor.BLACK
             facts.colors2.setdefault(var, {})[LOOP_BODY_SEGMENT] = color
             if writes and mark is NodeMark.WRITE and det:
-                facts.rfw2_uids.update(w.uid for w in writes)
+                facts.rfw2_uids.update(
+                    w.uid for w in writes if _rewritten(w, writes)
+                )
     else:
         assert isinstance(region, ExplicitRegion)
         graph = SegmentGraph.from_region(region)
@@ -995,7 +1008,9 @@ def rederive_region(
                     and marks[name] is NodeMark.WRITE
                     and _writes_det(writes)
                 ):
-                    facts.rfw2_uids.update(w.uid for w in writes)
+                    facts.rfw2_uids.update(
+                        w.uid for w in writes if _rewritten(w, writes)
+                    )
 
     # -- dependences -----------------------------------------------------
     skip = read_only | facts.private2

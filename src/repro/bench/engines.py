@@ -24,6 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis.cache import AnalysisCache
 from repro.bench.workloads import DEFAULT_SIZES, FAMILIES, Workload, generate
+from repro.corpus.generator import corpus
 from repro.runtime.engines import CASEEngine, HOSEEngine, SpeculativeResult
 from repro.runtime.interpreter import run_program
 
@@ -36,6 +37,9 @@ ENGINE_SIZE = 24
 ENGINE_SMOKE_SIZE = 10
 ENGINE_STATEMENTS = 3
 ENGINE_WINDOW = 4
+#: ``corpus(count, seed)`` swept by :func:`verify_engines` (its program
+#: 54 once caught CASE leaving a wrong-path guarded write in memory).
+VERIFY_CORPUS = (60, 4242)
 #: Throughput comparison (batched vs op-interleaved replay).  The
 #: batched protocol makes the full workload sizes tractable for the
 #: engines, so the full sweep runs at ``DEFAULT_SIZES``; the smoke
@@ -241,16 +245,25 @@ def verify_engines(
     everything bit-identical).  Used by ``python -m repro.bench
     --verify-engines`` and the CI smoke step.  ``batch_modes`` sweeps
     the replay protocol too, so the batched path is held to the same
-    equivalence bar as the op-interleaved one.
+    equivalence bar as the op-interleaved one.  Besides the families,
+    every call sweeps the fuzz corpus ``VERIFY_CORPUS`` at windows 1 and
+    ``ENGINE_WINDOW`` and capacities 2 and unbounded.
     """
+    cases = [
+        (family, generate(family, size, statements).program, windows, capacities)
+        for family in families
+    ]
+    cases += [
+        (f"corpus {name}", program, (1, ENGINE_WINDOW), (2, None))
+        for name, program in corpus(*VERIFY_CORPUS)
+    ]
     failures: List[str] = []
-    for family in families:
-        workload = generate(family, size, statements)
-        sequential = run_program(workload.program)
+    for label, program, case_windows, case_capacities in cases:
+        sequential = run_program(program)
         analysis_cache = AnalysisCache()
         for engine_cls in (HOSEEngine, CASEEngine):
-            for window in windows:
-                for capacity in capacities:
+            for window in case_windows:
+                for capacity in case_capacities:
                     for batch in batch_modes:
                         kwargs = {
                             "window": window,
@@ -259,12 +272,12 @@ def verify_engines(
                         }
                         if engine_cls is CASEEngine:
                             kwargs["cache"] = analysis_cache
-                        result = engine_cls(workload.program, **kwargs).run()
+                        result = engine_cls(program, **kwargs).run()
                         mode = "batched" if batch else "interleaved"
                         if result.degraded:
                             report = result.degradation
                             failures.append(
-                                f"{family}: {engine_cls.engine_name} "
+                                f"{label}: {engine_cls.engine_name} "
                                 f"(window={window}, capacity={capacity}, "
                                 f"{mode}) degraded to sequential execution "
                                 f"({report.error_type}: {report.reason})"
@@ -276,7 +289,7 @@ def verify_engines(
                         if diffs:
                             sample = sorted(diffs.items())[:3]
                             failures.append(
-                                f"{family}: {engine_cls.engine_name} "
+                                f"{label}: {engine_cls.engine_name} "
                                 f"(window={window}, capacity={capacity}, "
                                 f"{mode}) diverges from sequential at "
                                 f"{len(diffs)} addresses, e.g. {sample}"

@@ -30,6 +30,14 @@ body is marked ``Write`` for the variable and the references are
 address-deterministic.  The paper's same-address requirement excludes
 subscripted subscripts such as ``K(E)`` in Figure 2.
 
+The mark is per variable, but Definition 5 is per element, so in both
+region kinds a *conditional* write is RFW only when an unconditional
+write in the same segment has the same subscripts under the same
+enclosing loops.  Otherwise a misspeculated attempt can take the guard
+and write the element straight to memory, and the re-execution, which
+skips the guard, never rewrites it: ``if (a(i + 1) > 5.0) c(i + 2) = i``
+beside ``c(i) = a(i)`` leaves a wrong-path ``c(i + 2)`` behind.
+
 Soundness note on arrays: a segment that writes only *part* of an array
 does not rewrite every element a later read might consume, so for the
 danger propagation only scalar ``Write`` segments block the exposure of
@@ -41,7 +49,7 @@ conservative.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Set
+from typing import Dict, List, Optional, Set
 
 from repro.analysis.access import AccessSummary, summarize_region_segments
 from repro.analysis.cfg import SegmentGraph
@@ -63,7 +71,8 @@ class RFWResult:
     #: uids of write references that are re-occurring first writes.
     rfw_write_uids: Set[str] = field(default_factory=set)
     #: segment -> set of variables whose writes in that segment are RFW
-    #: (the ``RFW(R_i)`` sets used in the Figure 2 walk-through).
+    #: (the ``RFW(R_i)`` sets used in the Figure 2 walk-through; a
+    #: guarded write of such a variable may still be outside ``rfw_write_uids``).
     rfw_variables: Dict[str, Set[str]] = field(default_factory=dict)
 
     def is_rfw(self, ref: MemoryReference) -> bool:
@@ -92,6 +101,21 @@ def _segment_blocks_danger(summary: AccessSummary, variable: str) -> bool:
     if info is None or info.mark is not NodeMark.WRITE:
         return False
     return all(not w.subscripts for w in info.writes)
+
+
+def _rewritten_writes(writes: List[MemoryReference]) -> List[MemoryReference]:
+    """The writes of one variable in a ``Write``-marked segment that
+    every re-execution rewrites: the unconditional ones, and each
+    conditional one with the same subscripts under the same enclosing
+    loops as an unconditional one."""
+    unconditional = {
+        (w.subscripts, w.enclosing_loops) for w in writes if not w.conditional
+    }
+    return [
+        w
+        for w in writes
+        if not w.conditional or (w.subscripts, w.enclosing_loops) in unconditional
+    ]
 
 
 def _compute_danger(
@@ -171,7 +195,7 @@ def _analyze_loop(
         # (deterministic addresses) before any read can expose it (mark is
         # Write, i.e. no exposed reads of the variable in the body).
         if info.mark is NodeMark.WRITE and info.deterministic:
-            for write in info.writes:
+            for write in _rewritten_writes(info.writes):
                 result.rfw_write_uids.add(write.uid)
             result.rfw_variables[LOOP_BODY_SEGMENT].add(variable)
         else:
@@ -236,6 +260,6 @@ def _analyze_explicit(
                 and marks[segment] is NodeMark.WRITE
                 and info.deterministic
             ):
-                for write in info.writes:
+                for write in _rewritten_writes(info.writes):
                     result.rfw_write_uids.add(write.uid)
                 result.rfw_variables[segment].add(variable)

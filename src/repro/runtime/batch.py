@@ -1,38 +1,44 @@
 """Batched speculative replay: whole-segment attempts as compiled programs.
 
-The op-interleaved scheduler of :mod:`repro.runtime.engines` simulates
-concurrency by age-ordered round-robin -- one operation per in-flight
-segment per round -- which is faithful but costs a coroutine resume, an
-``isinstance`` dispatch and several dict operations *per simulated
-operation*.  For the loop regions the trace machinery of
-:mod:`repro.runtime.trace` can capture, the whole attempt is a known
-straight-line slot program; this module executes it in one go:
+The speculative engines of :mod:`repro.runtime.engines` have one segment
+lifecycle -- dispatch in age order, squash-restart on a violation, stall
+on overflow, drain the oldest, commit in age order -- and two *attempt
+executors*.  The op-stepped one (``SpeculativeEngine._step``) resumes a
+coroutine once per simulated operation, which is faithful but costs a
+resume, a type dispatch and several dict operations per operation.
+This module is the other: for the loop regions the trace machinery of
+:mod:`repro.runtime.trace` can capture, a whole attempt is a known
+straight-line slot program, and :class:`_BatchScheduler` runs it in
+one go:
 
-1. **Run** the entire segment attempt against segment-local read/write
-   logs, with no store interaction: a speculative read serves from the
-   attempt's own write log, then from the nearest-older in-flight
-   attempt's write log (the forwarding contract), then from memory; a
-   direct (idempotent) read sees memory plus the attempt's own direct
-   writes; private references use the per-attempt private frame.
-   Affine subscript templates are flattened once per program to
-   column-major ``base + coeff * iv`` offsets and evaluated for the
-   whole attempt in a single numpy expression (plain list arithmetic
-   when numpy is unavailable); gather/value-dependent subscripts use
-   the compiled slot programs of the trace.
+1. **Run** the attempt against segment-local read/write/private logs
+   (the ``*log`` fields of the engine's task), with no store
+   interaction: a speculative read serves from the attempt's own write
+   log, then from the nearest-older in-flight attempt's write log (the
+   forwarding contract), then from memory; a direct (idempotent) read
+   sees memory plus the attempt's own direct writes; private
+   references use the private frame.  Affine subscripts are flattened
+   once per program to column-major ``base + coeff * iv`` offsets,
+   evaluated for the whole attempt in one numpy expression (plain list
+   arithmetic without numpy); other subscripts use the trace's slot
+   programs.
 2. **Validate post-hoc**: the exposed reads and buffered writes are
    bulk-installed into the attempt's :class:`SegmentBuffer` (so
    forwarding sources stay nearest-older and violations are still
-   detected by age against the transferred read set), and at commit
-   time every externally-served read value is compared against
-   committed memory.  The attempt is a deterministic function of its
-   external read values, so equality proves the batched attempt
+   detected by age), and at commit time every externally-served read
+   value is compared against committed memory.  The attempt is a
+   deterministic function of those values, so equality proves it
    bit-identical to a sequential re-execution at that point.
-3. **Commit in bulk** -- one store drain plus the write log in program
-   order -- or squash and fall back: a validation failure re-runs the
-   attempt (now oldest, it reads committed state and must validate), a
-   capacity overflow drains the partial buffer like the interleaved
-   engine's write-through contract, re-executing through memory only
-   when its logs turn out stale.
+3. **Resolve the head**: a valid head commits through the engine.  A
+   stale one is squash-restarted.  A head whose transfer overflowed
+   drains through the engine (``_unstall_oldest``) when its logs still
+   validate; otherwise it re-executes in write-through mode, op by op,
+   through the engine's own ``_step``.
+
+Dispatch, restart budget, stall, drain, poison scrub, fault recovery,
+watchdog, audit and commit are the engine's; this module keeps only
+what is specific to batching (running, transferring and validating
+attempts, and the sweep/commit-phase loop).
 
 **Compiled attempts.**  Each step of the recorded schedule (a control
 read or an assignment) has a *shape*: the address mode and route of
@@ -41,43 +47,38 @@ closure exists.  :func:`build_batch_program` generates one specialized
 Python function per distinct shape (in the style of
 :func:`repro.runtime.trace.codegen_arith`) with the serving discipline
 of step 1 inlined; the attempt is one loop over runs of consecutive
-steps of one shape, each run a ``(shape, payloads)`` pair.  The
-generated code grows with the number of shapes, never with the trace
-length.
+steps of one shape.  The generated code grows with the number of
+shapes, never with the trace length.
 
 **The batch-program memo.**  A compiled :class:`BatchProgram` is kept
 with its :class:`LoopRegion` (held weakly: when the program is dropped,
 e.g. evicted by the daemon's interner, its batch programs go with it),
-one per route map (HOSE routes everything speculatively, CASE routes
-by its labels).  A memoized program is reused only while the control
+one per route map.  A memoized program is reused only while the control
 reads its trace recorded still hold in memory; otherwise the region is
 recorded again.
 
-Fault injection (chaos runs) preserves the resilience recovery
-contract: with an injector attached, attempts are driven op-by-op
-through :func:`repro.runtime.trace.replay_segment` so ``perturb_op``
-sees every operation, forwarded serves go through ``store.forward``
-(letting ``corrupt_forward`` poison the consuming buffer for the
-engine's scrub), and a mid-attempt fault restarts the attempt plus
-everything younger -- exactly the interleaved footprint.  The same
-op-stepped driver is the test oracle of the compiled attempts.  Timing
-is priced in bulk through :meth:`repro.timing.cost.CostModel.batch_cost`
-with one :meth:`repro.timing.events.TimingRecorder.batched` event per
-attempt.
+Fault injection keeps the resilience recovery contract: with an
+injector attached, attempts run op by op through
+:func:`repro.runtime.trace.replay_segment` (``_run_driver``) so
+``perturb_op`` sees every operation and forwarded serves go through
+``store.forward`` (letting ``corrupt_forward`` poison the consuming
+buffer for the engine's scrub).  The same driver is the test oracle of
+the compiled attempts.  Timing is priced in bulk through
+:meth:`repro.timing.cost.CostModel.batch_cost`, one
+:meth:`repro.timing.events.TimingRecorder.batched` event per attempt.
 
 Batching is opt-in (``batch=True`` on the engines; ``repro.bench``
-enables it by default with a ``--no-batch`` escape) and silently falls
-back to the op-interleaved scheduler for regions the trace cannot
-capture (input-dependent control flow, oversized traces, non-integral
-or out-of-bounds affine templates), whenever an op budget is in force,
-and for explicit regions (control speculation stays op-interleaved).
+enables it by default with a ``--no-batch`` escape).  Regions the trace
+cannot capture (input-dependent control flow, oversized traces,
+non-integral or out-of-bounds affine templates), runs under an op
+budget, and explicit regions use the op-stepped executor.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
-from typing import Dict, FrozenSet, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.obs.log import get_logger
 
@@ -102,10 +103,11 @@ from repro.runtime.engines import (
     ROUTE_DIRECT,
     ROUTE_PRIVATE,
     ROUTE_SPECULATIVE,
+    _SegmentTask,
+    iteration_values,
 )
 from repro.runtime.errors import (
     AddressError,
-    EngineLivelockError,
     FaultInjected,
     SimulationError,
 )
@@ -719,69 +721,14 @@ def batch_program(
     return bp
 
 
-class _BatchTask:
-    """One in-flight segment attempt under the batched protocol."""
-
-    __slots__ = (
-        "key",
-        "age",
-        "iv",
-        "buffer",
-        # Final value per written address, speculative + direct routes,
-        # program order (what younger attempts forward from and what the
-        # bulk commit applies).
-        "wlog",
-        # Speculative-route write addresses in first-write order (the
-        # subset of wlog that transfers into the segment buffer).
-        "swlog",
-        # Direct-route writes only (what the attempt's own direct reads
-        # may see; memory does not have them until commit).
-        "dwlog",
-        # Exposed read log: address -> (value, served_speculatively).
-        # First serve wins; the flag keeps repeat reads priced like the
-        # interleaved engine would price them.
-        "rlog",
-        # Private frame (ROUTE_PRIVATE), flushed at commit.
-        "plog",
-        "n_spec_spec",
-        "n_priv_hit",
-        "cycles",
-        "restarts",
-        "executed",
-        "stalled",
-    )
-
-    def __init__(self, key: Tuple, age: int, iv: int, buffer):
-        self.key = key
-        self.age = age
-        self.iv = iv
-        self.buffer = buffer
-        self.wlog: Dict = {}
-        self.swlog: Dict = {}
-        self.dwlog: Dict = {}
-        self.rlog: Dict = {}
-        self.plog: Dict = {}
-        self.n_spec_spec = 0
-        self.n_priv_hit = 0
-        self.cycles = 0
-        self.restarts = 0
-        self.executed = False
-        self.stalled = False
-
-    def clear_attempt(self) -> None:
-        self.wlog.clear()
-        self.swlog.clear()
-        self.dwlog.clear()
-        self.rlog.clear()
-        self.plog.clear()
-        self.n_spec_spec = 0
-        self.n_priv_hit = 0
-        self.executed = False
-        self.stalled = False
-
-
 class _BatchScheduler:
-    """Windowed batched execution of one loop region."""
+    """The batched attempt executor of one loop region.
+
+    The engine owns the segment lifecycle: dispatch, squash-restart,
+    stall, drain, poison scrub, fault recovery, watchdog, audit and
+    commit.  This class runs the attempts, transfers and validates
+    their logs, and decides how an overflowed head resolves.
+    """
 
     def __init__(
         self,
@@ -790,26 +737,15 @@ class _BatchScheduler:
         region: LoopRegion,
         memory: MemoryImage,
         stats: ExecutionStats,
-        lower: int,
-        upper: int,
-        step: int,
+        values: Iterator[int],
     ):
         self.engine = engine
         self.bp = bp
         self.region = region
         self.memory = memory
         self.stats = stats
-        self.active: List[_BatchTask] = []
-
-        def iteration_values():
-            value = lower
-            while (step > 0 and value <= upper) or (
-                step < 0 and value >= upper
-            ):
-                yield value
-                value += step
-
-        self.values = iteration_values()
+        self.values = values
+        self.active: List[_SegmentTask] = []
         #: Memory loads inlined by the compiled attempts: the stored
         #: values, then each variable's initial value.
         self._mget = memory._values.get
@@ -827,110 +763,9 @@ class _BatchScheduler:
         self._compiled_attempts = 0
 
     # ------------------------------------------------------------------
-    # lifecycle (mirrors the interleaved engine's accounting exactly)
-    # ------------------------------------------------------------------
-    def _start(self, iv: int) -> _BatchTask:
-        engine = self.engine
-        engine._age += 1
-        age = engine._age
-        key = (self.region.name, iv)
-        buffer = engine.store.open_segment(key, age)
-        task = _BatchTask(key, age, iv, buffer)
-        self.stats.segments_started += 1
-        if engine._recorder is not None:
-            engine._recorder.segment_started(key, age)
-        if engine._obs is not None:
-            engine._obs.event(
-                "engine.dispatch", category="engine", age=age, segment=key
-            )
-        return task
-
-    def _refill(self) -> None:
-        window = self.engine.window
-        active = self.active
-        while len(active) < window:
-            iv = next(self.values, None)
-            if iv is None:
-                return
-            active.append(self._start(iv))
-
-    def _squash_restart(
-        self,
-        task: _BatchTask,
-        by_age: Optional[int] = None,
-        fault: bool = False,
-    ) -> None:
-        engine = self.engine
-        stats = self.stats
-        task.restarts += 1
-        if (
-            engine.max_restarts is not None
-            and task.restarts > engine.max_restarts
-        ):
-            raise EngineLivelockError(
-                f"segment {task.key!r} exceeded the restart budget "
-                f"({engine.max_restarts}); the window is not making progress"
-            )
-        if fault:
-            stats.fault_restarts += 1
-        stats.rollbacks += 1
-        stats.wasted_cycles += task.cycles
-        task.cycles = 0
-        if task.buffer is not None:
-            engine.store.squash(task.buffer)
-        task.clear_attempt()
-        stats.segments_started += 1
-        if engine._recorder is not None:
-            engine._recorder.squashed(task.age, by_age)
-        if engine._obs is not None:
-            engine._obs.event(
-                "engine.squash", category="engine", age=task.age, by_age=by_age
-            )
-
-    def _stall(self, task: _BatchTask) -> None:
-        if not task.stalled:
-            task.stalled = True
-            self.stats.overflow_stalls += 1
-            if self.engine._recorder is not None:
-                self.engine._recorder.stalled(task.age)
-            if self.engine._obs is not None:
-                self.engine._obs.event(
-                    "engine.stall", category="engine", age=task.age
-                )
-
-    def _scrub_poisoned(self) -> None:
-        """Restart everything at or younger than the oldest poisoned
-        buffer (corrupt_forward parity model; see the interleaved
-        engine's ``_scrub_poisoned``)."""
-        oldest = None
-        for task in self.active:
-            if task.buffer is not None and task.buffer.poisoned:
-                oldest = task.age
-                break
-        if oldest is None:
-            return
-        if self.engine._obs is not None:
-            self.engine._obs.event(
-                "engine.poison_scrub", category="engine", age=oldest
-            )
-        for task in self.active:
-            if task.age >= oldest:
-                self._squash_restart(task, fault=True)
-
-    def _fault_recover(self, task: _BatchTask) -> None:
-        """Mid-attempt injected fault: restart the task and all younger."""
-        if self.engine._obs is not None:
-            self.engine._obs.event(
-                "engine.fault_recovery", category="engine", age=task.age
-            )
-        for other in self.active:
-            if other.age >= task.age:
-                self._squash_restart(other, fault=True)
-
-    # ------------------------------------------------------------------
     # post-hoc transfer and violation detection
     # ------------------------------------------------------------------
-    def _transfer(self, task: _BatchTask) -> None:
+    def _transfer(self, task: _SegmentTask) -> None:
         """Install the attempt's logs into its segment buffer.
 
         A refusal (capacity overflow, possibly fault-shrunk) stalls the
@@ -944,9 +779,9 @@ class _BatchScheduler:
             [(addr, wlog[addr]) for addr in task.swlog],
         )
         if not ok:
-            self._stall(task)
+            self.engine._stall(task, self.stats)
 
-    def _eager_violations(self, task: _BatchTask) -> None:
+    def _eager_violations(self, task: _SegmentTask) -> None:
         """Age-based violation sweep over the attempt's write set.
 
         Only needed after restarts (younger attempts may hold values
@@ -955,7 +790,8 @@ class _BatchScheduler:
         executions cannot have younger readers, and commit-time
         validation catches everything else.
         """
-        store = self.engine.store
+        engine = self.engine
+        store = engine.store
         stats = self.stats
         oldest = None
         for addr in task.swlog:
@@ -969,9 +805,9 @@ class _BatchScheduler:
             return
         for other in self.active:
             if other.age >= oldest:
-                self._squash_restart(other, by_age=task.age)
+                engine._restart(other, stats, by_age=task.age)
 
-    def _validate(self, task: _BatchTask) -> bool:
+    def _validate(self, task: _SegmentTask) -> bool:
         """Exact post-hoc check of every externally-served read value
         against committed memory.  The attempt is a deterministic
         function of these values (own-log serves are internal), so
@@ -989,20 +825,21 @@ class _BatchScheduler:
     # ------------------------------------------------------------------
     # attempt execution: compiled path (no injector)
     # ------------------------------------------------------------------
-    def _run_compiled(self, task: _BatchTask) -> None:
+    def _run_compiled(self, task: _SegmentTask) -> None:
         bp = self.bp
+        iv = task.key[1]
         # Oldest first, so a younger attempt's value overrides: each
         # address maps to its nearest older executed write.
         fwd: Dict = {}
         for other in self.active:
             if other is task:
                 break
-            if other.executed:
+            if other.done:
                 fwd.update(other.wlog)
         task.n_spec_spec, task.n_priv_hit = bp.attempt(
             bp.runs,
-            bp.affine_addresses(task.iv),
-            task.iv,
+            bp.affine_addresses(iv),
+            iv,
             task.wlog,
             task.swlog,
             task.dwlog,
@@ -1014,7 +851,7 @@ class _BatchScheduler:
         )
         self._apply_attempt_stats(task)
 
-    def _apply_attempt_stats(self, task: _BatchTask) -> None:
+    def _apply_attempt_stats(self, task: _SegmentTask) -> None:
         """Accounting for one compiled attempt.  What every attempt of
         the program adds alike is counted here and applied in bulk by
         :meth:`_flush_attempt_stats`."""
@@ -1069,7 +906,7 @@ class _BatchScheduler:
     # ------------------------------------------------------------------
     # attempt execution: op-stepped driver (fault injector attached)
     # ------------------------------------------------------------------
-    def _run_driver(self, task: _BatchTask) -> None:
+    def _run_driver(self, task: _SegmentTask) -> None:
         """Pump the replayed attempt op-by-op through the fault hooks.
 
         Same serving discipline as the compiled path, but every
@@ -1088,17 +925,17 @@ class _BatchScheduler:
         memory = self.memory
         load = memory.load
         address_of = memory.symbols.address_of
-        iv = task.iv
+        iv = task.key[1]
         wlog = task.wlog
         swlog = task.swlog
         dwlog = task.dwlog
         rlog = task.rlog
         plog = task.plog
-        older: List[_BatchTask] = []
+        older: List[_SegmentTask] = []
         for other in self.active:
             if other is task:
                 break
-            if other.executed:
+            if other.done:
                 older.append(other)
         older.reverse()
         route_of = engine._routes.get
@@ -1220,167 +1057,46 @@ class _BatchScheduler:
     # ------------------------------------------------------------------
     # head fallback: overflow drain / write-through re-execution
     # ------------------------------------------------------------------
-    def _resolve_stalled_head(self, head: _BatchTask) -> None:
+    def _resolve_stalled_head(self, head: _SegmentTask) -> None:
         """The oldest attempt overflowed its buffer during transfer.
 
         Its logs are complete (only the transfer stalled), so when they
         still validate the buffer simply drains early -- the interleaved
         write-through contract, minus the re-execution.  Stale logs are
         squashed and the attempt re-executes in write-through mode
-        against committed memory.
+        against committed memory.  Either way the head then commits.
         """
         engine = self.engine
         stats = self.stats
-        memory = self.memory
         stats.batch_fallbacks += 1
         if self._validate(head):
             stats.batch_drains += 1
-            stats.overflow_entries += head.buffer.entries
-            drained = engine.store.commit(head.buffer, memory)
-            stats.commit_entries += drained
-            head.buffer = None
-            head.stalled = False
-            if engine._recorder is not None:
-                engine._recorder.drained(head.age, drained)
-            if engine._obs is not None:
-                engine._obs.event(
-                    "engine.drain",
-                    category="engine",
-                    age=head.age,
-                    entries=drained,
-                )
-            self._commit(head, drained=True)
-            return
-        stats.batch_reexecutions += 1
-        stats.batch_violations += 1
-        stats.violations += 1
-        self._squash_restart(head)
-        self._run_write_through(head)
-        head.executed = True
-        self._commit(head, drained=True)
+            engine._unstall_oldest(head, self.memory, stats)
+        else:
+            stats.batch_reexecutions += 1
+            stats.batch_violations += 1
+            stats.violations += 1
+            self._reexecute(head)
+        engine._commit_task(head, self.memory, stats)
 
-    def _run_write_through(self, head: _BatchTask) -> None:
-        """Re-execute the oldest attempt non-speculatively.
-
-        Reads and writes go straight to memory (private references keep
-        their frame); an injected fault here raises -- earlier writes
-        already reached memory, so local re-execution would double-apply
-        them, exactly the interleaved engine's write-through policy.
-        """
+    def _reexecute(self, head: _SegmentTask) -> None:
+        """Squash the stale head; re-run it op by op through the engine's
+        ``_step`` in write-through mode, reading and writing committed
+        memory.  An injected fault here raises: earlier writes already
+        reached memory, so a local restart would double-apply them."""
         engine = self.engine
-        injector = engine._injector
         stats = self.stats
-        recorder = engine._recorder
-        memory = self.memory
-        load = memory.load
-        store_value = memory.store
-        address_of = memory.symbols.address_of
-        plog = head.plog
-        route_of = engine._routes.get
-        ops = 0
-        coroutine = replay_segment(self.bp.trace, head.iv)
-        try:
-            op = coroutine.send(None)
-            while True:
-                if injector is not None:
-                    op = injector.perturb_op(op)
-                ops += 1
-                cls = type(op)
-                if cls is ComputeOp:
-                    head.cycles += op.cycles
-                    stats.cycles += op.cycles
-                    if recorder is not None:
-                        recorder.op(head.age, "compute", op.cycles, None)
-                    op = coroutine.send(None)
-                    continue
-                try:
-                    address = address_of(op.variable, op.subscripts)
-                except SymbolError as exc:
-                    raise AddressError(str(exc)) from exc
-                ref = op.ref
-                route = (
-                    route_of(ref.uid, ROUTE_SPECULATIVE)
-                    if ref is not None
-                    else ROUTE_SPECULATIVE
-                )
-                if cls is ReadOp:
-                    served = route
-                    if route is ROUTE_PRIVATE:
-                        value = plog.get(address)
-                        if value is None:
-                            value = load(address)
-                            served = None
-                        else:
-                            head.n_priv_hit += 1
-                        stats.private_accesses += 1
-                    elif route is ROUTE_DIRECT:
-                        value = load(address)
-                        stats.idempotent_accesses += 1
-                    else:
-                        value = load(address)
-                        served = None
-                        stats.speculative_accesses += 1
-                    stats.reads += 1
-                    if ref is not None:
-                        stats.count_reference(ref.uid)
-                    if recorder is not None:
-                        recorder.op(head.age, "read", 0, served)
-                    op = coroutine.send(value)
-                else:  # WriteOp
-                    served = route
-                    if route is ROUTE_PRIVATE:
-                        plog[address] = float(op.value)
-                        stats.private_accesses += 1
-                    else:
-                        store_value(address, op.value)
-                        if route is ROUTE_DIRECT:
-                            stats.idempotent_accesses += 1
-                        else:
-                            stats.speculative_accesses += 1
-                            served = None
-                    stats.writes += 1
-                    if ref is not None:
-                        stats.count_reference(ref.uid)
-                    if recorder is not None:
-                        recorder.op(head.age, "write", 0, served)
-                    op = coroutine.send(None)
-        except StopIteration:
-            pass
+        trace, iv = self.bp.trace, head.key[1]
+        head.spawn = lambda: replay_segment(trace, iv)
+        engine._restart(head, stats)
+        head.write_through = True
+        ops = -1  # the last step only finds the attempt's end
+        while not head.done:
+            engine._step(head, self.memory, stats, None)
+            ops += 1
         stats.batched_attempts += 1
         stats.batched_ops += ops
-        stats.batch_log_entries += len(plog)
-
-    # ------------------------------------------------------------------
-    # commit
-    # ------------------------------------------------------------------
-    def _commit(self, head: _BatchTask, drained: bool = False) -> None:
-        engine = self.engine
-        stats = self.stats
-        memory = self.memory
-        entries = 0
-        if head.buffer is not None:
-            entries = engine.store.commit(head.buffer, memory)
-            stats.commit_entries += entries
-            head.buffer = None
-        # The write log covers direct-route writes (which only exist in
-        # the log until commit) and re-covers the buffered values with
-        # the same program-order final values; a write-through fallback
-        # leaves the log empty, so only the private frame remains.  Both
-        # logs hold floats already, so they go straight into memory.
-        memory._values.update(head.wlog)
-        memory._values.update(head.plog)
-        stats.segments_committed += 1
-        engine._committed_age = head.age
-        engine._rounds_since_commit = 0
-        if engine._recorder is not None:
-            engine._recorder.committed(head.age, entries + len(head.plog))
-        if engine._obs is not None:
-            engine._obs.event(
-                "engine.commit",
-                category="engine",
-                age=head.age,
-                entries=entries + len(head.plog),
-            )
+        stats.batch_log_entries += len(head.plog)
 
     # ------------------------------------------------------------------
     # scheduling
@@ -1390,23 +1106,14 @@ class _BatchScheduler:
         engine = self.engine
         stats = self.stats
         active = self.active
-        self._scrub_poisoned()
-        engine._rounds_since_commit += 1
-        if (
-            engine.watchdog_rounds is not None
-            and engine._rounds_since_commit > engine.watchdog_rounds
-        ):
-            raise EngineLivelockError(
-                f"no segment committed in {engine.watchdog_rounds} "
-                f"scheduling rounds; the engine is not making progress"
-            )
+        engine._tick(active, stats)
         run_driver = engine._injector is not None
         for task in list(active):
             if task.stalled:
-                if active and task is not active[0]:
+                if task is not active[0]:
                     stats.stall_rounds += 1
                 continue
-            if task.executed:
+            if task.done:
                 continue
             try:
                 if run_driver:
@@ -1414,43 +1121,43 @@ class _BatchScheduler:
                 else:
                     self._run_compiled(task)
             except (FaultInjected, AddressError):
-                if engine._injector is None:
+                if not run_driver:
                     raise
-                self._fault_recover(task)
+                engine._recover_fault(task, active, stats)
                 break
-            task.executed = True
+            task.done = True
             self._transfer(task)
             if not task.stalled and (run_driver or task.restarts > 0):
                 self._eager_violations(task)
-        self._scrub_poisoned()
-        if engine.auditor is not None:
-            engine.auditor.audit(
-                engine.store, engine._committed_age, region=self.region.name
-            )
+        engine._scrub_poisoned(active, stats)
+        engine._audit()
 
     def _commit_phase(self) -> None:
+        engine = self.engine
         active = self.active
         stats = self.stats
         while active:
-            self._scrub_poisoned()
+            engine._scrub_poisoned(active, stats)
             head = active[0]
-            if not head.executed:
+            if not head.done:
                 break  # restarted; needs another sweep
             if head.stalled:
                 self._resolve_stalled_head(head)
             elif not self._validate(head):
                 stats.batch_violations += 1
                 stats.violations += 1
-                self._squash_restart(head)
+                engine._restart(head, stats)
                 break
             else:
-                self._commit(head)
+                engine._commit_task(head, self.memory, stats)
             active.pop(0)
-            self._refill()
+            engine._refill_loop(self.region, active, self.values, stats)
 
     def run(self) -> None:
         try:
-            self._refill()
+            self.engine._refill_loop(
+                self.region, self.active, self.values, self.stats
+            )
             while self.active:
                 self._sweep()
                 self._commit_phase()
@@ -1492,7 +1199,7 @@ def try_run_batched(
         # interleaved path (mid-run AddressError with partial state).
         return False
     scheduler = _BatchScheduler(
-        engine, bp, region, memory, stats, lower, upper, step
+        engine, bp, region, memory, stats, iteration_values(lower, upper, step)
     )
     obs = engine._obs
     if obs is not None:

@@ -25,6 +25,10 @@ the :mod:`~repro.runtime.specstore` substrate:
   younger segment that consumed a stale value is squashed and
   re-executed before it can commit.
 
+Each attempt runs on one of two executors inside this one lifecycle:
+the op-stepped :meth:`SpeculativeEngine._step` or, for eligible loop
+regions with ``batch=True``, :mod:`repro.runtime.batch`.
+
 The two engines differ only in *routing*:
 
 :class:`HOSEEngine` (Definition 2)
@@ -59,7 +63,7 @@ attempts** (``wasted_cycles`` isolates the rolled-back share);
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.ir.program import Program
 from repro.ir.region import EXIT_NODE, ExplicitRegion, LoopRegion, Region
@@ -176,7 +180,14 @@ class SpeculativeResult:
 
 
 class _SegmentTask:
-    """One in-flight segment occurrence: coroutine + speculative state."""
+    """One in-flight segment occurrence and the state of its attempt.
+
+    An attempt runs on one of two executors.  The op-stepped one
+    (:meth:`SpeculativeEngine._step`) drives ``coroutine``, made by
+    ``spawn``.  The batched one (:mod:`repro.runtime.batch`) runs a
+    whole loop-region attempt at once into the ``*log`` fields; its
+    tasks have no ``spawn`` and their key is ``(region, index value)``.
+    """
 
     __slots__ = (
         "key",
@@ -190,7 +201,13 @@ class _SegmentTask:
         "stalled",
         "write_through",
         "buffer",
-        "private",
+        "wlog",
+        "swlog",
+        "dwlog",
+        "rlog",
+        "plog",
+        "n_spec_spec",
+        "n_priv_hit",
         "cycles",
         "restarts",
     )
@@ -200,31 +217,75 @@ class _SegmentTask:
         key: Tuple,
         segment_name: Optional[str],
         age: int,
-        spawn: Callable[[], SegmentCoroutine],
+        spawn: Optional[Callable[[], SegmentCoroutine]],
         buffer: SegmentBuffer,
     ):
         self.key = key
         self.segment_name = segment_name
         self.age = age
         self.spawn = spawn
-        self.coroutine = spawn()
+        self.coroutine = spawn() if spawn is not None else None
         #: Operation yielded but not yet completed (overflow retry point).
         self.current_op = None
         #: Value to send into the coroutine for the next operation.
         self.pending_value: Optional[float] = None
+        #: True once the current attempt ran to its end.
         self.done = False
         self.stalled = False
         #: True once an overflowed segment, as the oldest, drained its
         #: buffer and continues non-speculatively.
         self.write_through = False
         self.buffer: Optional[SegmentBuffer] = buffer
-        #: Private frame for references routed ROUTE_PRIVATE (CASE).
-        self.private: Dict[Address, float] = {}
+        #: Final value per written address, speculative + direct routes,
+        #: program order (what younger batched attempts forward from;
+        #: commit applies it after the buffer).
+        self.wlog: Dict[Address, float] = {}
+        #: Speculative-route write addresses in first-write order (the
+        #: subset of ``wlog`` that transfers into the segment buffer).
+        self.swlog: Dict[Address, None] = {}
+        #: Direct-route writes only (what the attempt's own direct reads
+        #: may see; memory does not have them until commit).
+        self.dwlog: Dict[Address, float] = {}
+        #: Exposed read log: address -> (value, served_speculatively).
+        #: First serve wins; the flag prices repeat reads like the
+        #: op-stepped executor would.
+        self.rlog: Dict[Address, Tuple[float, bool]] = {}
+        #: Private frame for references routed ROUTE_PRIVATE (CASE),
+        #: flushed at commit.
+        self.plog: Dict[Address, float] = {}
+        #: Batched reads served from speculative storage / private hits.
+        self.n_spec_spec = 0
+        self.n_priv_hit = 0
         #: Cycles of the current attempt (moved to wasted_cycles on squash).
         self.cycles = 0
         #: Squash-restart cycles consumed by this occurrence (bounded by
         #: the engine's ``max_restarts`` policy).
         self.restarts = 0
+
+    def clear_attempt(self) -> None:
+        """Forget the current attempt; the next starts from scratch."""
+        if self.coroutine is not None:
+            self.coroutine.close()
+        self.coroutine = self.spawn() if self.spawn is not None else None
+        self.current_op = None
+        self.pending_value = None
+        self.done = False
+        self.stalled = False
+        self.wlog.clear()
+        self.swlog.clear()
+        self.dwlog.clear()
+        self.rlog.clear()
+        self.plog.clear()
+        self.n_spec_spec = 0
+        self.n_priv_hit = 0
+
+
+def iteration_values(lower: int, upper: int, step: int) -> Iterator[int]:
+    """A loop region's index values, in order."""
+    value = lower
+    while (step > 0 and value <= upper) or (step < 0 and value >= upper):
+        yield value
+        value += step
 
 
 class SpeculativeEngine:
@@ -529,13 +590,13 @@ class SpeculativeEngine:
             raise AddressError(str(exc)) from exc
 
     # ------------------------------------------------------------------
-    # task lifecycle
+    # the segment lifecycle (shared by both attempt executors)
     # ------------------------------------------------------------------
     def _start_task(
         self,
         key: Tuple,
         segment_name: Optional[str],
-        spawn: Callable[[], SegmentCoroutine],
+        spawn: Optional[Callable[[], SegmentCoroutine]],
         stats: ExecutionStats,
     ) -> _SegmentTask:
         self._age += 1
@@ -550,31 +611,51 @@ class SpeculativeEngine:
             )
         return task
 
+    def _refill_loop(
+        self,
+        region: LoopRegion,
+        active: List[_SegmentTask],
+        values: Iterator[int],
+        stats: ExecutionStats,
+        spawn_for: Optional[Callable[[int], Callable[[], SegmentCoroutine]]] = None,
+    ) -> None:
+        """Dispatch the loop region's next iterations until the window
+        is full; ``spawn_for`` is None for batched attempts."""
+        while len(active) < self.window:
+            value = next(values, None)
+            if value is None:
+                return
+            spawn = spawn_for(value) if spawn_for is not None else None
+            active.append(
+                self._start_task((region.name, value), None, spawn, stats)
+            )
+
     def _restart(
         self,
         task: _SegmentTask,
         stats: ExecutionStats,
         by_age: Optional[int] = None,
+        fault: bool = False,
     ) -> None:
-        """Roll a violated segment back and re-execute it from scratch."""
+        """Roll a segment back and re-execute it from scratch.
+
+        ``by_age`` is the writer whose write violated it; ``fault``
+        counts the restart as a fault recovery.
+        """
         task.restarts += 1
         if self.max_restarts is not None and task.restarts > self.max_restarts:
             raise EngineLivelockError(
                 f"segment {task.key!r} exceeded the restart budget "
                 f"({self.max_restarts}); the window is not making progress"
             )
+        if fault:
+            stats.fault_restarts += 1
         stats.rollbacks += 1
         stats.wasted_cycles += task.cycles
         task.cycles = 0
         if task.buffer is not None:
             self.store.squash(task.buffer)
-        task.private.clear()
-        task.coroutine.close()
-        task.coroutine = task.spawn()
-        task.current_op = None
-        task.pending_value = None
-        task.done = False
-        task.stalled = False
+        task.clear_attempt()
         stats.segments_started += 1
         if self._recorder is not None:
             self._recorder.squashed(task.age, by_age)
@@ -634,26 +715,102 @@ class SpeculativeEngine:
     def _commit_task(
         self, task: _SegmentTask, memory: MemoryImage, stats: ExecutionStats
     ) -> None:
-        """Commit the finished oldest segment in age order."""
+        """Commit the finished oldest segment in age order.
+
+        The buffer drains first.  A batched attempt's write log then
+        re-covers the buffered values with the same program-order final
+        values and adds its direct-route writes; the private frame goes
+        last.  Both hold floats already, so they go straight into memory.
+        """
         entries = 0
         if task.buffer is not None:
             entries = self.store.commit(task.buffer, memory)
             stats.commit_entries += entries
             task.buffer = None
-        for address, value in task.private.items():
-            memory.store(address, value)
+        memory._values.update(task.wlog)
+        memory._values.update(task.plog)
+        entries += len(task.plog)
         stats.segments_committed += 1
         self._committed_age = task.age
         self._rounds_since_commit = 0
         if self._recorder is not None:
-            self._recorder.committed(task.age, entries + len(task.private))
+            self._recorder.committed(task.age, entries)
         if self._obs is not None:
             self._obs.event(
-                "engine.commit",
-                category="engine",
-                age=task.age,
-                entries=entries + len(task.private),
+                "engine.commit", category="engine", age=task.age, entries=entries
             )
+
+    def _tick(self, active: List[_SegmentTask], stats: ExecutionStats) -> None:
+        """Open a scheduling round: scrub poisoned buffers before
+        anything can drain them to memory, then tick the global
+        progress watchdog."""
+        self._scrub_poisoned(active, stats)
+        self._rounds_since_commit += 1
+        if (
+            self.watchdog_rounds is not None
+            and self._rounds_since_commit > self.watchdog_rounds
+        ):
+            raise EngineLivelockError(
+                f"no segment committed in {self.watchdog_rounds} "
+                f"scheduling rounds; the engine is not making progress"
+            )
+
+    def _audit(self) -> None:
+        """Close a scheduling round: audit the store's invariants."""
+        if self.auditor is not None:
+            self.auditor.audit(
+                self.store, self._committed_age, region=self._region_name
+            )
+
+    def _scrub_poisoned(
+        self, active: List[_SegmentTask], stats: ExecutionStats
+    ) -> None:
+        """Squash-restart buffers whose forwarded values were corrupted.
+
+        Detection follows a parity/ECC model: the corrupted forward
+        marked the consuming buffer ``poisoned``.  Everything at or
+        younger than the oldest poisoned segment restarts -- younger
+        segments may have consumed the poisoned segment's derived
+        values (including value-dependent scatter addresses that leave
+        no violation trace), so restarting the poisoned task alone
+        would be unsound.
+        """
+        oldest_poisoned = None
+        for task in active:
+            if task.buffer is not None and task.buffer.poisoned:
+                oldest_poisoned = task.age
+                break
+        if oldest_poisoned is None:
+            return
+        if self._obs is not None:
+            self._obs.event(
+                "engine.poison_scrub", category="engine", age=oldest_poisoned
+            )
+        # A finished-but-uncommitted task restarts too: its buffer may
+        # hold values derived from the corrupted forward.
+        for task in active:
+            if task.age >= oldest_poisoned:
+                self._restart(task, stats, fault=True)
+
+    def _recover_fault(
+        self,
+        task: _SegmentTask,
+        active: List[_SegmentTask],
+        stats: ExecutionStats,
+    ) -> None:
+        """Transient in-segment fault: restart the task and all younger.
+
+        Younger segments may have forwarded from the faulted one, so
+        the recovery footprint mirrors a data-dependence violation.
+        Persistent faults exhaust the restart budget and degrade.
+        """
+        if self._obs is not None:
+            self._obs.event(
+                "engine.fault_recovery", category="engine", age=task.age
+            )
+        for other in active:
+            if other.age >= task.age:
+                self._restart(other, stats, fault=True)
 
     # ------------------------------------------------------------------
     # violation detection
@@ -680,7 +837,7 @@ class SpeculativeEngine:
                 self._restart(task, stats, by_age=writer.age)
 
     # ------------------------------------------------------------------
-    # one simulated operation of one segment
+    # the op-stepped attempt executor: one operation of one segment
     # ------------------------------------------------------------------
     def _charge(
         self,
@@ -707,8 +864,14 @@ class SpeculativeEngine:
         task: _SegmentTask,
         memory: MemoryImage,
         stats: ExecutionStats,
-        active: List[_SegmentTask],
+        active: Optional[List[_SegmentTask]],
     ) -> None:
+        """Execute the task's next operation.
+
+        ``active`` is None for a batched head re-executing write-through:
+        its younger attempts are validated at commit, so its writes
+        check no violations.
+        """
         if task.current_op is None:
             try:
                 task.current_op = task.coroutine.send(task.pending_value)
@@ -741,7 +904,7 @@ class SpeculativeEngine:
             #: conventional memory), which is what the cost model prices.
             served = route
             if route is ROUTE_PRIVATE:
-                value = task.private.get(address)
+                value = task.plog.get(address)
                 if value is None:
                     value = memory.load(address)
                     served = None
@@ -776,7 +939,7 @@ class SpeculativeEngine:
         # WriteOp
         served = route
         if route is ROUTE_PRIVATE:
-            task.private[address] = float(op.value)
+            task.plog[address] = float(op.value)
             stats.private_accesses += 1
         elif route is ROUTE_DIRECT or task.write_through:
             memory.store(address, op.value)
@@ -785,7 +948,8 @@ class SpeculativeEngine:
             else:
                 stats.speculative_accesses += 1
                 served = None
-            self._check_violations(task, address, active, stats)
+            if active is not None:
+                self._check_violations(task, address, active, stats)
         else:
             buffer = task.buffer
             if not self.store.record_write(buffer, address, op.value):
@@ -814,16 +978,7 @@ class SpeculativeEngine:
         per-op faults into bounded local restarts, and (4) audits the
         store's invariants once the round is over.
         """
-        self._scrub_poisoned(active, stats)
-        self._rounds_since_commit += 1
-        if (
-            self.watchdog_rounds is not None
-            and self._rounds_since_commit > self.watchdog_rounds
-        ):
-            raise EngineLivelockError(
-                f"no segment committed in {self.watchdog_rounds} "
-                f"scheduling rounds; the engine is not making progress"
-            )
+        self._tick(active, stats)
         for task in list(active):
             if task.done:
                 continue
@@ -843,62 +998,28 @@ class SpeculativeEngine:
                     # double-apply them -- degrade instead.
                     raise
                 self._recover_fault(task, active, stats)
-        if self.auditor is not None:
-            self.auditor.audit(
-                self.store, self._committed_age, region=self._region_name
-            )
+        self._audit()
 
-    def _scrub_poisoned(
-        self, active: List[_SegmentTask], stats: ExecutionStats
-    ) -> None:
-        """Squash-restart buffers whose forwarded values were corrupted.
-
-        Detection follows a parity/ECC model: the corrupted forward
-        marked the consuming buffer ``poisoned``.  Everything at or
-        younger than the oldest poisoned segment restarts -- younger
-        segments may have consumed the poisoned segment's derived
-        values (including value-dependent scatter addresses that leave
-        no violation trace), so restarting the poisoned task alone
-        would be unsound.
-        """
-        oldest_poisoned = None
-        for task in active:
-            if task.buffer is not None and task.buffer.poisoned:
-                oldest_poisoned = task.age
-                break
-        if oldest_poisoned is None:
-            return
-        if self._obs is not None:
-            self._obs.event(
-                "engine.poison_scrub", category="engine", age=oldest_poisoned
-            )
-        # A finished-but-uncommitted task restarts too: its buffer may
-        # hold values derived from the corrupted forward.
-        for task in active:
-            if task.age >= oldest_poisoned:
-                stats.fault_restarts += 1
-                self._restart(task, stats)
-
-    def _recover_fault(
+    def _run_window(
         self,
-        task: _SegmentTask,
         active: List[_SegmentTask],
+        memory: MemoryImage,
         stats: ExecutionStats,
+        after_commit: Callable[[_SegmentTask], None],
     ) -> None:
-        """Transient in-segment fault: restart the task and all younger.
-
-        Younger segments may have forwarded from the faulted one, so
-        the recovery footprint mirrors a data-dependence violation.
-        Persistent faults exhaust the restart budget and degrade.
-        """
-        if self._obs is not None:
-            self._obs.event(
-                "engine.fault_recovery", category="engine", age=task.age
-            )
-        for other in active:
-            if other.age >= task.age:
-                stats.fault_restarts += 1
-                self._restart(other, stats)
+        """Run rounds until the window empties, committing finished
+        segments in age order; ``after_commit`` refills the window."""
+        while active:
+            self._round(active, memory, stats)
+            while active and active[0].done:
+                # A poison detected on the round's last step must not
+                # slip into this commit window.
+                self._scrub_poisoned(active, stats)
+                if not active[0].done:
+                    break
+                task = active.pop(0)
+                self._commit_task(task, memory, stats)
+                after_commit(task)
 
     # ------------------------------------------------------------------
     # loop regions
@@ -919,17 +1040,10 @@ class SpeculativeEngine:
             if try_run_batched(self, region, memory, stats, lower, upper, step):
                 return
 
-        def iteration_values():
-            value = lower
-            while (step > 0 and value <= upper) or (step < 0 and value >= upper):
-                yield value
-                value += step
-
-        values = iteration_values()
+        values = iteration_values(lower, upper, step)
         body = region.body
         index = region.index
         op_budget = self.op_budget
-
         compute_cost = self._compute_cost
 
         def spawn_for(value: int) -> Callable[[], SegmentCoroutine]:
@@ -942,28 +1056,13 @@ class SpeculativeEngine:
 
         active: List[_SegmentTask] = []
 
-        def refill() -> None:
-            while len(active) < self.window:
-                value = next(values, None)
-                if value is None:
-                    return
-                active.append(
-                    self._start_task(
-                        (region.name, value), None, spawn_for(value), stats
-                    )
-                )
-
-        refill()
-        while active:
-            self._round(active, memory, stats)
-            while active and active[0].done:
-                # A poison detected on the round's last step must not
-                # slip into this commit window.
-                self._scrub_poisoned(active, stats)
-                if not active[0].done:
-                    break
-                self._commit_task(active.pop(0), memory, stats)
-                refill()
+        self._refill_loop(region, active, values, stats, spawn_for)
+        self._run_window(
+            active,
+            memory,
+            stats,
+            lambda task: self._refill_loop(region, active, values, stats, spawn_for),
+        )
 
     # ------------------------------------------------------------------
     # explicit regions (control speculation)
@@ -1021,44 +1120,34 @@ class SpeculativeEngine:
                 )
                 fill_from = predicted_successor(name)
 
-        refill()
-        while active:
-            self._round(active, memory, stats)
-            while active and active[0].done:
-                # A poison detected on the round's last step must not
-                # slip into this commit window.
-                self._scrub_poisoned(active, stats)
-                if not active[0].done:
-                    break
-                task = active.pop(0)
-                self._commit_task(task, memory, stats)
-                committed += 1
-                if committed > MAX_EXPLICIT_STEPS:
-                    raise EngineLivelockError(
-                        f"explicit region {region.name!r} exceeded "
-                        f"{MAX_EXPLICIT_STEPS} segment executions"
-                    )
-                # Resolve the actual successor against committed state,
-                # exactly as the sequential interpreter does.
-                successors = edges.get(task.segment_name, [])
-                if not successors:
-                    actual: Optional[str] = None
+        def resolve(task: _SegmentTask) -> None:
+            """Follow the committed segment's actual successor."""
+            nonlocal fill_from, committed
+            committed += 1
+            if committed > MAX_EXPLICIT_STEPS:
+                raise EngineLivelockError(
+                    f"explicit region {region.name!r} exceeded "
+                    f"{MAX_EXPLICIT_STEPS} segment executions"
+                )
+            # Resolve the actual successor against committed state,
+            # exactly as the sequential interpreter does.
+            successors = edges.get(task.segment_name, [])
+            if not successors:
+                actual: Optional[str] = None
+            else:
+                segment = region.segment(task.segment_name)
+                if len(successors) > 1 and segment.branch is not None:
+                    taken = evaluate_expression(segment.branch, memory.read)
+                    actual = successors[0] if taken else successors[1]
                 else:
-                    segment = region.segment(task.segment_name)
-                    if len(successors) > 1 and segment.branch is not None:
-                        taken = evaluate_expression(segment.branch, memory.read)
-                        actual = successors[0] if taken else successors[1]
-                    else:
-                        actual = successors[0]
-                    if actual == EXIT_NODE:
-                        actual = None
-                # The predicted next segment is the head of the remaining
-                # in-flight window, or -- when the window drained -- the
-                # segment the prediction would spawn next.
-                predicted = active[0].segment_name if active else fill_from
-                if actual == predicted:
-                    refill()
-                    continue
+                    actual = successors[0]
+                if actual == EXIT_NODE:
+                    actual = None
+            # The predicted next segment is the head of the remaining
+            # in-flight window, or -- when the window drained -- the
+            # segment the prediction would spawn next.
+            predicted = active[0].segment_name if active else fill_from
+            if actual != predicted:
                 # Control misprediction: the speculated path is wrong.
                 # (An empty window means nothing was executed down the
                 # wrong path, so nothing counts as mispredicted.)
@@ -1068,7 +1157,10 @@ class SpeculativeEngine:
                         self._discard(wrong, stats)
                     active.clear()
                 fill_from = actual
-                refill()
+            refill()
+
+        refill()
+        self._run_window(active, memory, stats, resolve)
 
 
 def _has_cycle(region: ExplicitRegion) -> bool:

@@ -11,7 +11,9 @@ import pytest
 
 from repro.bench.engines import measure_engine_family, verify_engines
 from repro.bench.workloads import FAMILIES, generate
+from repro.idempotency.labeling import label_region
 from repro.ir.dsl import parse_program
+from repro.ir.types import RefLabel
 from repro.runtime.engines import (
     CASEEngine,
     HOSEEngine,
@@ -259,6 +261,52 @@ end program
             )
             assert result.stats.segments_committed == 5
             assert result.value_of("s") == 5.0
+
+
+# ----------------------------------------------------------------------
+# A guarded array write is not a re-occurring first write.
+# ----------------------------------------------------------------------
+#: A misspeculated iteration reads a stale a(i + 1), takes the guard
+#: and writes c(i + 2); its re-execution skips the guard.  Were the
+#: guarded write idempotent (direct to memory), c(9) and c(10) -- which
+#: no later iteration rewrites -- would keep the wrong-path values.
+GUARDED_WRITE_SRC = """
+program guarded_write
+  real a(16), c(16)
+  init
+    do t = 1, 16
+      a(t) = t
+    end do
+  end init
+  region R do i = 1, 8
+    if (a(i + 1) > 5.0) then
+      c(i + 2) = i
+    end if
+    c(i) = a(i)
+    a(i + 3) = 1.0
+    liveout c
+  end region
+end program
+"""
+
+
+class TestGuardedArrayWrite:
+    def test_guarded_write_is_speculative(self):
+        program = parse_program(GUARDED_WRITE_SRC)
+        region = program.regions[0]
+        labeling = label_region(region, program)
+        (guarded,) = [r for r in region.references if r.is_write and r.conditional]
+        assert guarded.subscript_text() == "((i + 2))"
+        assert labeling.label_of(guarded) is RefLabel.SPECULATIVE
+
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("capacity", [2, None])
+    @pytest.mark.parametrize("window", [1, 2, 4, 8])
+    def test_case_bit_identical(self, window, capacity, batch):
+        program = parse_program(GUARDED_WRITE_SRC)
+        assert_equivalent(
+            program, CASEEngine, window=window, capacity=capacity, batch=batch
+        )
 
 
 # ----------------------------------------------------------------------

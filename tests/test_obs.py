@@ -515,6 +515,38 @@ class TestEngineInstrumentation:
         assert "engine.squash" in event_names  # stencil violates
         assert not result.degraded
 
+    @pytest.mark.parametrize("stale", [False, True])
+    def test_batched_stencil_lifecycle_events(self, monkeypatch, stale):
+        # The serve-mix stencil under CASE at capacity 8 overflows on
+        # every attempt.  Valid logs drain the stalled head; stale ones
+        # (forced) squash it and re-execute it write-through.
+        from test_batch import MIX_STENCIL
+
+        from repro.ir.dsl import parse_program
+        from repro.runtime import batch as batch_mod
+        from repro.runtime.engines import CASEEngine
+
+        if stale:
+            validate = batch_mod._BatchScheduler._validate
+            monkeypatch.setattr(
+                batch_mod._BatchScheduler,
+                "_validate",
+                lambda self, task: False if task.stalled else validate(self, task),
+            )
+        program = parse_program(MIX_STENCIL)
+        obs.enable()
+        CASEEngine(program, window=4, capacity=8, batch=True).run()
+        counts = {}
+        for event in TRACER.events():
+            counts[event.name] = counts.get(event.name, 0) + 1
+        last = "engine.squash" if stale else "engine.drain"
+        assert counts == {
+            "engine.dispatch": 22,
+            "engine.stall": 22,
+            last: 22,
+            "engine.commit": 22,
+        }
+
     def test_instrumentation_does_not_perturb_results(self):
         from repro.runtime.engines import CASEEngine
         from repro.runtime.interpreter import run_program

@@ -169,13 +169,16 @@ class TestAuditor:
 # Fault-free runs: auditor on, behavior unchanged.
 # ----------------------------------------------------------------------
 class TestFaultFree:
+    @pytest.mark.parametrize("batch", [False, True])
     @pytest.mark.parametrize("engine", ["hose", "case"])
-    def test_audited_run_is_bit_identical(self, engine):
+    def test_audited_run_is_bit_identical(self, engine, batch):
         program = make_program()
         sequential = run_program(program)
         auditor = InvariantAuditor()
         cls = {"hose": HOSEEngine, "case": CASEEngine}[engine]
-        result = cls(program, window=4, capacity=8, auditor=auditor).run()
+        result = cls(
+            program, window=4, capacity=8, auditor=auditor, batch=batch
+        ).run()
         assert not result.degraded
         assert auditor.audits > 0
         assert sequential.memory.differences(result.memory, tolerance=0.0) == {}
@@ -320,7 +323,8 @@ class TestDegradation:
         assert as_dict["error_type"] == "InvariantViolation"
         assert as_dict["reason"]
 
-    def test_persistent_self_violation_hits_livelock_guard(self):
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_persistent_self_violation_hits_livelock_guard(self, batch):
         # Rate 1.0 spurious violations restart segments forever; the
         # restart budget (or watchdog) must convert that into a typed
         # livelock error rather than an endless loop.
@@ -333,9 +337,11 @@ class TestDegradation:
                 max_restarts=20,
                 watchdog_rounds=500,
                 fallback=False,
+                batch=batch,
             )
 
-    def test_livelock_degrades_with_report(self):
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_livelock_degrades_with_report(self, batch):
         program = make_program()
         sequential = run_program(program)
         result = assert_recovered(
@@ -345,6 +351,7 @@ class TestDegradation:
             plan=FaultPlan.single("spurious_violation", 1.0),
             max_restarts=20,
             watchdog_rounds=500,
+            batch=batch,
         )
         assert result.degraded
         assert result.degradation.error_type == "EngineLivelockError"
@@ -362,7 +369,8 @@ class TestDegradation:
         assert result.degraded
         assert result.stats.segments_committed == sequential.stats.segments_committed
 
-    def test_fallback_off_raises_on_persistent_fault(self):
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_fallback_off_raises_on_persistent_fault(self, batch):
         program = make_program()
         with pytest.raises(EngineLivelockError):
             run_resilient(
@@ -370,6 +378,7 @@ class TestDegradation:
                 plan=FaultPlan.single("segment_exception", 1.0),
                 max_restarts=5,
                 fallback=False,
+                batch=batch,
             )
 
 
