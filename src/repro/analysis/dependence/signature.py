@@ -120,8 +120,8 @@ class SignatureIndex:
 
     Build one per (region, invariant-symbol set); ask it for
     :meth:`group_of` each reference and :meth:`relations_of_groups` for
-    pairs.  The index also exposes hit/miss counters so the benchmark
-    harness can report pruning effectiveness.
+    pairs.  The index also exposes hit/miss counters (:meth:`stats`)
+    for diagnosing pruning effectiveness.
     """
 
     region: LoopRegion
@@ -185,8 +185,8 @@ class SignatureIndex:
         return len(self._groups)
 
     def stats(self) -> Dict[str, int]:
-        """Counters for diagnostics and the benchmark report
-        (``pair_tests_saved`` counts plan-key lookups, not reference pairs)."""
+        """Counters for diagnostics (``pair_tests_saved`` counts
+        plan-key lookups, not reference pairs)."""
         return {
             "groups": len(self._groups),
             "references": len(self._ref_groups),

@@ -1,22 +1,20 @@
 """Benchmark entry point: ``python -m repro.bench``.
 
-Six scenarios, all selected by default (``--scenarios`` narrows the
-run, ``--list-scenarios`` enumerates them):
-
-``families``
-    Analyze-throughput (references classified per second) and
-    simulate-throughput (memory operations per second) for every
-    workload family.
+Three scenarios, all selected by default (``--scenarios`` narrows the
+run, ``--list-scenarios`` enumerates them).  Each is a gate for what the
+``perfbench`` daemon workloads do not cover:
 
 ``engines``
     HOSE vs CASE speculative-storage pressure across buffer capacities,
     every run checked bit-for-bit against the sequential interpreter
-    (the ``engines`` key of the report).
+    (the ``engines`` key of the report), plus batched vs op-interleaved
+    replay throughput (``--check-batch`` gates it).
 
 ``speedup``
     The multiprocessor timing model: HOSE/CASE makespans and
     speedup-vs-sequential across processors x window x capacity (the
-    ``speedup`` key; see ``docs/PERFORMANCE.md`` section 5).
+    ``speedup`` key; ``--check-speedup`` gates it; see
+    ``docs/PERFORMANCE.md`` section 5).
 
 ``chaos``
     The robustness sweep: every fault kind of ``repro.resilience``
@@ -27,42 +25,29 @@ run, ``--list-scenarios`` enumerates them):
     ``chaos`` key; exit 1 on any unrecovered run; see
     ``docs/ROBUSTNESS.md``).
 
-``precision``
-    The differential label-soundness checker over the workload families
-    plus a seeded fuzz batch: idempotent labels vs provably-conservative
-    gaps vs the dynamic upper bound from the trace oracle (the
-    ``precision`` key; exit 1 on any unsound or suspect label; see
-    ``docs/ANALYSIS.md``).
-
-``serve``
-    The analysis daemon under concurrent load: N client sessions over
-    real TCP sockets against one shared ``AnalysisCache``, reporting
-    requests/sec and p50/p95 latency per method (the ``serve`` key;
-    exit 1 on any error envelope, zero cross-request warm hits, or a
-    simulate that is not bit-identical to sequential; see
-    ``docs/SERVING.md``).
+Every engine run uses the batched segment-replay protocol; the
+throughput row and ``--verify-engines`` also run op-interleaved replay.
 
 Common invocations::
 
     python -m repro.bench                 # full run, all scenarios
-    python -m repro.bench --smoke         # tiny sizes, CI-friendly
+    python -m repro.bench --smoke --check-batch --check-speedup
+                                          # tiny sizes plus both gates
+                                          # (the CI step)
     python -m repro.bench --scenarios speedup   # one scenario only
     python -m repro.bench --list-scenarios
-    python -m repro.bench --no-engines    # skip the HOSE/CASE scenario
     python -m repro.bench --verify-engines  # equivalence check only:
                                           # HOSE/CASE final state vs
                                           # sequential, exit 1 on drift
     python -m repro.bench --scenarios speedup --check-speedup
                                           # also assert HOSE on P=4 beats
                                           # sequential on the parallel
-                                          # families (CI smoke)
+                                          # families
     python -m repro.bench --scenarios engines --check-batch
                                           # also assert the batched replay
                                           # protocol beats op-interleaving
                                           # in engine-sim throughput on
-                                          # reduction (CI smoke)
-    python -m repro.bench --no-batch      # run the engines with the
-                                          # op-interleaved replay only
+                                          # reduction
     python -m repro.bench --scenarios speedup \
         --trace BENCH_trace.json --metrics BENCH_metrics.json
                                           # arm the observability layer:
@@ -105,33 +90,11 @@ from repro.bench.engines import (
     ENGINE_SMOKE_SIZE,
     ENGINE_STATEMENTS,
     ENGINE_WINDOW,
+    VERIFY_STATEMENTS,
     check_batch_throughput,
     measure_engine_throughput,
     measure_engines,
     verify_engines,
-)
-from repro.bench.harness import measure_family
-from repro.bench.precision import (
-    PRECISION_FUZZ,
-    PRECISION_SEED,
-    PRECISION_SIZE,
-    PRECISION_SMOKE_FUZZ,
-    PRECISION_SMOKE_SIZE,
-    PRECISION_SMOKE_STATEMENTS,
-    PRECISION_STATEMENTS,
-    measure_precision,
-)
-from repro.bench.serve import (
-    SERVE_MAX_INFLIGHT,
-    SERVE_REQUESTS,
-    SERVE_SESSIONS,
-    SERVE_SIZE,
-    SERVE_SMOKE_REQUESTS,
-    SERVE_SMOKE_SIZE,
-    SERVE_STATEMENTS,
-    SERVE_WORKERS,
-    check_serve,
-    measure_serve,
 )
 from repro.bench.speedup import (
     SPEEDUP_CAPACITIES,
@@ -143,49 +106,32 @@ from repro.bench.speedup import (
     check_embarrassing_speedup,
     measure_speedups,
 )
-from repro.bench.workloads import (
-    DEFAULT_STATEMENTS,
-    FAMILIES,
-    SMOKE_SIZE,
-    SMOKE_STATEMENTS,
-    generate_suite,
-)
+from repro.bench.workloads import FAMILIES, SMOKE_STATEMENTS
 from repro.timing.cost import DEFAULT_COST_MODEL
 
 LOG = get_logger("bench")
 
 #: Scenario registry: name -> one-line description (--list-scenarios).
 SCENARIOS: Dict[str, str] = {
-    "families": "analyze/simulate throughput per workload family",
     "engines": "HOSE vs CASE speculative-storage pressure across "
     "buffer capacities",
     "speedup": "multiprocessor timing model: HOSE/CASE makespans and "
     "speedup vs sequential",
     "chaos": "fault injection sweep: every fault kind x rate x family "
     "x engine must recover bit-identically to sequential",
-    "precision": "labeling precision vs the differential checker: "
-    "idempotent labels, provable gaps, dynamic upper bound",
-    "serve": "analysis daemon under concurrent sessions: requests/sec "
-    "and latency percentiles against one shared cache",
 }
 
 
 def _parse_args(argv):
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Analysis & simulation throughput benchmark.",
+        description="HOSE/CASE engine, speedup and chaos gates.",
     )
     parser.add_argument(
         "--size",
         type=int,
         default=0,
-        help="dynamic size for every family (0 = per-family default)",
-    )
-    parser.add_argument(
-        "--statements",
-        type=int,
-        default=DEFAULT_STATEMENTS,
-        help="unrolled statements per region body",
+        help="dynamic size for every family (0 = each scenario's default)",
     )
     parser.add_argument(
         "--families",
@@ -210,11 +156,6 @@ def _parse_args(argv):
         "--list-scenarios",
         action="store_true",
         help="list the available scenarios and exit",
-    )
-    parser.add_argument(
-        "--no-engines",
-        action="store_true",
-        help="skip the HOSE/CASE speculative-storage scenario",
     )
     parser.add_argument(
         "--engine-capacities",
@@ -258,12 +199,6 @@ def _parse_args(argv):
         "cycle total on the embarrassingly-parallel families",
     )
     parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="run the speculative engines with op-interleaved replay "
-        "only (disable the batched segment-replay protocol everywhere)",
-    )
-    parser.add_argument(
         "--check-batch",
         action="store_true",
         help="exit 1 unless batched replay beats op-interleaved replay "
@@ -289,38 +224,6 @@ def _parse_args(argv):
         default=None,
         help="fault-injection seed for the chaos scenario "
         "(default: the scenario's fixed seed)",
-    )
-    parser.add_argument(
-        "--precision-fuzz",
-        type=int,
-        default=PRECISION_FUZZ,
-        help="fuzzed programs appended to the precision scenario's "
-        "family sweep",
-    )
-    parser.add_argument(
-        "--precision-seed",
-        type=int,
-        default=PRECISION_SEED,
-        help="generator seed for the precision scenario's fuzz batch",
-    )
-    parser.add_argument(
-        "--serve-sessions",
-        type=int,
-        default=SERVE_SESSIONS,
-        help="concurrent client sessions driven by the serve scenario",
-    )
-    parser.add_argument(
-        "--serve-requests",
-        type=int,
-        default=0,
-        help="requests per session in the serve scenario "
-        "(0 = per-mode default)",
-    )
-    parser.add_argument(
-        "--min-seconds",
-        type=float,
-        default=0.4,
-        help="minimum accumulated wall-clock per measurement",
     )
     parser.add_argument(
         "--out",
@@ -363,14 +266,6 @@ def main(argv=None) -> int:
             print(f"{name:<10} {SCENARIOS[name]}")
         return 0
     selected = set(args.scenarios) if args.scenarios else set(SCENARIOS)
-    if args.no_engines:
-        selected.discard("engines")
-    if not selected:
-        LOG.error(
-            "nothing to run: the scenario selection is empty "
-            "(--no-engines removed the only selected scenario)"
-        )
-        return 2
     if args.check_speedup and "speedup" not in selected:
         LOG.error("--check-speedup requires the speedup scenario")
         return 2
@@ -382,9 +277,6 @@ def main(argv=None) -> int:
             "--verify-engines runs the equivalence check only and never "
             "reaches the speedup scenario; drop one of the two flags"
         )
-        return 2
-    if args.check_batch and args.no_batch:
-        LOG.error("--check-batch and --no-batch are mutually exclusive")
         return 2
     if args.check_batch and "engines" not in selected:
         LOG.error("--check-batch requires the engines scenario")
@@ -399,11 +291,9 @@ def main(argv=None) -> int:
             "flags"
         )
         return 2
-    batch = not args.no_batch
 
     # Observability is armed only when an artifact was asked for, so
-    # the default bench run measures the disabled fast path (this is
-    # the run the <= 2% overhead gate compares against the seed).
+    # the default bench run measures the disabled fast path.
     registry = metrics_registry()
     if args.trace:
         TRACER.reset()
@@ -416,7 +306,7 @@ def main(argv=None) -> int:
     if args.verify_engines:
         verify_size = args.size if args.size else ENGINE_SMOKE_SIZE
         verify_statements = (
-            SMOKE_STATEMENTS if args.smoke else min(args.statements, 4)
+            SMOKE_STATEMENTS if args.smoke else VERIFY_STATEMENTS
         )
         windows = tuple(sorted({1, args.engine_window}))
         LOG.info(
@@ -431,7 +321,6 @@ def main(argv=None) -> int:
             families=tuple(args.families),
             windows=windows,
             capacities=tuple(args.engine_capacities),
-            batch_modes=(False,) if args.no_batch else (False, True),
         )
         for failure in failures:
             LOG.error(f"FAIL {failure}")
@@ -440,28 +329,9 @@ def main(argv=None) -> int:
         LOG.info("engine equivalence OK (all final states bit-identical)")
         return 0
 
+    t_start = time.perf_counter()
     # An explicit --size uniformly overrides every scenario's default
     # (smoke or full); 0 keeps the per-scenario defaults.
-    size = args.size if args.size else (SMOKE_SIZE if args.smoke else 0)
-    statements = SMOKE_STATEMENTS if args.smoke else args.statements
-    min_seconds = 0.02 if args.smoke else args.min_seconds
-
-    families: Dict[str, Dict] = {}
-    t_start = time.perf_counter()
-    if "families" in selected:
-        suite = generate_suite(
-            size=size, statements=statements, families=tuple(args.families)
-        )
-        with TRACER.span("bench.scenario", category="bench", scenario="families"):
-            for workload in suite:
-                LOG.info(
-                    f"{workload.family:<10} (size={workload.size}, "
-                    f"statements={workload.statements}) ..."
-                )
-                families[workload.family] = measure_family(
-                    workload, min_seconds=min_seconds
-                ).as_dict()
-
     engines_section = None
     if "engines" in selected:
         engine_size = args.size if args.size else (
@@ -474,8 +344,7 @@ def main(argv=None) -> int:
             f"engines: HOSE vs CASE "
             f"(size={engine_size}, statements={engine_statements}, "
             f"window={args.engine_window}, "
-            f"capacities={args.engine_capacities}, "
-            f"batch={batch}) ..."
+            f"capacities={args.engine_capacities}) ..."
         )
         with TRACER.span("bench.scenario", category="bench", scenario="engines"):
             engines_section = {
@@ -483,47 +352,44 @@ def main(argv=None) -> int:
                 "statements": engine_statements,
                 "window": args.engine_window,
                 "capacities": list(args.engine_capacities),
-                "batch": batch,
                 "families": measure_engines(
                     size=engine_size,
                     statements=engine_statements,
                     families=tuple(args.families),
                     capacities=tuple(args.engine_capacities),
                     window=args.engine_window,
-                    batch=batch,
                 ),
             }
-        if batch:
-            # Batched vs op-interleaved replay throughput.  The smoke
-            # sweep sticks to the family/size the --check-batch gate
-            # needs (tiny sizes make the comparison timing-noisy); the
-            # full sweep runs every selected family at the per-family
-            # DEFAULT_SIZES (size=0 sentinel) unless --size overrides.
-            if args.smoke:
-                throughput_families = tuple(
-                    f for f in args.families if f in BATCH_SMOKE_FAMILIES
+        # Batched vs op-interleaved replay throughput.  The smoke sweep
+        # sticks to the family/size the --check-batch gate needs (tiny
+        # sizes make the comparison timing-noisy); the full sweep runs
+        # every selected family at the per-family DEFAULT_SIZES (size=0
+        # sentinel) unless --size overrides.
+        if args.smoke:
+            throughput_families = tuple(
+                f for f in args.families if f in BATCH_SMOKE_FAMILIES
+            )
+            throughput_size = args.size if args.size else BATCH_SMOKE_SIZE
+        else:
+            throughput_families = tuple(args.families)
+            throughput_size = args.size
+        if throughput_families:
+            LOG.info(
+                f"engines: batched vs interleaved replay throughput "
+                f"(families={list(throughput_families)}, "
+                f"size={throughput_size or 'default'}, "
+                f"window={args.engine_window}) ..."
+            )
+            with TRACER.span(
+                "bench.scenario",
+                category="bench",
+                scenario="engine-throughput",
+            ):
+                engines_section["throughput"] = measure_engine_throughput(
+                    families=throughput_families,
+                    size=throughput_size,
+                    window=args.engine_window,
                 )
-                throughput_size = args.size if args.size else BATCH_SMOKE_SIZE
-            else:
-                throughput_families = tuple(args.families)
-                throughput_size = args.size
-            if throughput_families:
-                LOG.info(
-                    f"engines: batched vs interleaved replay throughput "
-                    f"(families={list(throughput_families)}, "
-                    f"size={throughput_size or 'default'}, "
-                    f"window={args.engine_window}) ..."
-                )
-                with TRACER.span(
-                    "bench.scenario",
-                    category="bench",
-                    scenario="engine-throughput",
-                ):
-                    engines_section["throughput"] = measure_engine_throughput(
-                        families=throughput_families,
-                        size=throughput_size,
-                        window=args.engine_window,
-                    )
 
     speedup_section = None
     if "speedup" in selected:
@@ -576,7 +442,6 @@ def main(argv=None) -> int:
                 "windows": windows,
                 "capacities": capacities,
                 "cost_model": DEFAULT_COST_MODEL.as_dict(),
-                "batch": batch,
                 "families": measure_speedups(
                     size=speedup_size,
                     statements=speedup_statements,
@@ -586,7 +451,6 @@ def main(argv=None) -> int:
                     capacities=tuple(capacities),
                     cost=DEFAULT_COST_MODEL,
                     observer=speedup_observer if observing else None,
-                    batch=batch,
                 ),
             }
 
@@ -612,58 +476,7 @@ def main(argv=None) -> int:
                 statements=CHAOS_STATEMENTS,
                 families=tuple(args.families),
                 rates=tuple(chaos_rates),
-                batch=batch,
                 **chaos_kwargs,
-            )
-
-    precision_section = None
-    if "precision" in selected:
-        precision_size = args.size if args.size else (
-            PRECISION_SMOKE_SIZE if args.smoke else PRECISION_SIZE
-        )
-        precision_statements = (
-            PRECISION_SMOKE_STATEMENTS if args.smoke else PRECISION_STATEMENTS
-        )
-        precision_fuzz = (
-            PRECISION_SMOKE_FUZZ if args.smoke else args.precision_fuzz
-        )
-        LOG.info(
-            f"precision: labels vs differential checker "
-            f"(size={precision_size}, statements={precision_statements}, "
-            f"fuzz={precision_fuzz}, seed={args.precision_seed}) ..."
-        )
-        with TRACER.span(
-            "bench.scenario", category="bench", scenario="precision"
-        ):
-            precision_section = measure_precision(
-                size=precision_size,
-                statements=precision_statements,
-                families=tuple(args.families),
-                fuzz=precision_fuzz,
-                seed=args.precision_seed,
-            )
-
-    serve_section = None
-    if "serve" in selected:
-        serve_size = args.size if args.size else (
-            SERVE_SMOKE_SIZE if args.smoke else SERVE_SIZE
-        )
-        serve_requests = args.serve_requests if args.serve_requests else (
-            SERVE_SMOKE_REQUESTS if args.smoke else SERVE_REQUESTS
-        )
-        LOG.info(
-            f"serve: daemon under concurrent load "
-            f"(sessions={args.serve_sessions}, "
-            f"requests/session={serve_requests}, size={serve_size}, "
-            f"workers={SERVE_WORKERS}, "
-            f"max_inflight={SERVE_MAX_INFLIGHT}) ..."
-        )
-        with TRACER.span("bench.scenario", category="bench", scenario="serve"):
-            serve_section = measure_serve(
-                sessions=args.serve_sessions,
-                requests_per_session=serve_requests,
-                size=serve_size,
-                statements=SERVE_STATEMENTS,
             )
 
     report = {
@@ -671,13 +484,11 @@ def main(argv=None) -> int:
             "version": __version__,
             "python": platform.python_version(),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S"),
-            "size": size,
-            "statements": statements,
+            "size": args.size,
             "smoke": args.smoke,
             "scenarios": sorted(selected),
             "wall_seconds": round(time.perf_counter() - t_start, 2),
         },
-        "families": families,
     }
     if engines_section is not None:
         report["engines"] = engines_section
@@ -685,10 +496,6 @@ def main(argv=None) -> int:
         report["speedup"] = speedup_section
     if chaos_section is not None:
         report["chaos"] = chaos_section
-    if precision_section is not None:
-        report["precision"] = precision_section
-    if serve_section is not None:
-        report["serve"] = serve_section
 
     with open(args.out, "w") as handle:
         json.dump(report, handle, indent=2, sort_keys=False)
@@ -715,11 +522,6 @@ def main(argv=None) -> int:
             handle.write("\n")
         LOG.info(f"wrote {args.metrics}")
 
-    for family, r in families.items():
-        LOG.info(
-            f"{family:<10}  analyze={r['analyze_refs_per_s']:,.0f} refs/s"
-            f"  simulate={r['simulate_ops_per_s']:,.0f} ops/s"
-        )
     if engines_section is not None:
         mismatches = 0
         for family, entry in engines_section["families"].items():
@@ -830,51 +632,6 @@ def main(argv=None) -> int:
         LOG.info(
             "chaos check OK (every faulted run recovered "
             "bit-identically to sequential)"
-        )
-    if precision_section is not None:
-        rows = dict(precision_section["families"])
-        rows["fuzzed"] = precision_section["fuzzed"]
-        for name, entry in rows.items():
-            pct = entry["precision_percent"]
-            LOG.info(
-                f"{name:<10} precision: "
-                f"{entry['idempotent_labels']:>5} idempotent, "
-                f"{entry['production_conservative']:>3} provably "
-                f"conservative, "
-                f"{entry['dynamically_clean_speculative']:>4} dynamically "
-                f"clean  "
-                f"({pct if pct is not None else '-'}%)"
-            )
-        totals = precision_section["totals"]
-        if totals["unsound"] or totals["suspect"]:
-            LOG.warning(
-                f"checker found {totals['unsound']} "
-                f"unsound and {totals['suspect']} suspect labels"
-            )
-            return 1
-        LOG.info(
-            f"precision check OK (0 unsound labels; overall "
-            f"{totals['precision_percent']}% of provably-idempotent "
-            f"references labeled)"
-        )
-    if serve_section is not None:
-        latency = serve_section["latency_ms"]
-        LOG.info(
-            f"serve: {serve_section['sessions']} sessions x "
-            f"{serve_section['requests_per_session']} requests  "
-            f"{serve_section['requests_per_second']:,.1f} req/s  "
-            f"p50={latency['p50']}ms p95={latency['p95']}ms  "
-            f"warm hits={serve_section['warm_hits']}  "
-            f"errors={serve_section['errors']}"
-        )
-        failures = check_serve(serve_section)
-        for failure in failures:
-            LOG.error(f"FAIL {failure}")
-        if failures:
-            return 1
-        LOG.info(
-            "serve check OK (all sessions served, shared cache warm, "
-            "every simulate bit-identical to sequential)"
         )
     return 0
 

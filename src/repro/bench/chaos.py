@@ -111,7 +111,6 @@ def _run_row(
     plan: Optional[FaultPlan],
     seed: int,
     baseline_cycles: Optional[int],
-    batch: bool = True,
 ) -> Dict:
     result = run_resilient(
         program,
@@ -122,7 +121,7 @@ def _run_row(
         capacity=CHAOS_CAPACITY,
         max_restarts=CHAOS_MAX_RESTARTS,
         watchdog_rounds=CHAOS_WATCHDOG_ROUNDS,
-        batch=batch,
+        batch=True,
     )
     recovered = not sequential_values.differences(result.memory, tolerance=0.0)
     row: Dict = {
@@ -155,7 +154,6 @@ def measure_chaos(
     engines: Sequence[str] = CHAOS_ENGINES,
     kinds: Sequence[str] = FAULT_KINDS,
     seed: int = CHAOS_SEED,
-    batch: bool = True,
 ) -> Dict:
     """The whole sweep.  ``result["unrecovered"]`` lists every run whose
     final state diverged from sequential -- the CI gate (must be empty).
@@ -171,7 +169,6 @@ def measure_chaos(
         "watchdog_rounds": CHAOS_WATCHDOG_ROUNDS,
         "rates": list(rates),
         "seed": seed,
-        "batch": batch,
         "programs": {},
     }
     unrecovered: List[str] = []
@@ -188,7 +185,7 @@ def measure_chaos(
                 window=CHAOS_WINDOW,
                 capacity=CHAOS_CAPACITY,
                 auditor=auditor,
-                batch=batch,
+                batch=True,
             ).run()
             clean = (
                 not result.degraded
@@ -219,7 +216,6 @@ def measure_chaos(
                         FaultPlan.single(kind, rate),
                         seed,
                         baseline_cycles.get(engine),
-                        batch=batch,
                     )
                     if not row["recovered"]:
                         unrecovered.append(

@@ -40,6 +40,8 @@ ENGINE_WINDOW = 4
 #: ``corpus(count, seed)`` swept by :func:`verify_engines` (its program
 #: 54 once caught CASE leaving a wrong-path guarded write in memory).
 VERIFY_CORPUS = (60, 4242)
+#: Unrolled statements of the families :func:`verify_engines` sweeps.
+VERIFY_STATEMENTS = 4
 #: Throughput comparison (batched vs op-interleaved replay).  The
 #: batched protocol makes the full workload sizes tractable for the
 #: engines, so the full sweep runs at ``DEFAULT_SIZES``; the smoke
@@ -77,7 +79,6 @@ def measure_engine_family(
     workload: Workload,
     capacities: Sequence[int] = ENGINE_CAPACITIES,
     window: int = ENGINE_WINDOW,
-    batch: bool = True,
 ) -> Dict:
     """HOSE vs CASE storage pressure for one workload, per capacity."""
     sequential = run_program(workload.program)
@@ -94,7 +95,7 @@ def measure_engine_family(
     for capacity in capacities:
         row: Dict[str, Dict] = {}
         for name, engine_cls in (("hose", HOSEEngine), ("case", CASEEngine)):
-            kwargs = {"window": window, "capacity": capacity, "batch": batch}
+            kwargs = {"window": window, "capacity": capacity, "batch": True}
             if engine_cls is CASEEngine:
                 kwargs["cache"] = analysis_cache
             result = engine_cls(workload.program, **kwargs).run()
@@ -118,7 +119,6 @@ def measure_engines(
     families: Sequence[str] = FAMILIES,
     capacities: Sequence[int] = ENGINE_CAPACITIES,
     window: int = ENGINE_WINDOW,
-    batch: bool = True,
 ) -> Dict[str, Dict]:
     """The whole scenario: every family, every capacity."""
     return {
@@ -126,7 +126,6 @@ def measure_engines(
             generate(family, size, statements),
             capacities=capacities,
             window=window,
-            batch=batch,
         )
         for family in families
     }
@@ -212,7 +211,7 @@ def check_batch_throughput(section: Optional[Dict]) -> List[str]:
         return [
             "the batch-throughput check needs the reduction family in "
             "the engine throughput sweep (run without --families "
-            "filters that exclude it, and without --no-batch)"
+            "filters that exclude it)"
         ]
     failures: List[str] = []
     for label in ("interleaved", "batched"):
@@ -233,18 +232,17 @@ def check_batch_throughput(section: Optional[Dict]) -> List[str]:
 
 def verify_engines(
     size: int = ENGINE_SMOKE_SIZE,
-    statements: int = 2,
+    statements: int = VERIFY_STATEMENTS,
     families: Sequence[str] = FAMILIES,
     windows: Sequence[int] = (1, ENGINE_WINDOW),
     capacities: Sequence[Optional[int]] = (4, 64),
-    batch_modes: Sequence[bool] = (False, True),
 ) -> List[str]:
     """Engine-equivalence check: HOSE/CASE final state vs sequential.
 
     Returns a list of human-readable failure descriptions (empty =
     everything bit-identical).  Used by ``python -m repro.bench
-    --verify-engines`` and the CI smoke step.  ``batch_modes`` sweeps
-    the replay protocol too, so the batched path is held to the same
+    --verify-engines`` and the CI smoke step.  Every configuration runs
+    in both replay modes, so the batched path is held to the same
     equivalence bar as the op-interleaved one.  Besides the families,
     every call sweeps the fuzz corpus ``VERIFY_CORPUS`` at windows 1 and
     ``ENGINE_WINDOW`` and capacities 2 and unbounded.
@@ -264,7 +262,7 @@ def verify_engines(
         for engine_cls in (HOSEEngine, CASEEngine):
             for window in case_windows:
                 for capacity in case_capacities:
-                    for batch in batch_modes:
+                    for batch in (False, True):
                         kwargs = {
                             "window": window,
                             "capacity": capacity,

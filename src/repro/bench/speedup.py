@@ -65,7 +65,6 @@ def measure_speedup_family(
     capacities: Sequence[Optional[int]] = SPEEDUP_CAPACITIES,
     cost: Optional[CostModel] = None,
     observer: Optional[Callable[..., None]] = None,
-    batch: bool = True,
 ) -> Dict:
     """Makespans and speedups of one workload, per configuration.
 
@@ -97,7 +96,7 @@ def measure_speedup_family(
                     "window": window,
                     "capacity": capacity,
                     "recorder": recorder,
-                    "batch": batch,
+                    "batch": True,
                 }
                 if engine_cls is CASEEngine:
                     kwargs["cache"] = analysis_cache
@@ -160,7 +159,6 @@ def measure_speedups(
     capacities: Sequence[Optional[int]] = SPEEDUP_CAPACITIES,
     cost: Optional[CostModel] = None,
     observer: Optional[Callable[..., None]] = None,
-    batch: bool = True,
 ) -> Dict[str, Dict]:
     """The whole scenario: every family, every configuration."""
     return {
@@ -171,7 +169,6 @@ def measure_speedups(
             capacities=capacities,
             cost=cost,
             observer=observer,
-            batch=batch,
         )
         for family in families
     }

@@ -157,7 +157,6 @@ DEFAULT_SIZES: Dict[str, int] = {
 }
 
 DEFAULT_STATEMENTS = 12
-SMOKE_SIZE = 16
 SMOKE_STATEMENTS = 3
 
 

@@ -16,9 +16,7 @@ Live instrumentation sites (e.g. the
 like the tracer, disabled metrics cost one attribute check per site.
 
 The histogram keeps exact ``count`` / ``sum`` / ``min`` / ``max`` plus a
-bounded sample buffer for p50 / p95 / stddev -- the same summary shape
-the bench harness reports per measurement, so bench artifacts and
-metrics snapshots read alike.
+bounded sample buffer for p50 / p95 / stddev.
 """
 
 from __future__ import annotations

@@ -68,7 +68,8 @@ the compiled attempts.  Timing is priced in bulk through
 :meth:`repro.timing.events.TimingRecorder.batched` event per attempt.
 
 Batching is opt-in (``batch=True`` on the engines; ``repro.bench``
-enables it by default with a ``--no-batch`` escape).  Regions the trace
+runs every scenario batched, and its throughput row and
+``--verify-engines`` also run op-interleaved replay).  Regions the trace
 cannot capture (input-dependent control flow, oversized traces,
 non-integral or out-of-bounds affine templates), runs under an op
 budget, and explicit regions use the op-stepped executor.

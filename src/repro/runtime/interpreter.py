@@ -5,7 +5,7 @@ Executes a whole :class:`~repro.ir.program.Program` against a single
 init section, every region segment by segment (loop iterations in
 iteration order, explicit segments following their control-flow edges),
 then the finale.  It is the ground truth all speculative engines are
-checked against and the workhorse the benchmark harness drives.
+checked against.
 
 Two execution paths produce identical operation streams:
 

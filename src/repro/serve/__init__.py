@@ -20,9 +20,9 @@ requests are in flight, and every response carries per-request timing
 and cache-delta metrics scoped through the :mod:`repro.obs` registry.
 
 Protocol spec and transcript examples: ``docs/SERVING.md``.  The
-``serve`` bench scenario (``python -m repro.bench --scenarios serve``)
-drives concurrent client sessions against one daemon and reports
-requests/sec and latency percentiles.
+``serve-mix`` and ``analyze-cold`` workloads of ``perfbench/run.py``
+drive a daemon child over TCP and report requests/sec and latency
+percentiles.
 """
 
 from repro.serve.dispatch import Dispatcher

@@ -1,8 +1,10 @@
-"""Benchmark subsystem tests: generators, harness, CLI output."""
+"""Benchmark subsystem tests: generators, engine rows, CLI output."""
 
 import json
 
-from repro.bench import FAMILIES, generate, generate_suite, measure_family
+import pytest
+
+from repro.bench import FAMILIES, generate, generate_suite
 from repro.bench.__main__ import main as bench_main
 from repro.runtime.interpreter import run_program
 
@@ -27,18 +29,6 @@ class TestWorkloads:
             raise AssertionError("expected ValueError")
 
 
-class TestHarness:
-    def test_measure_family_smoke(self):
-        workload = generate("reduction", 12, 2)
-        result = measure_family(workload, min_seconds=0.01, min_repeats=1)
-        assert result.analyze.per_second > 0
-        assert result.simulate.per_second > 0
-        assert result.replayed
-        payload = result.as_dict()
-        assert payload["family"] == "reduction"
-        assert payload["references"] == len(workload.region.references)
-
-
 class TestEngineRows:
     def test_rows_split_batch_fallbacks_by_reason(self):
         from repro.bench.engines import measure_engine_family
@@ -60,10 +50,11 @@ class TestCLI:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["meta"]["smoke"] is True
-        entry = report["families"]["stencil"]
-        assert entry["analyze_refs_per_s"] > 0
-        assert entry["simulate_ops_per_s"] > 0
-        assert entry["replayed"] is True
+        assert "families" not in report
+        assert report["engines"]["families"]["stencil"]["capacities"]
+        assert report["speedup"]["families"]["stencil"]["configs"]
+        assert "stencil" in report["chaos"]["programs"]
+        assert report["chaos"]["unrecovered"] == []
         assert sorted(FAMILIES) == sorted(
             ["guarded", "reduction", "sparse", "stencil"]
         )
@@ -71,8 +62,8 @@ class TestCLI:
     def test_list_scenarios(self, capsys):
         assert bench_main(["--list-scenarios"]) == 0
         captured = capsys.readouterr().out
-        for scenario in ("families", "engines", "speedup"):
-            assert scenario in captured
+        names = [line.split()[0] for line in captured.splitlines()]
+        assert names == ["chaos", "engines", "speedup"]
 
     def test_scenario_selection_runs_only_speedup(self, tmp_path):
         out = tmp_path / "speedup.json"
@@ -97,7 +88,6 @@ class TestCLI:
         assert code == 0
         report = json.loads(out.read_text())
         assert report["meta"]["scenarios"] == ["speedup"]
-        assert report["families"] == {}
         assert "engines" not in report
         entry = report["speedup"]["families"]["reduction"]
         assert entry["sequential_cycles"] > 0
@@ -136,5 +126,16 @@ class TestCLI:
         # combination must be refused, not silently skipped.
         assert bench_main(["--verify-engines", "--check-speedup"]) == 2
 
-    def test_empty_scenario_selection_rejected(self):
-        assert bench_main(["--scenarios", "engines", "--no-engines"]) == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--scenarios", "serve"],
+            ["--scenarios", "precision"],
+            ["--scenarios", "families"],
+            ["--no-batch"],
+        ],
+    )
+    def test_removed_scenarios_and_options_rejected(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            bench_main(argv)
+        assert excinfo.value.code == 2

@@ -16,7 +16,6 @@ import time
 import pytest
 
 import repro.obs as obs
-from repro.bench.harness import Measurement, measure_family
 from repro.bench.workloads import generate
 from repro.obs.export import (
     ChromeTraceBuilder,
@@ -470,31 +469,6 @@ class TestObsCli:
             json.dumps({"traceEvents": [{"ph": "X", "name": "n"}]})
         )
         assert obs_main(["validate", str(broken)]) == 1
-
-
-# ----------------------------------------------------------------------
-# bench harness dispersion (satellite: p50/p95/stddev in the report)
-# ----------------------------------------------------------------------
-class TestBenchDispersion:
-    def test_measurement_rate_stats(self):
-        m = Measurement(
-            seconds=0.5, work_units=100, repeats=4,
-            samples=[0.5, 1.0, 2.0, 4.0],
-        )
-        stats = m.rate_stats()
-        assert set(stats) == {"p50", "p95", "stddev"}
-        # Rates are 200/100/50/25 units/s; interpolated median is 75.
-        assert stats["p50"] == 75.0
-
-    def test_family_result_carries_dispersion(self):
-        workload = generate("reduction", size=6, statements=2)
-        result = measure_family(workload, min_seconds=0.01)
-        payload = result.as_dict()
-        for key in ("analyze_stats", "analyze_warm_stats", "simulate_stats"):
-            assert set(payload[key]) == {"p50", "p95", "stddev"}
-            assert payload[key]["p50"] > 0
-        assert len(result.analyze.samples) == result.analyze.repeats
-        assert min(result.analyze.samples) == result.analyze.seconds
 
 
 # ----------------------------------------------------------------------

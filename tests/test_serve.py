@@ -629,38 +629,64 @@ class TestTCPServer:
     def test_concurrent_sessions_share_cache(self, server):
         clients = [_Client(server.port) for _ in range(4)]
         errors = []
+        diverged = []
+        answered = []
 
-        def hammer(client):
+        def call(client, method, params):
             # The fixture pool is tiny (max_inflight=2), so four
             # hammering sessions legitimately see OVERLOADED -- honour
             # the 429 and retry, fail on anything else.
+            for _attempt in range(50):
+                response = client.call(method, params)
+                error = response.get("error")
+                if error and error.get("code") == OVERLOADED:
+                    time.sleep(0.02)
+                    continue
+                break
+            if "result" not in response:
+                errors.append(response)
+                return {}
+            answered.append(method)
+            return response["result"]
+
+        def hammer(index, client):
             for _ in range(3):
-                for _attempt in range(50):
-                    response = client.call("analyze", {"dsl": DSL})
-                    error = response.get("error")
-                    if error and error.get("code") == OVERLOADED:
-                        time.sleep(0.02)
-                        continue
-                    break
-                if "result" not in response:
-                    errors.append(response)
+                call(client, "analyze", {"dsl": DSL})
+            engine = "case" if index % 2 else "hose"
+            result = call(client, "simulate", {"dsl": DSL, "engine": engine})
+            if result.get("bit_identical") is not True:
+                diverged.append(("simulate", engine, result))
+            result = call(client, "speedup_sweep", {"dsl": DSL})
+            sides = result.get("engines", {})
+            if set(sides) != {"hose", "case"}:
+                diverged.append(("speedup_sweep", sorted(sides)))
+            for name, side in sides.items():
+                if side["bit_identical"] is not True:
+                    diverged.append(("speedup_sweep", name, side))
 
         try:
             threads = [
-                threading.Thread(target=hammer, args=(c,)) for c in clients
+                threading.Thread(target=hammer, args=(i, c))
+                for i, c in enumerate(clients)
             ]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=120)
             assert not errors
+            assert not diverged
+            # Every session's every request was answered (none dropped).
+            assert len(answered) == 4 * 5
             stats = server.dispatcher.cache.stats()
             assert stats["hits"] > 0, "no cross-request warm hits"
             assert server.dispatcher.interned_programs() == 1
             metrics = clients[0].call("metrics")["result"]
             assert metrics["cache"]["hits"] == stats["hits"]
-            # analyze never needs the sequential ground truth.
-            assert metrics["ground_truth"] == {"hits": 0, "misses": 0, "entries": 0}
+            # Only simulate and speedup_sweep consult the sequential
+            # ground truth, memoized once for the one interned program.
+            truth = metrics["ground_truth"]
+            assert truth["hits"] + truth["misses"] == 4 + 4
+            assert truth["entries"] == 1
             assert set(metrics["request_ms"]) == {"p50", "p95"}
         finally:
             for client in clients:
