@@ -45,7 +45,7 @@ from repro.ir.reference import MemoryReference
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.ir.region import Region
-from repro.ir.stmt import Do
+from repro.ir.stmt import LoopHeader
 from repro.ir.types import AccessType, NodeMark
 
 
@@ -176,7 +176,7 @@ def reference_is_deterministic(
 # ----------------------------------------------------------------------
 # Rectangle construction and coverage
 # ----------------------------------------------------------------------
-def _loop_bounds(do: Do) -> Optional[Tuple[int, int]]:
+def _loop_bounds(do: LoopHeader) -> Optional[Tuple[int, int]]:
     """Constant iteration range of an inner DO, normalised so lo <= hi."""
     lo = const_int(do.lower)
     hi = const_int(do.upper)
@@ -196,7 +196,7 @@ def _loop_bounds(do: Do) -> Optional[Tuple[int, int]]:
 
 def reference_dims(
     ref: MemoryReference,
-    expand_loops: Set[Do],
+    expand_loops: Set[LoopHeader],
     region_index: Optional[str],
     read_only_vars: Set[str],
 ) -> Tuple[Dim, ...]:
@@ -385,7 +385,7 @@ def summarize_segment(
     ordered = sorted(references, key=lambda r: r.order)
     # Address determinism, decided once per (subscripts, enclosing loops) and
     # not at all for a variable already known to be non-deterministic.
-    deterministic: Dict[Tuple[Tuple[Expr, ...], Tuple[Do, ...]], bool] = {}
+    deterministic: Dict[Tuple[Tuple[Expr, ...], Tuple[LoopHeader, ...]], bool] = {}
 
     for ref in ordered:
         info = per_var.get(ref.variable)

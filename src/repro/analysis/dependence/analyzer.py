@@ -266,7 +266,7 @@ class DependenceAnalyzer:
         # A reference's *pattern* is everything about it that the per-pair
         # decision reads: its signature group (which fixes the relation
         # set), access type, textual subscripts (the intra-segment reverse
-        # test compares them), the identity of its enclosing ``Do`` tuple
+        # test compares them), the identity of its enclosing loop-header tuple
         # (the shared inner loops) and whether its variable is private.
         # Two pairs with equal patterns, the same ``ref_a is ref_b`` and the
         # same order comparison emit the same edges, so each plan key is

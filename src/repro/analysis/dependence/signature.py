@@ -50,7 +50,7 @@ from repro.analysis.dependence.subscript_tests import (
 )
 from repro.ir.reference import MemoryReference
 from repro.ir.region import LoopRegion
-from repro.ir.stmt import Do
+from repro.ir.stmt import LoopHeader
 
 
 @dataclass(frozen=True)
@@ -120,8 +120,7 @@ class SignatureIndex:
 
     Build one per (region, invariant-symbol set); ask it for
     :meth:`group_of` each reference and :meth:`relations_of_groups` for
-    pairs.  The index also exposes hit/miss counters (:meth:`stats`)
-    for diagnosing pruning effectiveness.
+    pairs.
     """
 
     region: LoopRegion
@@ -130,10 +129,9 @@ class SignatureIndex:
     _group_ids: Dict[ReferenceSignature, int] = field(default_factory=dict)
     _groups: List[ReferenceSignature] = field(default_factory=list)
     _ref_groups: Dict[str, int] = field(default_factory=dict)
-    _shape_groups: Dict[Tuple[Tuple[str, ...], Tuple[Do, ...]], int] = field(default_factory=dict)
+    _shape_groups: Dict[Tuple[Tuple[str, ...], Tuple[LoopHeader, ...]], int] = field(
+        default_factory=dict)
     _pair_relations: Dict[Tuple[int, int], RelationSet] = field(default_factory=dict)
-    pair_tests_run: int = 0
-    pair_tests_saved: int = 0
 
     def __post_init__(self) -> None:
         self.bounds = LoopBounds.of_region(self.region)
@@ -165,13 +163,11 @@ class SignatureIndex:
         key = (gid_a, gid_b)
         cached = self._pair_relations.get(key)
         if cached is not None:
-            self.pair_tests_saved += 1
             return cached
         relations = relation_of_signature_pair(
             self._groups[gid_a], self._groups[gid_b], self.bounds
         )
         self._pair_relations[key] = relations
-        self.pair_tests_run += 1
         return relations
 
     def relations_of(
@@ -183,13 +179,3 @@ class SignatureIndex:
     # ------------------------------------------------------------------
     def group_count(self) -> int:
         return len(self._groups)
-
-    def stats(self) -> Dict[str, int]:
-        """Counters for diagnostics (``pair_tests_saved`` counts
-        plan-key lookups, not reference pairs)."""
-        return {
-            "groups": len(self._groups),
-            "references": len(self._ref_groups),
-            "pair_tests_run": self.pair_tests_run,
-            "pair_tests_saved": self.pair_tests_saved,
-        }

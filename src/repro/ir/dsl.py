@@ -227,6 +227,10 @@ def _parse_tokens(
                     f"unexpected character {token!r}", line_no
                 ) from None
         raise
+    finally:
+        # ``parse`` holds itself through its closure cell: emptying the cell
+        # lets reference counting free the closures, on every path.
+        del parse
     return result
 
 

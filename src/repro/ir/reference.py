@@ -20,6 +20,11 @@ References are extracted from a segment body by
   which the must-define / exposed-read analysis needs;
 * records whether the reference sits inside an inner sequential loop,
   which the dynamic-count weighting uses.
+
+A reference does not point into the statement tree that owns it: its
+statement holds it (``stmt.reads``, ``stmt.write``,
+``stmt.control_reads``), and its enclosing loops are named by their
+:class:`~repro.ir.stmt.LoopHeader`.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Sequence, Set, Tuple
 
 from repro.ir.expr import Expr
-from repro.ir.stmt import Assign, Do, If, Statement, StatementError
+from repro.ir.stmt import Assign, Do, If, LoopHeader, Statement, StatementError
 from repro.ir.types import AccessType
 
 
@@ -44,17 +49,17 @@ class MemoryReference:
     variable: str
     access: AccessType
     subscripts: Tuple[Expr, ...]
-    stmt: Statement
     segment: str
     region: str
     order: int
     conditional: bool = False
     in_inner_loop: bool = False
     is_control: bool = False
-    #: The ``Do`` statements enclosing the reference, outermost first.
-    #: The affine subscript, coverage and dependence analyses read both
-    #: the index names and the (constant) bounds off these statements.
-    enclosing_loops: Tuple[Do, ...] = ()
+    #: The headers of the ``Do`` loops enclosing the reference, outermost
+    #: first (one header per loop, so identity compares loops).  The affine
+    #: subscript, coverage and dependence analyses read both the index
+    #: names and the (constant) bounds off these headers.
+    enclosing_loops: Tuple[LoopHeader, ...] = ()
 
     # ------------------------------------------------------------------
     @property
@@ -107,7 +112,7 @@ class _ExtractionContext:
     locals_in_scope: Set[str] = field(default_factory=set)
     conditional: bool = False
     in_inner_loop: bool = False
-    enclosing_loops: Tuple[Do, ...] = ()
+    enclosing_loops: Tuple[LoopHeader, ...] = ()
     order: int = 0
     counter: int = 0
     out: List[MemoryReference] = field(default_factory=list)
@@ -118,7 +123,6 @@ def _emit(
     variable: str,
     access: AccessType,
     subscripts: Tuple[Expr, ...],
-    stmt: Statement,
     conditional: bool,
     is_control: bool = False,
 ) -> MemoryReference:
@@ -126,10 +130,10 @@ def _emit(
     counter, order = ctx.counter, ctx.order
     ctx.counter, ctx.order = counter + 1, order + 1
     tag = "w" if access is AccessType.WRITE else "r"
-    # Positional arguments in field order: matching twelve keywords would
+    # Positional arguments in field order: matching eleven keywords would
     # cost more than building the reference.
     ref = MemoryReference(
-        f"{ctx.uid_prefix}.{tag}{counter}", variable, access, subscripts, stmt,
+        f"{ctx.uid_prefix}.{tag}{counter}", variable, access, subscripts,
         ctx.segment, ctx.region, order, conditional, ctx.in_inner_loop, is_control,
         ctx.enclosing_loops,
     )
@@ -140,7 +144,6 @@ def _emit(
 def _emit_expr_reads(
     ctx: _ExtractionContext,
     expr: Expr,
-    stmt: Statement,
     conditional: bool,
     is_control: bool = False,
 ) -> List[MemoryReference]:
@@ -148,7 +151,7 @@ def _emit_expr_reads(
     for name, subscripts in expr.reads():
         if name not in ctx.locals_in_scope:
             refs.append(
-                _emit(ctx, name, AccessType.READ, subscripts, stmt, conditional, is_control)
+                _emit(ctx, name, AccessType.READ, subscripts, conditional, is_control)
             )
     return refs
 
@@ -171,11 +174,11 @@ def _walk_assign(ctx: _ExtractionContext, stmt: Assign) -> None:
     guarded = ctx.conditional or stmt.guard is not None
     if stmt.guard is not None:
         stmt.control_reads.extend(
-            _emit_expr_reads(ctx, stmt.guard, stmt, ctx.conditional, is_control=True)
+            _emit_expr_reads(ctx, stmt.guard, ctx.conditional, is_control=True)
         )
-    stmt.reads.extend(_emit_expr_reads(ctx, stmt.rhs, stmt, guarded))
+    stmt.reads.extend(_emit_expr_reads(ctx, stmt.rhs, guarded))
     for sub in stmt.target_subscripts:
-        stmt.reads.extend(_emit_expr_reads(ctx, sub, stmt, guarded))
+        stmt.reads.extend(_emit_expr_reads(ctx, sub, guarded))
     if stmt.target in ctx.locals_in_scope:
         raise StatementError(
             f"assignment to induction local {stmt.target!r} is not allowed"
@@ -185,14 +188,13 @@ def _walk_assign(ctx: _ExtractionContext, stmt: Assign) -> None:
         stmt.target,
         AccessType.WRITE,
         stmt.target_subscripts,
-        stmt,
         guarded,
     )
 
 
 def _walk_if(ctx: _ExtractionContext, stmt: If) -> None:
     stmt.control_reads = _emit_expr_reads(
-        ctx, stmt.cond, stmt, ctx.conditional, is_control=True
+        ctx, stmt.cond, ctx.conditional, is_control=True
     )
     stmt.reads = []
     stmt.write = None
@@ -207,11 +209,12 @@ def _walk_do(ctx: _ExtractionContext, stmt: Do) -> None:
     stmt.control_reads = []
     stmt.reads = []
     stmt.write = None
-    for bound in (stmt.lower, stmt.upper, stmt.step):
+    header = stmt.header
+    for bound in (header.lower, header.upper, header.step):
         stmt.control_reads.extend(
-            _emit_expr_reads(ctx, bound, stmt, ctx.conditional, is_control=True)
+            _emit_expr_reads(ctx, bound, ctx.conditional, is_control=True)
         )
-    trip = stmt.constant_trip_count()
+    trip = header.constant_trip_count()
     guaranteed = trip is not None and trip >= 1
     saved_cond = ctx.conditional
     saved_inner = ctx.in_inner_loop
@@ -219,8 +222,8 @@ def _walk_do(ctx: _ExtractionContext, stmt: Do) -> None:
     saved_loops = ctx.enclosing_loops
     ctx.conditional = ctx.conditional or not guaranteed
     ctx.in_inner_loop = True
-    ctx.locals_in_scope = saved_locals | {stmt.index}
-    ctx.enclosing_loops = saved_loops + (stmt,)
+    ctx.locals_in_scope = saved_locals | {header.index}
+    ctx.enclosing_loops = saved_loops + (header,)
     _walk_body(ctx, stmt.body)
     ctx.conditional = saved_cond
     ctx.in_inner_loop = saved_inner

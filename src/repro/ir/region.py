@@ -248,10 +248,9 @@ class ExplicitRegion(Region):
                     uid_prefix=f"{name}.{seg.name}.branch",
                 )
                 ctx.order = len(seg.references)
-                branch_stmt = seg.body[-1] if seg.body else None
-                if branch_stmt is not None:
+                if seg.body:
                     refs = _emit_expr_reads(
-                        ctx, seg.branch, branch_stmt, conditional=False, is_control=True
+                        ctx, seg.branch, conditional=False, is_control=True
                     )
                     seg.references.extend(refs)
             self.references.extend(seg.references)

@@ -10,16 +10,18 @@ Loop index variables of ``DO`` statements are *induction locals*: they
 model the architected, non-speculative loop variables of Section 4.2.2
 and are not memory references.  Every other variable access is a memory
 reference and is materialised by :mod:`repro.ir.reference`.
+
+Ownership runs one way: statements own their references, and a reference
+never points back into the statement tree (it names its enclosing loops
+by their :class:`LoopHeader`, which holds no statement).  A program is
+therefore acyclic and freed by reference counting alone.
 """
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.ir.expr import Expr, ExprLike, as_expr
-
-_stmt_counter = itertools.count()
+from repro.ir.expr import Expr, ExprLike, as_expr, const_int
 
 
 class StatementError(Exception):
@@ -42,16 +44,13 @@ class Statement:
 
     # __weakref__ lets caches (e.g. the executor's per-statement cost
     # cache) key on statements without keeping them alive.
-    __slots__ = ("sid", "reads", "write", "control_reads", "_token", "__weakref__")
+    __slots__ = ("sid", "reads", "write", "control_reads", "__weakref__")
 
     def __init__(self) -> None:
         self.sid: Optional[str] = None
         self.reads = None
         self.write = None
         self.control_reads = None
-        # Unique creation token so identical-looking statements still have
-        # distinct identities (needed because references hang off them).
-        self._token = next(_stmt_counter)
 
     # -- structure ------------------------------------------------------
     def child_bodies(self) -> Tuple[List["Statement"], ...]:
@@ -134,6 +133,39 @@ class If(Statement):
         return f"if ({self.cond}) then <{len(self.then_body)} stmts> else <{len(self.else_body)} stmts>"
 
 
+class LoopHeader:
+    """The header of one ``Do``: its index, bounds, step and statement id.
+
+    Each ``Do`` owns exactly one header and keeps its header fields there.
+    References name their enclosing loops by header
+    (:attr:`MemoryReference.enclosing_loops`), so analyses compare loops by
+    header identity without a reference pointing into the loop body.
+    """
+
+    __slots__ = ("index", "lower", "upper", "step", "sid")
+
+    def __init__(self, index: str, lower: Expr, upper: Expr, step: Expr):
+        self.index = index
+        self.lower = lower
+        self.upper = upper
+        self.step = step
+        self.sid: Optional[str] = None
+
+    def constant_trip_count(self) -> Optional[int]:
+        """Trip count when all bounds are integer constants, else ``None``."""
+        lo = const_int(self.lower)
+        hi = const_int(self.upper)
+        st = const_int(self.step)
+        if lo is None or hi is None or st is None:
+            return None
+        if st == 0:
+            return 0
+        return max(0, (hi - lo) // st + 1)
+
+    def __repr__(self) -> str:  # pragma: no cover - cosmetic
+        return f"<LoopHeader {self.sid or '?'} {self.index}>"
+
+
 class Do(Statement):
     """Counted loop executed sequentially inside a segment.
 
@@ -141,10 +173,11 @@ class Do(Statement):
     ``step`` may be negative for count-down loops; a zero step is
     rejected.  The loop executes while ``index`` lies inclusively between
     ``lower`` and ``upper`` (in the direction of ``step``), mirroring the
-    Fortran ``DO`` semantics.
+    Fortran ``DO`` semantics.  ``index``, the bounds and ``sid`` live in
+    the loop's :attr:`header`.
     """
 
-    __slots__ = ("index", "lower", "upper", "step", "body")
+    __slots__ = ("header", "body")
 
     def __init__(
         self,
@@ -154,13 +187,10 @@ class Do(Statement):
         body: Sequence[Statement],
         step: Union[int, ExprLike] = 1,
     ):
-        super().__init__()
         if not index:
             raise StatementError("DO loop needs an index variable")
-        self.index = index
-        self.lower: Expr = as_expr(lower)
-        self.upper: Expr = as_expr(upper)
-        self.step: Expr = as_expr(step)
+        self.header = LoopHeader(index, as_expr(lower), as_expr(upper), as_expr(step))
+        super().__init__()
         self.body: List[Statement] = list(body)
         for stmt in self.body:
             if not isinstance(stmt, Statement):
@@ -169,18 +199,33 @@ class Do(Statement):
     def child_bodies(self) -> Tuple[List[Statement], ...]:
         return (self.body,)
 
+    @property
+    def index(self) -> str:
+        return self.header.index
+
+    @property
+    def lower(self) -> Expr:
+        return self.header.lower
+
+    @property
+    def upper(self) -> Expr:
+        return self.header.upper
+
+    @property
+    def step(self) -> Expr:
+        return self.header.step
+
+    @property
+    def sid(self) -> Optional[str]:
+        return self.header.sid
+
+    @sid.setter
+    def sid(self, value: Optional[str]) -> None:
+        self.header.sid = value
+
     def constant_trip_count(self) -> Optional[int]:
         """Trip count when all bounds are integer constants, else ``None``."""
-        from repro.ir.expr import const_int
-
-        lo = const_int(self.lower)
-        hi = const_int(self.upper)
-        st = const_int(self.step)
-        if lo is None or hi is None or st is None:
-            return None
-        if st == 0:
-            return 0
-        return max(0, (hi - lo) // st + 1)
+        return self.header.constant_trip_count()
 
     def __str__(self) -> str:
         return (

@@ -345,7 +345,8 @@ def _compile_attempt(region: str, shapes: List[Tuple], address_of):
         "AddressError": AddressError,
     }
     exec(compile(source, f"<batch attempt {region}>", "exec"), namespace)
-    return namespace["attempt"]
+    # Taken out of its own globals, so the function is freed by refcount.
+    return namespace.pop("attempt")
 
 
 # ----------------------------------------------------------------------

@@ -590,6 +590,36 @@ def _control_expr_ok(
     return True
 
 
+def _check_body(
+    body: Sequence[Statement], scope: Set[str], invariant: Set[str]
+) -> Optional[str]:
+    """The first control expression of ``body`` that reads region input."""
+    for stmt in body:
+        if isinstance(stmt, Assign):
+            if stmt.guard is not None and not _control_expr_ok(
+                stmt.guard, scope, invariant
+            ):
+                return f"guard {stmt.guard} of {stmt.sid or stmt.target}"
+        elif isinstance(stmt, If):
+            if not _control_expr_ok(stmt.cond, scope, invariant):
+                return f"IF condition {stmt.cond}"
+            reason = _check_body(stmt.then_body, scope, invariant)
+            if reason is None:
+                reason = _check_body(stmt.else_body, scope, invariant)
+            if reason is not None:
+                return reason
+        elif isinstance(stmt, Do):
+            for bound in (stmt.lower, stmt.upper, stmt.step):
+                if not _control_expr_ok(bound, scope, invariant):
+                    return f"DO bound {bound} of loop {stmt.index}"
+            reason = _check_body(stmt.body, scope | {stmt.index}, invariant)
+            if reason is not None:
+                return reason
+        else:  # pragma: no cover - defensive
+            return f"unknown statement {type(stmt).__name__}"
+    return None
+
+
 def trace_eligibility(
     region: LoopRegion, read_only: Optional[Set[str]] = None
 ) -> Tuple[bool, str]:
@@ -603,34 +633,7 @@ def trace_eligibility(
 
         read_only = read_only_variables(region)
     invariant = {v for v in read_only}
-
-    def check_body(body: Sequence[Statement], scope: Set[str]) -> Optional[str]:
-        for stmt in body:
-            if isinstance(stmt, Assign):
-                if stmt.guard is not None and not _control_expr_ok(
-                    stmt.guard, scope, invariant
-                ):
-                    return f"guard {stmt.guard} of {stmt.sid or stmt.target}"
-            elif isinstance(stmt, If):
-                if not _control_expr_ok(stmt.cond, scope, invariant):
-                    return f"IF condition {stmt.cond}"
-                reason = check_body(stmt.then_body, scope)
-                if reason is None:
-                    reason = check_body(stmt.else_body, scope)
-                if reason is not None:
-                    return reason
-            elif isinstance(stmt, Do):
-                for bound in (stmt.lower, stmt.upper, stmt.step):
-                    if not _control_expr_ok(bound, scope, invariant):
-                        return f"DO bound {bound} of loop {stmt.index}"
-                reason = check_body(stmt.body, scope | {stmt.index})
-                if reason is not None:
-                    return reason
-            else:  # pragma: no cover - defensive
-                return f"unknown statement {type(stmt).__name__}"
-        return None
-
-    reason = check_body(region.body, set())
+    reason = _check_body(region.body, set(), invariant)
     if reason is not None:
         return False, f"control flow depends on region input: {reason}"
     return True, "eligible"
@@ -775,7 +778,12 @@ def record_trace(
                 else:
                     env.pop(stmt.index, None)
 
-    rec_body(tree, {})
+    try:
+        rec_body(tree, {})
+    finally:
+        # ``rec_body`` holds itself through its closure cell (and with it the
+        # region): emptying the cell lets reference counting free both.
+        del rec_body
     return trace
 
 

@@ -1,11 +1,13 @@
 """Shared fixtures and helpers for the test suite."""
 
+import importlib.util
 import os
 import sys
 
 # Allow running pytest without an installed package (the tier-1 command
 # sets PYTHONPATH=src; this keeps bare `pytest` working too).
-_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+_SRC = os.path.join(_ROOT, "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
@@ -28,3 +30,17 @@ def drive_stream(coroutine, memory: MemoryImage):
                 op = coroutine.send(None)
     except StopIteration:
         return ops
+
+
+def perfbench_inputs():
+    """The benchmark's seeded inputs module (``perfbench/inputs.py``)."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_inputs", os.path.join(_ROOT, "perfbench", "inputs.py")
+    )
+    inputs = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = inputs  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(inputs)
+    finally:
+        del sys.modules[spec.name]
+    return inputs

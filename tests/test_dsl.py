@@ -1,12 +1,9 @@
 """DSL front-end contract: expression trees, error messages, keyword
 statements and the printer round trip."""
 
-import importlib.util
-import os
-import sys
-
 import pytest
 
+from conftest import perfbench_inputs
 from repro.corpus.generator import corpus
 from repro.ir.dsl import DSLSyntaxError, parse_expression, parse_program
 from repro.ir.expr import BinOp, Call, Const, ExpressionError, Index, UnaryOp, Var
@@ -349,16 +346,7 @@ def program_shapes(program):
 
 
 def _cold_pool_sources():
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_inputs", os.path.join(root, "perfbench", "inputs.py")
-    )
-    inputs = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = inputs  # dataclasses look their module up
-    try:
-        spec.loader.exec_module(inputs)
-    finally:
-        del sys.modules[spec.name]
+    inputs = perfbench_inputs()
     return [base.source for base in inputs.cold_pool(1)] + inputs.mix_sources(1)
 
 
@@ -400,16 +388,33 @@ def test_not_equal_guard_round_trip():
 # Front-end differential oracle: the references of a program built
 # through the checking constructors equal those of its printed text.
 # ----------------------------------------------------------------------
+def _owners(region):
+    """The id of each reference's owning statement and of each loop
+    header's ``Do``, found from the statement tree: references do not
+    point back into it."""
+    owner, loops = {}, {}
+    for segment in region.segment_names():
+        for top in region.segment_body(segment):
+            for stmt in top.walk():
+                for ref in [*(stmt.control_reads or ()), *(stmt.reads or ()), stmt.write]:
+                    if ref is not None:
+                        owner[id(ref)] = stmt.sid
+                if isinstance(stmt, Do):
+                    loops[id(stmt.header)] = stmt.sid
+    return owner, loops
+
+
 def _reference_fields(program):
     out = []
     for region in program.regions:
+        owner, loops = _owners(region)
         for ref in region.references:
             out.append((
                 ref.uid, ref.variable, ref.access,
                 tuple(shape(s) for s in ref.subscripts),
                 ref.order, ref.conditional, ref.in_inner_loop, ref.is_control,
-                ref.segment, ref.stmt.sid,
-                tuple(do.sid for do in ref.enclosing_loops),
+                ref.segment, owner.get(id(ref)),
+                tuple(loops[id(header)] for header in ref.enclosing_loops),
             ))
     return out
 

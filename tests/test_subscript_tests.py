@@ -14,6 +14,7 @@ from repro.analysis.dependence.subscript_tests import (
 )
 from repro.analysis.readonly import read_only_variables
 from repro.ir.dsl import parse_program
+from repro.ir.stmt import Do
 
 
 def region_of(body: str, *, decls: str, header: str = "do i = 1, 10"):
@@ -119,12 +120,23 @@ class TestInnerLoopRanges:
     def test_enclosing_loops_carry_do_statements(self):
         body = """    do t = 1, 4
       a(t, j) = a(t, j) + 1
+    end do
+    do t = 1, 3
+      a(t, j) = 0
     end do"""
         region = region_of(body, decls="  real a(4, 12)", header="do j = 1, 10")
         ref = refs_of(region, "a", "write")[0]
-        (do_stmt,) = ref.enclosing_loops
-        assert do_stmt.index == "t"
-        assert do_stmt.constant_trip_count() == 4
+        (header,) = ref.enclosing_loops
+        assert header.index == "t"
+        assert header.constant_trip_count() == 4
+        # One header per Do: each loop's references name its own header.
+        first, second = region.body
+        assert isinstance(first, Do) and first.header is header
+        assert header.sid == first.sid
+        assert first.header is not second.header
+        assert [r.enclosing_loops for r in region.references] == (
+            [(first.header,)] * 2 + [(second.header,)]
+        )
 
 
 class TestSignatures:
