@@ -25,8 +25,9 @@ run, ``--list-scenarios`` enumerates them).  Each is a gate for what the
     ``chaos`` key; exit 1 on any unrecovered run; see
     ``docs/ROBUSTNESS.md``).
 
-Every engine run uses the batched segment-replay protocol; the
-throughput row and ``--verify-engines`` also run op-interleaved replay.
+The scenarios run the op-stepped executor, whose violations and
+overflow stalls are the model's dynamics; the throughput row and
+``--verify-engines`` also run the batched segment replay.
 
 Common invocations::
 
@@ -42,7 +43,8 @@ Common invocations::
     python -m repro.bench --scenarios speedup --check-speedup
                                           # also assert HOSE on P=4 beats
                                           # sequential on the parallel
-                                          # families
+                                          # families and CASE doubles
+                                          # HOSE's speedup at capacity 8
     python -m repro.bench --scenarios engines --check-batch
                                           # also assert the batched replay
                                           # protocol beats op-interleaving
@@ -104,6 +106,7 @@ from repro.bench.speedup import (
     SPEEDUP_STATEMENTS,
     SPEEDUP_WINDOWS,
     check_embarrassing_speedup,
+    check_overflow_speedup,
     measure_speedups,
 )
 from repro.bench.workloads import FAMILIES, SMOKE_STATEMENTS
@@ -196,7 +199,8 @@ def _parse_args(argv):
         "--check-speedup",
         action="store_true",
         help="exit 1 unless HOSE on 4 processors beats the sequential "
-        "cycle total on the embarrassingly-parallel families",
+        "cycle total on the embarrassingly-parallel families, and CASE's "
+        "speedup on reduction at capacity 8 is at least twice HOSE's",
     )
     parser.add_argument(
         "--check-batch",
@@ -593,14 +597,17 @@ def main(argv=None) -> int:
             )
             return 1
         if args.check_speedup:
-            failures = check_embarrassing_speedup(speedup_section, processors=4)
+            failures = check_embarrassing_speedup(
+                speedup_section, processors=4
+            ) + check_overflow_speedup(speedup_section, processors=4)
             for failure in failures:
                 LOG.error(f"FAIL {failure}")
             if failures:
                 return 1
             LOG.info(
                 "speedup check OK (HOSE on 4 processors beats "
-                "sequential on the embarrassingly-parallel families)"
+                "sequential on the embarrassingly-parallel families; CASE "
+                "at least doubles HOSE's speedup where HOSE overflows)"
             )
     if chaos_section is not None:
         for name, entry in chaos_section["programs"].items():

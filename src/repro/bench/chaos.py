@@ -121,7 +121,6 @@ def _run_row(
         capacity=CHAOS_CAPACITY,
         max_restarts=CHAOS_MAX_RESTARTS,
         watchdog_rounds=CHAOS_WATCHDOG_ROUNDS,
-        batch=True,
     )
     recovered = not sequential_values.differences(result.memory, tolerance=0.0)
     row: Dict = {
@@ -185,7 +184,6 @@ def measure_chaos(
                 window=CHAOS_WINDOW,
                 capacity=CHAOS_CAPACITY,
                 auditor=auditor,
-                batch=True,
             ).run()
             clean = (
                 not result.degraded

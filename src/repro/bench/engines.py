@@ -66,11 +66,6 @@ def _engine_row(result: SpeculativeResult, matches: bool) -> Dict:
         "idempotent_accesses": stats.idempotent_accesses,
         "private_accesses": stats.private_accesses,
         "segments_committed": stats.segments_committed,
-        "batched_attempts": stats.batched_attempts,
-        "batch_fallbacks": stats.batch_fallbacks,
-        "batch_drains": stats.batch_drains,
-        "batch_reexecutions": stats.batch_reexecutions,
-        "batch_violations": stats.batch_violations,
         "matches_sequential": matches,
     }
 
@@ -95,7 +90,7 @@ def measure_engine_family(
     for capacity in capacities:
         row: Dict[str, Dict] = {}
         for name, engine_cls in (("hose", HOSEEngine), ("case", CASEEngine)):
-            kwargs = {"window": window, "capacity": capacity, "batch": True}
+            kwargs = {"window": window, "capacity": capacity}
             if engine_cls is CASEEngine:
                 kwargs["cache"] = analysis_cache
             result = engine_cls(workload.program, **kwargs).run()

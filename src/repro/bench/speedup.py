@@ -22,7 +22,10 @@ same references around speculative storage and keep scaling;
 ``stencil`` / ``sparse`` / ``guarded`` pay real violation rollbacks.
 :func:`check_embarrassing_speedup` packages the headline invariant
 (best HOSE makespan on 4 processors strictly below the sequential cycle
-total on ``reduction``) for the CI smoke step.
+total on ``reduction``) for the CI smoke step, and
+:func:`check_overflow_speedup` the paper's claim in time (CASE at least
+twice HOSE's speedup on ``reduction`` where HOSE overflows).  The runs
+are op-stepped: batched attempts never overflow partway through.
 """
 
 from __future__ import annotations
@@ -40,10 +43,14 @@ from repro.timing.makespan import compute_makespan, sequential_baseline
 SPEEDUP_PROCESSORS: Tuple[int, ...] = (1, 2, 4, 8)
 #: In-flight windows swept (crossed with capacities).
 SPEEDUP_WINDOWS: Tuple[int, ...] = (4, 8)
-#: Per-segment speculative capacities swept.  8 is deliberately tight:
-#: it overflows HOSE on every family (read access info counts against
-#: capacity) and shows the labels' effect on *time*, not just storage.
-SPEEDUP_CAPACITIES: Tuple[Optional[int], ...] = (8, 64)
+#: A deliberately tight capacity: it overflows HOSE on every family
+#: (read access info counts against capacity) and shows the labels'
+#: effect on *time*, not just storage.
+OVERFLOW_CAPACITY = 8
+#: How many times HOSE's speedup CASE must reach there on ``reduction``.
+OVERFLOW_SPEEDUP_RATIO = 2.0
+#: Per-segment speculative capacities swept.
+SPEEDUP_CAPACITIES: Tuple[Optional[int], ...] = (OVERFLOW_CAPACITY, 64)
 #: Workload shape (the engines interleave ops in pure Python, so the
 #: scenario uses the engine-bench sizes, not the throughput sizes).
 SPEEDUP_SIZE = 20
@@ -96,7 +103,6 @@ def measure_speedup_family(
                     "window": window,
                     "capacity": capacity,
                     "recorder": recorder,
-                    "batch": True,
                 }
                 if engine_cls is CASEEngine:
                     kwargs["cache"] = analysis_cache
@@ -208,5 +214,33 @@ def check_embarrassing_speedup(
             failures.append(
                 f"{family}: best HOSE makespan on P={processors} is {best}, "
                 f"not below the sequential total {baseline}"
+            )
+    return failures
+
+
+def check_overflow_speedup(section: Dict, processors: int = 4) -> List[str]:
+    """CI invariant: CASE keeps scaling where HOSE overflows.
+
+    On ``reduction`` at capacity ``OVERFLOW_CAPACITY``, CASE's speedup
+    on ``processors`` processors must be at least
+    ``OVERFLOW_SPEEDUP_RATIO`` times HOSE's at every swept window.  A
+    sweep without that row fails rather than passing vacuously.
+    """
+    configs = section.get("families", {}).get("reduction", {}).get("configs", {})
+    rows = [row for row in configs.values() if row["capacity"] == OVERFLOW_CAPACITY]
+    if not rows:
+        return [
+            f"reduction at capacity {OVERFLOW_CAPACITY} was not measured; "
+            "the overflow speedup check cannot pass vacuously"
+        ]
+    key = str(processors)
+    failures: List[str] = []
+    for row in rows:
+        hose, case = (row[side]["processors"][key]["speedup"] for side in ("hose", "case"))
+        if case < OVERFLOW_SPEEDUP_RATIO * hose:
+            failures.append(
+                f"reduction (window {row['window']}, capacity "
+                f"{OVERFLOW_CAPACITY}): CASE speedup {case}x on P={processors} "
+                f"is not {OVERFLOW_SPEEDUP_RATIO}x HOSE's {hose}x"
             )
     return failures

@@ -35,10 +35,10 @@ one go:
    validate; otherwise it re-executes in write-through mode, op by op,
    through the engine's own ``_step``.
 
-Dispatch, restart budget, stall, drain, poison scrub, fault recovery,
-watchdog, audit and commit are the engine's; this module keeps only
-what is specific to batching (running, transferring and validating
-attempts, and the sweep/commit-phase loop).
+Dispatch, restart budget, stall, drain, watchdog, audit and commit are
+the engine's; this module keeps only what is specific to batching
+(running, transferring and validating attempts, and the
+sweep/commit-phase loop).
 
 **Compiled attempts.**  Each step of the recorded schedule (a control
 read or an assignment) has a *shape*: the address mode, route and
@@ -79,22 +79,18 @@ one per route map.  A memoized program is reused only while the control
 reads its trace recorded still hold in memory; otherwise the region is
 recorded again.
 
-Fault injection keeps the resilience recovery contract: with an
-injector attached, attempts run op by op through
-:func:`repro.runtime.trace.replay_segment` (``_run_driver``) so
-``perturb_op`` sees every operation and forwarded serves go through
-``store.forward`` (letting ``corrupt_forward`` poison the consuming
-buffer for the engine's scrub).  The same driver is the test oracle of
-the compiled attempts.  Timing is priced in bulk through
+Timing is priced in bulk through
 :meth:`repro.timing.cost.CostModel.batch_cost`, one
 :meth:`repro.timing.events.TimingRecorder.batched` event per attempt.
 
-Batching is opt-in (``batch=True`` on the engines; ``repro.bench``
-runs every scenario batched, and its throughput row and
-``--verify-engines`` also run op-interleaved replay).  Regions the trace
-cannot capture (input-dependent control flow, oversized traces,
-non-integral or out-of-bounds affine templates), runs under an op
-budget, and explicit regions use the op-stepped executor.
+Batching is opt-in (``batch=True`` on the engines; the daemon's
+default; ``repro.bench``'s throughput row and ``--verify-engines``).
+An attempt never violates or overflows partway through, so the
+dynamics are optimistic and the bench scenarios stay op-stepped.
+Regions the trace cannot capture (input-dependent control flow,
+oversized traces, non-integral or out-of-bounds affine templates),
+runs under an op budget or with a fault injector, and explicit
+regions use the op-stepped executor.
 """
 
 from __future__ import annotations
@@ -129,12 +125,8 @@ from repro.runtime.engines import (
     _SegmentTask,
     iteration_values,
 )
-from repro.runtime.errors import (
-    AddressError,
-    FaultInjected,
-    SimulationError,
-)
-from repro.runtime.executor import ComputeOp, ReadOp
+from repro.runtime.errors import AddressError, SimulationError
+from repro.runtime.executor import ReadOp
 from repro.runtime.memory import MemoryImage, same_value
 from repro.runtime.stats import ExecutionStats
 from repro.runtime.trace import (
@@ -1106,9 +1098,9 @@ class _BatchScheduler:
     """The batched attempt executor of one loop region.
 
     The engine owns the segment lifecycle: dispatch, squash-restart,
-    stall, drain, poison scrub, fault recovery, watchdog, audit and
-    commit.  This class runs the attempts, transfers and validates
-    their logs, and decides how an overflowed head resolves.
+    stall, drain, watchdog, audit and commit.  This class runs the
+    attempts, transfers and validates their logs, and decides how an
+    overflowed head resolves.
     """
 
     def __init__(
@@ -1149,9 +1141,9 @@ class _BatchScheduler:
     def _transfer(self, task: _SegmentTask) -> None:
         """Install the attempt's logs into its segment buffer.
 
-        A refusal (capacity overflow, possibly fault-shrunk) stalls the
-        task with its partial buffer kept -- the interleaved stall
-        contract -- until it is oldest and resolves via the fallback.
+        A refusal (capacity overflow) stalls the task with its partial
+        buffer kept -- the interleaved stall contract -- until it is
+        oldest and resolves via the fallback.
         """
         wlog = task.wlog
         ok = self.engine.store.transfer(
@@ -1166,10 +1158,9 @@ class _BatchScheduler:
         """Age-based violation sweep over the attempt's write set.
 
         Only needed after restarts (younger attempts may hold values
-        from the pre-restart execution) and under fault injection
-        (``spurious_violation`` must keep firing); first fault-free
-        executions cannot have younger readers, and commit-time
-        validation catches everything else.
+        from the pre-restart execution); first executions cannot have
+        younger readers, and commit-time validation catches everything
+        else.
         """
         engine = self.engine
         store = engine.store
@@ -1206,7 +1197,7 @@ class _BatchScheduler:
         return True
 
     # ------------------------------------------------------------------
-    # attempt execution: compiled path (no injector)
+    # attempt execution
     # ------------------------------------------------------------------
     def _run_compiled(self, task: _SegmentTask) -> None:
         bp = self.bp
@@ -1287,157 +1278,6 @@ class _BatchScheduler:
         stats.batched_ops += n * bp.batched_ops
 
     # ------------------------------------------------------------------
-    # attempt execution: op-stepped driver (fault injector attached)
-    # ------------------------------------------------------------------
-    def _run_driver(self, task: _SegmentTask) -> None:
-        """Pump the replayed attempt op-by-op through the fault hooks.
-
-        Same serving discipline as the compiled path, but every
-        operation passes ``injector.perturb_op`` and forwarded serves go
-        through ``store.forward`` so ``corrupt_forward`` can fire and
-        poison the consuming buffer.  Stats accrue per op (a faulted
-        attempt's partial work must count, as in the interleaved
-        scheduler).  Without an injector it is the op-stepped oracle of
-        :meth:`_run_compiled`.
-        """
-        engine = self.engine
-        injector = engine._injector
-        store = engine.store
-        stats = self.stats
-        recorder = engine._recorder
-        memory = self.memory
-        load = memory.load
-        address_of = memory.symbols.address_of
-        iv = task.key[1]
-        wlog = task.wlog
-        swlog = task.swlog
-        dwlog = task.dwlog
-        rlog = task.rlog
-        plog = task.plog
-        older: List[_SegmentTask] = []
-        for other in self.active:
-            if other is task:
-                break
-            if other.done:
-                older.append(other)
-        older.reverse()
-        route_of = engine._routes.get
-        ops = 0
-        coroutine = replay_segment(self.bp.trace, iv)
-        try:
-            op = coroutine.send(None)
-            while True:
-                if injector is not None:
-                    op = injector.perturb_op(op)
-                ops += 1
-                cls = type(op)
-                if cls is ComputeOp:
-                    task.cycles += op.cycles
-                    stats.cycles += op.cycles
-                    if recorder is not None:
-                        recorder.op(task.age, "compute", op.cycles, None)
-                    op = coroutine.send(None)
-                    continue
-                try:
-                    address = address_of(op.variable, op.subscripts)
-                except SymbolError as exc:
-                    raise AddressError(str(exc)) from exc
-                ref = op.ref
-                route = (
-                    route_of(ref.uid, ROUTE_SPECULATIVE)
-                    if ref is not None
-                    else ROUTE_SPECULATIVE
-                )
-                if cls is ReadOp:
-                    served = route
-                    if route is ROUTE_PRIVATE:
-                        value = plog.get(address)
-                        if value is None:
-                            value = load(address)
-                            served = None
-                        else:
-                            task.n_priv_hit += 1
-                        stats.private_accesses += 1
-                    elif route is ROUTE_DIRECT:
-                        value = dwlog.get(address)
-                        if value is None:
-                            value = load(address)
-                        stats.idempotent_accesses += 1
-                    else:
-                        value = wlog.get(address)
-                        if value is not None:
-                            if address not in swlog:
-                                served = None
-                        else:
-                            cached = rlog.get(address)
-                            if cached is not None:
-                                value = cached[0]
-                                if not cached[1]:
-                                    served = None
-                            else:
-                                holder = None
-                                for other in older:
-                                    value = other.wlog.get(address)
-                                    if value is not None:
-                                        holder = other
-                                        break
-                                if value is not None:
-                                    if (
-                                        holder.buffer is not None
-                                        and holder.buffer.holds(address)
-                                    ):
-                                        # Route the serve through the
-                                        # store so corrupt_forward can
-                                        # fire (it poisons task.buffer
-                                        # for the scrub).  The nearest
-                                        # older value-holding buffer is
-                                        # the holder, so the value only
-                                        # differs when corrupted.
-                                        forwarded = store.forward(
-                                            task.buffer, address
-                                        )
-                                        if forwarded is not None:
-                                            value = forwarded
-                                    rlog[address] = (value, True)
-                                else:
-                                    value = load(address)
-                                    rlog[address] = (value, False)
-                                    served = None
-                        if served is not None and value is not None:
-                            task.n_spec_spec += 1
-                        stats.speculative_accesses += 1
-                    stats.reads += 1
-                    if ref is not None:
-                        stats.count_reference(ref.uid)
-                    if recorder is not None:
-                        recorder.op(task.age, "read", 0, served)
-                    op = coroutine.send(value)
-                else:  # WriteOp
-                    value = float(op.value)
-                    if route is ROUTE_PRIVATE:
-                        plog[address] = value
-                        stats.private_accesses += 1
-                    elif route is ROUTE_DIRECT:
-                        wlog[address] = value
-                        dwlog[address] = value
-                        stats.idempotent_accesses += 1
-                    else:
-                        wlog[address] = value
-                        swlog[address] = None
-                        stats.speculative_accesses += 1
-                    stats.writes += 1
-                    if ref is not None:
-                        stats.count_reference(ref.uid)
-                    if recorder is not None:
-                        recorder.op(task.age, "write", 0, route)
-                    op = coroutine.send(None)
-        except StopIteration:
-            pass
-        stats.batched_attempts += 1
-        stats.batched_ops += ops
-        stats.batch_log_entries += len(wlog) + len(rlog) + len(plog)
-
-    # ------------------------------------------------------------------
     # head fallback: overflow drain / write-through re-execution
     # ------------------------------------------------------------------
     def _resolve_stalled_head(self, head: _SegmentTask) -> None:
@@ -1465,8 +1305,7 @@ class _BatchScheduler:
     def _reexecute(self, head: _SegmentTask) -> None:
         """Squash the stale head; re-run it op by op through the engine's
         ``_step`` in write-through mode, reading and writing committed
-        memory.  An injected fault here raises: earlier writes already
-        reached memory, so a local restart would double-apply them."""
+        memory."""
         engine = self.engine
         stats = self.stats
         trace, iv = self.bp.trace, head.key[1]
@@ -1490,7 +1329,6 @@ class _BatchScheduler:
         stats = self.stats
         active = self.active
         engine._tick(active, stats)
-        run_driver = engine._injector is not None
         for task in list(active):
             if task.stalled:
                 if task is not active[0]:
@@ -1498,21 +1336,11 @@ class _BatchScheduler:
                 continue
             if task.done:
                 continue
-            try:
-                if run_driver:
-                    self._run_driver(task)
-                else:
-                    self._run_compiled(task)
-            except (FaultInjected, AddressError):
-                if not run_driver:
-                    raise
-                engine._recover_fault(task, active, stats)
-                break
+            self._run_compiled(task)
             task.done = True
             self._transfer(task)
-            if not task.stalled and (run_driver or task.restarts > 0):
+            if not task.stalled and task.restarts > 0:
                 self._eager_violations(task)
-        engine._scrub_poisoned(active, stats)
         engine._audit()
 
     def _commit_phase(self) -> None:
@@ -1520,7 +1348,6 @@ class _BatchScheduler:
         active = self.active
         stats = self.stats
         while active:
-            engine._scrub_poisoned(active, stats)
             head = active[0]
             if not head.done:
                 break  # restarted; needs another sweep

@@ -27,7 +27,8 @@ the :mod:`~repro.runtime.specstore` substrate:
 
 Each attempt runs on one of two executors inside this one lifecycle:
 the op-stepped :meth:`SpeculativeEngine._step` or, for eligible loop
-regions with ``batch=True``, :mod:`repro.runtime.batch`.
+regions with ``batch=True`` and no fault injector,
+:mod:`repro.runtime.batch`.
 
 The two engines differ only in *routing*:
 
@@ -365,13 +366,11 @@ class SpeculativeEngine:
         self._routes: Dict[str, str] = {}
         #: Batched speculative replay (:mod:`repro.runtime.batch`): run
         #: each eligible loop region's attempts as whole-segment batches
-        #: with post-hoc validation instead of op-interleaving.  Off by
-        #: default -- the batched protocol is bit-identical in final
-        #: memory but has different micro-dynamics (fault-free runs
-        #: validate instead of violating), so dynamics-sensitive
-        #: consumers opt in explicitly.  Compiled batch programs are
-        #: memoized with their region, so repeated runs of one program
-        #: record and compile each region once.
+        #: with post-hoc validation.  Off by default: the final memory
+        #: is bit-identical, but no attempt violates or overflows
+        #: partway through, so the dynamics are not the model's.  Runs
+        #: with an op budget or a fault injector ignore it.  Compiled
+        #: batch programs are memoized with their region.
         self.batch = batch
 
     # ------------------------------------------------------------------
@@ -1034,7 +1033,7 @@ class SpeculativeEngine:
         if step == 0:
             raise SimulationError(f"region {region.name!r} has zero step")
 
-        if self.batch and self.op_budget is None:
+        if self.batch and self.op_budget is None and self._injector is None:
             from repro.runtime.batch import try_run_batched
 
             if try_run_batched(self, region, memory, stats, lower, upper, step):

@@ -30,17 +30,19 @@ class TestWorkloads:
 
 
 class TestEngineRows:
-    def test_rows_split_batch_fallbacks_by_reason(self):
+    def test_rows_carry_op_stepped_dynamics(self):
+        # The scenario runs the op-stepped executor: stencil's
+        # cross-segment reads are violated mid-attempt and roll back
+        # (batched attempts would validate post hoc with none).
         from repro.bench.engines import measure_engine_family
 
-        entry = measure_engine_family(generate("stencil", 10, 2), capacities=(2,))
+        entry = measure_engine_family(generate("stencil", 10, 2), capacities=(64,))
         for side in ("hose", "case"):
-            row = entry["capacities"]["2"][side]
+            row = entry["capacities"]["64"][side]
             assert row["matches_sequential"] is True
-            assert row["batch_fallbacks"] > 0
-            assert row["batch_fallbacks"] == (
-                row["batch_drains"] + row["batch_reexecutions"]
-            )
+            assert row["violations"] > 0
+            assert row["rollbacks"] > 0
+            assert not any(key.startswith("batch") for key in row)
 
 
 class TestCLI:
@@ -115,6 +117,48 @@ class TestCLI:
         # The acceptance sweep: all four default processor counts.
         row = report["speedup"]["families"]["reduction"]["configs"]["w4_c64"]
         assert set(row["hose"]["processors"]) == {"1", "2", "4", "8"}
+
+    def test_check_speedup_requires_the_overflow_capacity(self, tmp_path):
+        # Without capacity 8 in the sweep the overflow gate has nothing
+        # to check: it fails instead of passing vacuously.
+        out = tmp_path / "unbounded.json"
+        code = bench_main(
+            [
+                "--smoke",
+                "--scenarios",
+                "speedup",
+                "--families",
+                "reduction",
+                "--speedup-capacities",
+                "64",
+                "--check-speedup",
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 1
+
+    def test_overflow_gate_rejects_case_level_with_hose(self):
+        from repro.bench.speedup import check_overflow_speedup
+
+        def row(window, capacity, hose, case):
+            return {
+                "window": window,
+                "capacity": capacity,
+                "hose": {"processors": {"4": {"speedup": hose}}},
+                "case": {"processors": {"4": {"speedup": case}}},
+            }
+
+        # The op-stepped smoke values pass; the compiled executor's
+        # optimistic HOSE (3.28x against 3.30x) fails at that window.
+        configs = {
+            "w4_c8": row(4, 8, 1.195, 3.301),
+            "w8_c8": row(8, 8, 3.28, 3.30),
+            "w8_c64": row(8, 64, 3.297, 3.305),
+        }
+        failures = check_overflow_speedup({"families": {"reduction": {"configs": configs}}})
+        assert len(failures) == 1
+        assert "window 8" in failures[0]
 
     def test_check_speedup_requires_speedup_scenario(self):
         assert (

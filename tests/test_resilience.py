@@ -323,8 +323,7 @@ class TestDegradation:
         assert as_dict["error_type"] == "InvariantViolation"
         assert as_dict["reason"]
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_persistent_self_violation_hits_livelock_guard(self, batch):
+    def test_persistent_self_violation_hits_livelock_guard(self):
         # Rate 1.0 spurious violations restart segments forever; the
         # restart budget (or watchdog) must convert that into a typed
         # livelock error rather than an endless loop.
@@ -337,11 +336,9 @@ class TestDegradation:
                 max_restarts=20,
                 watchdog_rounds=500,
                 fallback=False,
-                batch=batch,
             )
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_livelock_degrades_with_report(self, batch):
+    def test_livelock_degrades_with_report(self):
         program = make_program()
         sequential = run_program(program)
         result = assert_recovered(
@@ -351,7 +348,6 @@ class TestDegradation:
             plan=FaultPlan.single("spurious_violation", 1.0),
             max_restarts=20,
             watchdog_rounds=500,
-            batch=batch,
         )
         assert result.degraded
         assert result.degradation.error_type == "EngineLivelockError"
@@ -369,8 +365,7 @@ class TestDegradation:
         assert result.degraded
         assert result.stats.segments_committed == sequential.stats.segments_committed
 
-    @pytest.mark.parametrize("batch", [False, True])
-    def test_fallback_off_raises_on_persistent_fault(self, batch):
+    def test_fallback_off_raises_on_persistent_fault(self):
         program = make_program()
         with pytest.raises(EngineLivelockError):
             run_resilient(
@@ -378,7 +373,6 @@ class TestDegradation:
                 plan=FaultPlan.single("segment_exception", 1.0),
                 max_restarts=5,
                 fallback=False,
-                batch=batch,
             )
 
 

@@ -52,6 +52,20 @@ program served
 end program
 """
 
+#: The serve-mix reduction at a smaller size.
+REDUCTION = """
+program reduced
+  real a(16, 12) = 0.5, b(16) = 1.5, c(12)
+  region REDUCE do k = 1, 12
+    do i = 1, 16
+      c(k) = c(k) + a(i, k) * b(i)
+      c(k) = c(k) + a(i, k) * b(i) + 0.001
+    end do
+    liveout c
+  end region
+end program
+"""
+
 JSON_IR = {
     "name": "served_ir",
     "symbols": {
@@ -173,6 +187,25 @@ class TestDispatcher:
         for side in result["engines"].values():
             assert side["bit_identical"] is True
             assert set(side["processors"]) == {"1", "4"}
+
+    def test_op_stepped_sweep_prices_hose_overflow(self):
+        # With ``batch: false`` every attempt is op-stepped, so HOSE's
+        # overflow at capacity 8 serializes its reduction while CASE's
+        # labels keep the references out of speculative storage.  The
+        # compiled attempts (the default) never overflow partway
+        # through and report HOSE close to CASE.
+        response = Dispatcher().dispatch(
+            rpc(
+                4,
+                "speedup_sweep",
+                {"dsl": REDUCTION, "capacity": 8, "processors": [4], "batch": False},
+            )
+        )
+        engines = response["result"]["engines"]
+        hose = engines["hose"]["processors"]["4"]["speedup"]
+        case = engines["case"]["processors"]["4"]["speedup"]
+        assert engines["hose"]["bit_identical"] and engines["case"]["bit_identical"]
+        assert 2 * hose < case
 
     @pytest.mark.parametrize("over", ["count", "length"])
     def test_speedup_sweep_caps_processors(self, over):
