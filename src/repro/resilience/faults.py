@@ -55,12 +55,25 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import (
+    Collection,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    Optional,
+    Tuple,
+    Union,
+)
 
 from repro.runtime.errors import FaultInjected
 from repro.runtime.executor import ReadOp, WriteOp
 from repro.runtime.memory import Address, MemoryImage
-from repro.runtime.specstore import SegmentBuffer, SpeculativeStore
+from repro.runtime.specstore import (
+    SegmentBuffer,
+    SpeculativeStore,
+    SpecStoreError,
+)
 
 #: All injectable fault kinds (the ``chaos`` bench sweeps these).
 FAULT_KINDS: Tuple[str, ...] = (
@@ -246,6 +259,21 @@ class FaultySpeculativeStore(SpeculativeStore):
         ):
             return False
         return super()._allocate(buffer, address)
+
+    def transfer(
+        self,
+        buffer: SegmentBuffer,
+        reads: Collection[Address],
+        wlog: Mapping[Address, float],
+        swlog: Collection[Address],
+    ) -> bool:
+        # The bulk install allocates without ``_allocate``, so it would
+        # skip every ``capacity_shrink`` opportunity; injected runs step
+        # through ``record_read`` / ``record_write`` instead.
+        raise SpecStoreError(
+            "bulk transfer is not available under fault injection: "
+            "injected runs never batch"
+        )
 
     # -- violation detection ---------------------------------------------
     def violators(self, writer_age: int, address: Address) -> List[SegmentBuffer]:

@@ -80,7 +80,7 @@ reads its trace recorded still hold in memory; otherwise the region is
 recorded again.
 
 Timing is priced in bulk through
-:meth:`repro.timing.cost.CostModel.batch_cost`, one
+:meth:`repro.timing.cost.CostModel.batch_price`, one
 :meth:`repro.timing.events.TimingRecorder.batched` event per attempt.
 
 Batching is opt-in (``batch=True`` on the engines; the daemon's
@@ -519,6 +519,13 @@ def _compile_attempt(region: str, shapes: List[Tuple], address_of, n_regs: int):
 # ----------------------------------------------------------------------
 # the compiled program
 # ----------------------------------------------------------------------
+#: Affine items from which one numpy expression builds an attempt's
+#: address list faster than a list comprehension: the array round trip
+#: costs a few microseconds, a Python add and multiply about 0.07 per
+#: item (the two break even near 37 items).
+NUMPY_MIN_AFFINE = 40
+
+
 class BatchProgram:
     """One region's recorded schedule compiled to an attempt function."""
 
@@ -604,7 +611,7 @@ class BatchProgram:
             + self.n_ctrl_computes
             + len(self.assign_stmts)
         )
-        if _np is not None and self.aff_base:
+        if _np is not None and len(self.aff_base) >= NUMPY_MIN_AFFINE:
             self.aff_base_np = _np.asarray(self.aff_base, dtype=_np.int64)
             self.aff_coeff_np = _np.asarray(self.aff_coeff, dtype=_np.int64)
         self.attempt = _compile_attempt(
@@ -1133,6 +1140,20 @@ class _BatchScheduler:
             if recorder is not None
             else bp.default_compute
         )
+        #: ``(base, spec, priv)`` terms of an attempt's timing price
+        #: (``CostModel.batch_price``); None when untimed.
+        self._price = None
+        if recorder is not None:
+            writes_by_route = bp.writes_by_route
+            self._price = recorder.cost.batch_price(
+                self._compute,
+                bp.n_reads,
+                {
+                    ROUTE_SPECULATIVE: writes_by_route[0],
+                    ROUTE_PRIVATE: writes_by_route[2],
+                    None: writes_by_route[1],
+                },
+            )
         self._compiled_attempts = 0
 
     # ------------------------------------------------------------------
@@ -1145,13 +1166,9 @@ class _BatchScheduler:
         buffer kept -- the interleaved stall contract -- until it is
         oldest and resolves via the fallback.
         """
-        wlog = task.wlog
-        ok = self.engine.store.transfer(
-            task.buffer,
-            task.rlog.keys(),
-            [(addr, wlog[addr]) for addr in task.swlog],
-        )
-        if not ok:
+        if not self.engine.store.transfer(
+            task.buffer, task.rlog, task.wlog, task.swlog
+        ):
             self.engine._stall(task, self.stats)
 
     def _eager_violations(self, task: _SegmentTask) -> None:
@@ -1235,24 +1252,12 @@ class _BatchScheduler:
         self.stats.batch_log_entries += (
             len(task.wlog) + len(task.rlog) + len(task.plog)
         )
-        recorder = self.engine._recorder
-        if recorder is not None:
-            bp = self.bp
-            writes_by_route = bp.writes_by_route
-            priced = recorder.cost.batch_cost(
-                compute,
-                reads={
-                    ROUTE_SPECULATIVE: task.n_spec_spec,
-                    ROUTE_PRIVATE: task.n_priv_hit,
-                    None: bp.n_reads - task.n_spec_spec - task.n_priv_hit,
-                },
-                writes={
-                    ROUTE_SPECULATIVE: writes_by_route[0],
-                    ROUTE_PRIVATE: writes_by_route[2],
-                    None: writes_by_route[1],
-                },
+        price = self._price
+        if price is not None:
+            base, spec, priv = price
+            self.engine._recorder.batched(
+                task.age, base + spec * task.n_spec_spec + priv * task.n_priv_hit
             )
-            recorder.batched(task.age, priced)
 
     def _flush_attempt_stats(self) -> None:
         """Add the per-program counts of every compiled attempt run

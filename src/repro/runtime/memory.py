@@ -113,6 +113,10 @@ class MemoryImage:
         the identical float operations, as the speculative-engine
         equivalence checks do.
         """
+        # Equal dicts hold, per address, identical or ``==`` values, all
+        # of which ``same_value`` accepts (the usual verdict).
+        if self._values == other._values:
+            return {}
         wanted = set(variables) if variables is not None else None
         addresses = set(self._values) | set(other._values)
         diffs: Dict[Address, Tuple[float, float]] = {}

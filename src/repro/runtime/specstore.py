@@ -42,7 +42,7 @@ HOSE vs CASE benchmark scenario compares across capacities.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Collection, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.runtime.errors import SimulationError
 from repro.runtime.memory import Address, MemoryImage
@@ -127,11 +127,10 @@ class SpeculativeStore:
 
         Values land in first-write order (the order is irrelevant for the
         final state -- one value per address -- but keeps traces easy to
-        read).  The buffer is deregistered.
+        read).  Every way into ``values`` stores a float, so they drain
+        as they are.  The buffer is deregistered.
         """
-        store = memory.store
-        for address, value in buffer.values.items():
-            store(address, value)
+        memory._values.update(buffer.values)
         committed = len(buffer.values)
         self.total_commits += 1
         self.total_committed_entries += committed
@@ -211,26 +210,74 @@ class SpeculativeStore:
     def transfer(
         self,
         buffer: SegmentBuffer,
-        read_addresses: Iterable[Address],
-        writes: Iterable[Tuple[Address, float]],
+        reads: Collection[Address],
+        wlog: Mapping[Address, float],
+        swlog: Collection[Address],
     ) -> bool:
         """Bulk-install a batched attempt's access logs into ``buffer``.
 
-        Registers every read in the buffer's read set, then buffers
-        every write, stopping at the first refused allocation (capacity
-        overflow).  Returns ``False`` on refusal; like an interleaved
-        attempt that stalls mid-segment, the partial state is kept so
-        the entries stay visible to forwarding and occupancy accounting
-        until the caller resolves the stall.
+        ``reads`` are the exposed reads, ``swlog`` the buffered write
+        addresses in first-write order and ``wlog`` their values (floats
+        already).  The result, including the partial state on overflow,
+        is exactly that of :meth:`record_read` on every read, then
+        :meth:`record_write` of ``wlog[address]`` on every write address,
+        stopping at the first refused allocation: ``tracked``,
+        ``read_set``, ``values`` and their order, occupancy, both peaks
+        and the refusal point.  Returns ``False`` on refusal; like an
+        interleaved attempt that stalls mid-segment, the partial state
+        is kept so the entries stay visible to forwarding and occupancy
+        accounting until the caller resolves the stall.
         """
-        record_read = self.record_read
-        record_write = self.record_write
-        for address in read_addresses:
-            if not record_read(buffer, address):
-                return False
-        for address, value in writes:
-            if not record_write(buffer, address, value):
-                return False
+        tracked = buffer.tracked
+        before = len(tracked)
+        capacity = self.capacity
+        union = tracked.union(reads, swlog)
+        if capacity is None or len(union) <= capacity:
+            buffer.tracked = union
+            buffer.read_set.update(reads)
+            values = buffer.values
+            for address in swlog:
+                values[address] = wlog[address]
+            ok = True
+        else:
+            ok = self._transfer_until_full(buffer, reads, wlog, swlog, capacity)
+        entries = len(buffer.tracked)
+        self._occupancy += entries - before
+        if entries > self.peak_segment_entries:
+            self.peak_segment_entries = entries
+        if self._occupancy > self.peak_entries:
+            self.peak_entries = self._occupancy
+        return ok
+
+    @staticmethod
+    def _transfer_until_full(
+        buffer: SegmentBuffer,
+        reads: Collection[Address],
+        wlog: Mapping[Address, float],
+        swlog: Collection[Address],
+        capacity: int,
+    ) -> bool:
+        """The overflowing :meth:`transfer`: installs entries in order
+        until the buffer holds ``capacity`` and an untracked address
+        comes next (peaks and occupancy are the caller's)."""
+        tracked = buffer.tracked
+        read_set = buffer.read_set
+        values = buffer.values
+        room = capacity - len(tracked)
+        for address in reads:
+            if address not in tracked:
+                if room <= 0:
+                    return False
+                tracked.add(address)
+                room -= 1
+            read_set.add(address)
+        for address in swlog:
+            if address not in tracked:
+                if room <= 0:
+                    return False
+                tracked.add(address)
+                room -= 1
+            values[address] = wlog[address]
         return True
 
     def forward(self, buffer: SegmentBuffer, address: Address) -> Optional[float]:

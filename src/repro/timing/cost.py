@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Mapping, Optional
+from typing import Callable, Dict, Mapping, Optional, Tuple
 
 from repro.ir.expr import BinOp, Call, Expr, UnaryOp
 
@@ -98,25 +98,31 @@ class CostModel:
         """Commit-arbitration cost of draining ``entries`` buffered entries."""
         return self.commit_base + self.commit_per_entry * max(0, entries)
 
-    def batch_cost(
+    def batch_price(
         self,
         compute_cycles: int,
-        reads: Mapping[Optional[str], int],
+        n_reads: int,
         writes: Mapping[Optional[str], int],
-    ) -> int:
-        """Bulk price of one batched segment attempt.
+    ) -> Tuple[int, int, int]:
+        """Bulk price of a batched segment attempt as ``(base, spec, priv)``.
 
-        ``reads`` / ``writes`` count memory events per serving route
-        (``None`` = conventional memory); the total equals summing
-        :meth:`op_cost` over the attempt's op stream, collapsed into one
-        call per batch.
+        The attempt costs ``base + spec * s + priv * p`` when ``s`` of
+        its ``n_reads`` reads were served from speculative storage,
+        ``p`` from the private frame and the rest from conventional
+        memory; ``writes`` counts its writes per serving route (``None``
+        = conventional memory).  The total equals summing
+        :meth:`op_cost` over the attempt's op stream, and the three
+        terms are computed once per program.
         """
-        total = self.compute_scale * compute_cycles
-        for route, count in reads.items():
-            total += self.op_cost(KIND_READ, 0, route) * count
+        memory = self.op_cost(KIND_READ, 0, None)
+        base = self.compute_scale * compute_cycles + memory * n_reads
         for route, count in writes.items():
-            total += self.op_cost(KIND_WRITE, 0, route) * count
-        return total
+            base += self.op_cost(KIND_WRITE, 0, route) * count
+        return (
+            base,
+            self.op_cost(KIND_READ, 0, ROUTE_SPECULATIVE) - memory,
+            self.op_cost(KIND_READ, 0, ROUTE_PRIVATE) - memory,
+        )
 
     # ------------------------------------------------------------------
     def expression_cost(self, expr: Expr) -> int:

@@ -245,7 +245,7 @@ class TimingRecorder:
         record.attempts[-1].add_run(self.cost.op_cost(kind, cycles, route))
 
     def batched(self, age: int, cycles: int) -> None:
-        """One whole batched attempt, pre-priced by ``CostModel.batch_cost``."""
+        """One whole batched attempt, priced by ``CostModel.batch_price``."""
         record = self._active.get(age)
         if record is None:  # pragma: no cover - defensive
             return

@@ -125,6 +125,7 @@ def schedule_region(
     """Lay ``region``'s recorded segments out on ``processors`` lanes."""
     processors = max(1, int(processors))
     window = max(1, int(window))
+    lanes = [ProcessorLane(processor=p) for p in range(processors)]
     schedule = RegionSchedule(
         name=region.name,
         kind=region.kind,
@@ -132,8 +133,14 @@ def schedule_region(
         window=window,
         start=start,
         end=start,
-        lanes=[ProcessorLane(processor=p) for p in range(processors)],
+        lanes=lanes,
     )
+    segments = schedule.segments
+    # ``cost.commit_cost`` inlined: commit_base + commit_per_entry * entries.
+    dispatch_overhead = cost.dispatch_overhead
+    commit_base = cost.commit_base
+    commit_per_entry = cost.commit_per_entry
+    squash_penalty = cost.squash_penalty
     proc_free = [start] * processors
     #: Retirement times in age order (frees the segment's window slot).
     retire_times: List[int] = []
@@ -145,16 +152,18 @@ def schedule_region(
     #: Commit time of the youngest committed segment (age-order arbitration).
     last_commit = start
     last_dispatch = start
+    end = start
 
     for index, seg in enumerate(region.segments):
         # Window-ordered dispatch: in age order, gated on the segment
         # window slots, one dispatch_overhead each.
         gate = retire_times[index - window] if index >= window else start
-        dispatch = max(last_dispatch, gate) + cost.dispatch_overhead
+        dispatch = (last_dispatch if last_dispatch > gate else gate) + dispatch_overhead
         last_dispatch = dispatch
-        # Earliest-free processor.
-        processor = min(range(processors), key=proc_free.__getitem__)
-        t = max(dispatch, proc_free[processor])
+        # Earliest-free processor (the first one on a tie).
+        free = min(proc_free)
+        processor = proc_free.index(free)
+        t = dispatch if dispatch > free else free
         seg_start = t
         busy = wasted = stall = 0
         finish = t
@@ -163,7 +172,8 @@ def schedule_region(
         starts = attempt_starts[seg.age] = []
         attempt_windows: List[Tuple[int, int, str]] = []
         stall_windows: List[Tuple[int, int, str]] = []
-        for attempt in seg.attempts:
+        attempts = seg.attempts
+        for attempt in attempts:
             starts.append(t)
             attempt_begin = t
             overhead = 0
@@ -182,24 +192,31 @@ def schedule_region(
                             stall_windows.append((t, all_retired, "drain-wait"))
                             t = all_retired
                         pending_stall = False
-                    drain_cost = cost.commit_cost(phase[1])
+                    entries = phase[1]
+                    drain_cost = commit_base + commit_per_entry * (
+                        entries if entries > 0 else 0
+                    )
                     t += drain_cost
                     overhead += drain_cost
-            if attempt.outcome is OUTCOME_COMMITTED:
+            outcome = attempt.outcome
+            if outcome is OUTCOME_COMMITTED:
                 finish = t
                 # Commit arbitration: strictly after the older commit.
                 if last_commit > t:
                     stall += last_commit - t
                     stall_windows.append((t, last_commit, "commit-arbitration"))
                     t = last_commit
-                commit_cost = cost.commit_cost(attempt.commit_entries)
+                entries = attempt.commit_entries
+                commit_cost = commit_base + commit_per_entry * (
+                    entries if entries > 0 else 0
+                )
                 t += commit_cost
                 commit_time = t
                 last_commit = t
                 busy += attempt.busy_cycles + overhead + commit_cost
             else:
                 wasted += attempt.busy_cycles + overhead
-                if attempt.outcome is OUTCOME_DISCARDED:
+                if outcome is OUTCOME_DISCARDED:
                     finish = t
                     commit_time = t
                 else:  # squashed (a squash interrupts any pending wait)
@@ -217,37 +234,38 @@ def schedule_region(
                             stall += violation - t
                             stall_windows.append((t, violation, "squash-gate"))
                             t = violation
-                    t += cost.squash_penalty
-                    wasted += cost.squash_penalty
+                    t += squash_penalty
+                    wasted += squash_penalty
                 pending_stall = False
-            attempt_windows.append((attempt_begin, t, attempt.outcome))
+            attempt_windows.append((attempt_begin, t, outcome))
         proc_free[processor] = t
         retire_times.append(t)
         if t > all_retired:
             all_retired = t
-        lane = schedule.lanes[processor]
+        lane = lanes[processor]
         lane.busy += busy
         lane.wasted += wasted
         lane.stall += stall
         lane.segments += 1
-        schedule.segments.append(
+        segments.append(
             SegmentTiming(
-                key=seg.key,
-                age=seg.age,
-                processor=processor,
-                dispatch_time=dispatch,
-                start_time=seg_start,
-                finish_time=finish,
-                commit_time=commit_time,
-                attempts=len(seg.attempts),
-                outcome=seg.outcome,
-                busy_cycles=busy,
-                wasted_cycles=wasted,
-                stall_cycles=stall,
-                attempt_windows=attempt_windows,
-                stall_windows=stall_windows,
+                seg.key,
+                seg.age,
+                processor,
+                dispatch,
+                seg_start,
+                finish,
+                commit_time,
+                len(attempts),
+                seg.outcome,
+                busy,
+                wasted,
+                stall,
+                attempt_windows,
+                stall_windows,
             )
         )
-        if t > schedule.end:
-            schedule.end = t
+        if t > end:
+            end = t
+    schedule.end = end
     return schedule

@@ -743,6 +743,31 @@ class TestCompiledAttempt:
         assert steps[0] <= steps[1]
 
 
+class TestAffineAddresses:
+    """Both ways of building an attempt's affine address list (numpy
+    from :data:`NUMPY_MIN_AFFINE` items on, a list comprehension below)
+    give the per-item ``(name, base + coeff * iv)`` of the reference."""
+
+    @pytest.mark.parametrize("family, size, numpy", [
+        ("stencil", 24, True),
+        ("reduction", 24, False),
+    ])
+    def test_matches_reference(self, family, size, numpy):
+        program = generate(family, size, 4).program
+        run_batched(program, CASEEngine, window=4, capacity=64)
+        (bp,) = batch_mod._MEMO[program.regions[0]].values()
+        assert (bp.aff_base_np is not None) == numpy
+        assert (len(bp.aff_names) >= batch_mod.NUMPY_MIN_AFFINE) == numpy
+        for iv in range(-3, size + 3):
+            reference = [
+                (name, base + coeff * iv)
+                for name, base, coeff in zip(bp.aff_names, bp.aff_base, bp.aff_coeff)
+            ]
+            got = bp.affine_addresses(iv)
+            assert got == reference
+            assert all(type(offset) is int for _, offset in got)
+
+
 class TestNumpyImportGuard:
     """Regression: the numpy guard must be narrow and must not be silent.
 

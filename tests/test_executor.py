@@ -17,7 +17,7 @@ from repro.runtime.executor import (
     segment_coroutine,
 )
 from repro.runtime.interpreter import run_program
-from repro.runtime.memory import MemoryImage
+from repro.runtime.memory import MemoryImage, same_value
 
 
 def _scalar_memory(*names: str) -> MemoryImage:
@@ -179,3 +179,71 @@ end program
 """
         result = run_program(parse_program(src))
         assert result.value_of("y") == 10  # branch taken -> first successor
+
+
+class TestMemoryDifferences:
+    """``MemoryImage.differences`` returns at once when both images
+    store equal values; every case must match the address-by-address
+    comparison."""
+
+    @staticmethod
+    def slow_differences(a, b, variables=None, tolerance=1e-9):
+        wanted = set(variables) if variables is not None else None
+        diffs = {}
+        for addr in set(a._values) | set(b._values):
+            if wanted is not None and addr[0] not in wanted:
+                continue
+            x, y = a.load(addr), b.load(addr)
+            if not same_value(x, y) and (
+                tolerance == 0.0
+                or abs(x - y) > tolerance * max(1.0, abs(x), abs(y))
+            ):
+                diffs[addr] = (x, y)
+        return diffs
+
+    @staticmethod
+    def images(left, right):
+        from repro.ir.symbols import SymbolTable
+
+        table = SymbolTable()
+        table.scalar("x", initial=2.0)
+        table.scalar("y")
+        table.array("v", (4,), initial=1.0)
+        a, b = MemoryImage(table), MemoryImage(table)
+        a._values.update(left)
+        b._values.update(right)
+        return a, b
+
+    NAN = float("nan")
+    CASES = {
+        "same NaN object": ({("x", 0): NAN}, {("x", 0): NAN}),
+        "distinct NaNs": ({("x", 0): NAN}, {("x", 0): float("nan")}),
+        "signed zeros": ({("y", 0): -0.0, ("v", 1): 0.0}, {("y", 0): 0.0, ("v", 1): -0.0}),
+        "one side at the initial value": ({("x", 0): 2.0, ("v", 2): 1.0}, {}),
+        "one side off the initial value": ({("v", 2): 1.5}, {}),
+        "near values": ({("y", 0): 1.0}, {("y", 0): 1.0 + 1e-12}),
+        "far values": ({("y", 0): 1.0, ("v", 0): 3.0}, {("y", 0): 1.5, ("v", 0): 3.0}),
+        "equal": ({("y", 0): 1.0, ("v", 3): NAN}, {("y", 0): 1.0, ("v", 3): NAN}),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_slow_path(self, case):
+        a, b = self.images(*self.CASES[case])
+        for tolerance in (0.0, 1e-9, 0.5):
+            for variables in (None, ["y"], ["x", "v"], []):
+                for left, right in ((a, b), (b, a)):
+                    got = left.differences(right, variables, tolerance)
+                    expected = self.slow_differences(left, right, variables, tolerance)
+                    assert got.keys() == expected.keys()
+                    for addr, (x, y) in got.items():
+                        assert same_value(x, expected[addr][0])
+                        assert same_value(y, expected[addr][1])
+
+    def test_exact_verdicts(self):
+        a, b = self.images(*self.CASES["distinct NaNs"])
+        assert a.differences(b, tolerance=0.0) == {}
+        a, b = self.images(*self.CASES["one side off the initial value"])
+        assert a.differences(b, tolerance=0.0) == {("v", 2): (1.5, 1.0)}
+        a, b = self.images(*self.CASES["near values"])
+        assert list(a.differences(b, tolerance=0.0)) == [("y", 0)]
+        assert a.differences(b) == {}

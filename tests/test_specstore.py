@@ -1,6 +1,8 @@
 """Speculative-store unit tests: forwarding, capacity, violations,
 commit/squash lifecycle and occupancy tracking."""
 
+import random
+
 import pytest
 
 from repro.ir.symbols import SymbolTable
@@ -222,3 +224,96 @@ class TestFaultEdges:
         assert memory.load(("a", 0)) == 1.5
         assert memory.load(("b", 0)) == 2.5
         assert store.occupancy() == 0
+
+
+class TestBulkTransfer:
+    """``transfer`` against its per-address reference: ``record_read``
+    of every read, then ``record_write`` of every buffered write,
+    stopping at the first refusal."""
+
+    @staticmethod
+    def reference_transfer(store, buffer, reads, wlog, swlog):
+        for address in reads:
+            if not store.record_read(buffer, address):
+                return False
+        for address in swlog:
+            if not store.record_write(buffer, address, wlog[address]):
+                return False
+        return True
+
+    @staticmethod
+    def make_store(capacity, older_writes, earlier):
+        """A store with an older buffer holding ``older_writes`` and a
+        target buffer that already tracks ``earlier`` (read, write)
+        addresses; ``capacity`` applies from the transfer on."""
+        store = SpeculativeStore(capacity=None)
+        older = store.open_segment(("R", 1), 1)
+        for address in older_writes:
+            store.record_write(older, address, 9.0)
+        target = store.open_segment(("R", 2), 2)
+        reads, writes = earlier
+        for address in reads:
+            store.record_read(target, address)
+        for address in writes:
+            store.record_write(target, address, -1.0)
+        store.capacity = capacity
+        return store, target
+
+    @staticmethod
+    def state(store, buffer):
+        return (
+            store.occupancy(),
+            store.peak_entries,
+            store.peak_segment_entries,
+            set(buffer.tracked),
+            set(buffer.read_set),
+            list(buffer.values.items()),
+        )
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_matches_per_address_sequence(self, seed):
+        rng = random.Random(seed)
+        pool = [("a", k) for k in range(12)] + [("b", k) for k in range(4)]
+        older_writes = rng.sample(pool, rng.randint(0, 6))
+        earlier = (rng.sample(pool, rng.randint(0, 3)), rng.sample(pool, rng.randint(1, 3)))
+        # Reads may repeat; swlog is a dict in first-write order.
+        reads = [rng.choice(pool) for _ in range(rng.randint(0, 10))]
+        swlog = dict.fromkeys(rng.choice(pool) for _ in range(rng.randint(0, 8)))
+        wlog = {address: rng.uniform(-5, 5) for address in pool}
+        held = len(set(earlier[0]) | set(earlier[1]))
+        needed = len(set(earlier[0]) | set(earlier[1]) | set(reads) | set(swlog))
+        capacities = {
+            "unbounded": None,
+            "exact fit": needed,
+            "one short": needed - 1,
+            "zero room": held,
+        }
+        for label, capacity in capacities.items():
+            if capacity is not None and capacity < held:
+                continue  # below what the buffer already holds
+            bulk_store, bulk = self.make_store(capacity, older_writes, earlier)
+            ref_store, ref = self.make_store(capacity, older_writes, earlier)
+            got = bulk_store.transfer(bulk, reads, wlog, swlog)
+            expected = self.reference_transfer(ref_store, ref, reads, wlog, swlog)
+            assert got == expected, label
+            assert self.state(bulk_store, bulk) == self.state(ref_store, ref), label
+            if label == "exact fit":
+                assert got
+            if label in ("one short", "zero room") and needed > held:
+                assert not got
+
+    def test_bulk_transfer_refuses_under_fault_injection(self):
+        from repro.resilience.faults import (
+            FaultInjector,
+            FaultPlan,
+            FaultySpeculativeStore,
+        )
+
+        # Bulk transfer bypasses ``_allocate``, where ``capacity_shrink``
+        # fires; an injected run must never take it.
+        store = FaultySpeculativeStore(8, FaultInjector(FaultPlan([]), seed=0))
+        buf = store.open_segment(("R", 1), 1)
+        with pytest.raises(SpecStoreError, match="fault injection"):
+            store.transfer(buf, [("a", 0)], {}, {})
+        assert buf.entries == 0
+

@@ -9,6 +9,9 @@ the embarrassingly-parallel family actually speeds up -- with CASE's
 labels keeping it fast at capacities that serialize HOSE.
 """
 
+import dataclasses
+import hashlib
+
 import pytest
 
 from repro.bench.speedup import (
@@ -17,7 +20,7 @@ from repro.bench.speedup import (
 )
 from repro.bench.workloads import FAMILIES, generate
 from repro.ir.dsl import parse_program
-from repro.runtime.engines import HOSEEngine
+from repro.runtime.engines import CASEEngine, HOSEEngine
 from repro.runtime.interpreter import run_program
 from repro.timing import (
     CostModel,
@@ -77,6 +80,25 @@ class TestCostModel:
     def test_commit_cost_scales_with_entries(self):
         assert COST.commit_cost(0) == COST.commit_base
         assert COST.commit_cost(3) == COST.commit_base + 3 * COST.commit_per_entry
+
+    def test_batch_price_sums_op_costs(self):
+        # An attempt of 7 compute cycles and 9 reads, 3 of them served
+        # from speculative storage and 2 private hits, writing 4
+        # speculative, 1 direct and 2 private values.
+        model = CostModel(memory_latency=5, specstore_latency=3, private_latency=1)
+        base, spec, priv = model.batch_price(
+            7, 9, {"speculative": 4, None: 1, "private": 2}
+        )
+        expected = (
+            model.op_cost("compute", 7)
+            + 3 * model.op_cost("read", 0, "speculative")
+            + 2 * model.op_cost("read", 0, "private")
+            + 4 * model.op_cost("read", 0)
+            + 4 * model.op_cost("write", 0, "speculative")
+            + model.op_cost("write", 0)
+            + 2 * model.op_cost("write", 0, "private")
+        )
+        assert base + spec * 3 + priv * 2 == expected
 
     def test_compute_cost_fn_weights_operators(self):
         from repro.ir.dsl import parse_program as parse
@@ -474,3 +496,85 @@ class TestRoutePricing:
         # priced at the speculative-store latency the two makespans
         # would be almost equal.
         assert ms_dear.makespan > 3 * ms_cheap.makespan
+
+
+# ----------------------------------------------------------------------
+# Schedule golden values: makespans and every scheduled window, pinned.
+# ----------------------------------------------------------------------
+def schedule_fingerprint(family, engine, capacity, batch):
+    """Makespans on P = 1..4 of one recorded run, and a digest of every
+    region's bounds and lanes and every ``SegmentTiming`` (attempt and
+    stall windows included)."""
+    recorder = TimingRecorder(COST)
+    engine_cls = HOSEEngine if engine == "hose" else CASEEngine
+    engine_cls(
+        generate(family, 16, 3).program,
+        window=4,
+        capacity=capacity,
+        recorder=recorder,
+        batch=batch,
+    ).run()
+    recording = recorder.recording()
+    digest = hashlib.sha256()
+    makespans = []
+    for processors in range(1, 5):
+        makespan = compute_makespan(recording, processors)
+        makespans.append(makespan.makespan)
+        for region in makespan.regions:
+            lanes = [dataclasses.astuple(lane) for lane in region.lanes]
+            digest.update(
+                repr((processors, region.name, region.start, region.end, lanes))
+                .encode()
+            )
+            for segment in region.segments:
+                digest.update(repr(dataclasses.astuple(segment)).encode())
+    return tuple(makespans), digest.hexdigest()[:16]
+
+
+#: (family, engine, capacity, batch) -> (makespans on P = 1..4, digest).
+#: Both executors' recordings: op-stepped runs squash (squash-gate
+#: windows) and stall (drain-wait), batched ones drain whole attempts.
+SCHEDULE_GOLDEN = {
+    ('stencil', 'hose', 8, False): ((18604, 15632, 15632, 15632), '172be87bd239071f'),
+    ('stencil', 'hose', 8, True): ((18020, 9023, 6449, 5168), 'e6dc0e8f0a142acd'),
+    ('stencil', 'hose', 64, False): ((18856, 9525, 6845, 5340), '9fffdac45483fca3'),
+    ('stencil', 'hose', 64, True): ((18328, 9199, 6581, 5278), '36df5e8e05509517'),
+    ('stencil', 'case', 8, False): ((18632, 14477, 14477, 14477), '459bd64ec7d0a291'),
+    ('stencil', 'case', 8, True): ((18020, 9023, 6449, 5168), 'e6dc0e8f0a142acd'),
+    ('stencil', 'case', 64, False): ((18856, 9525, 6845, 5340), '9fffdac45483fca3'),
+    ('stencil', 'case', 64, True): ((18328, 9199, 6581, 5278), '36df5e8e05509517'),
+    ('reduction', 'hose', 8, False): ((16626, 13596, 13596, 13596), '02f1066e3f7a8720'),
+    ('reduction', 'hose', 8, True): ((16594, 8310, 6224, 4192), '54c166b9ce947c9e'),
+    ('reduction', 'hose', 64, False): ((16530, 8274, 6200, 4164), '5c22465670fa0e4f'),
+    ('reduction', 'hose', 64, True): ((16530, 8274, 6200, 4164), '5c22465670fa0e4f'),
+    ('reduction', 'case', 8, False): ((16498, 8256, 6188, 4150), '216453d6b0a89be3'),
+    ('reduction', 'case', 8, True): ((16498, 8256, 6188, 4150), '216453d6b0a89be3'),
+    ('reduction', 'case', 64, False): ((16498, 8256, 6188, 4150), '216453d6b0a89be3'),
+    ('reduction', 'case', 64, True): ((16498, 8256, 6188, 4150), '216453d6b0a89be3'),
+    ('sparse', 'hose', 8, False): ((42592, 22083, 15003, 11896), '6cac61106612fbff'),
+    ('sparse', 'hose', 8, True): ((11837, 6314, 3971, 3188), 'f7f5d33160d0fe0e'),
+    ('sparse', 'hose', 64, False): ((42221, 21890, 14875, 11819), '3aed2391fd1dcf5a'),
+    ('sparse', 'hose', 64, True): ((11777, 6282, 3943, 3164), '43a70a4fe437ddb1'),
+    ('sparse', 'case', 8, False): ((42221, 21890, 14875, 11819), '3aed2391fd1dcf5a'),
+    ('sparse', 'case', 8, True): ((11777, 6282, 3943, 3164), '43a70a4fe437ddb1'),
+    ('sparse', 'case', 64, False): ((42221, 21890, 14875, 11819), '3aed2391fd1dcf5a'),
+    ('sparse', 'case', 64, True): ((11777, 6282, 3943, 3164), '43a70a4fe437ddb1'),
+    ('guarded', 'hose', 8, False): ((19688, 10201, 6991, 5810), 'fda456345b5dddb3'),
+    ('guarded', 'hose', 8, True): ((5027, 2682, 1697, 1368), '20f9d688a3008913'),
+    ('guarded', 'hose', 64, False): ((19688, 10201, 6991, 5810), 'fda456345b5dddb3'),
+    ('guarded', 'hose', 64, True): ((5027, 2682, 1697, 1368), '20f9d688a3008913'),
+    ('guarded', 'case', 8, False): ((19658, 10185, 6981, 5808), '5ffcddaced6ac2ff'),
+    ('guarded', 'case', 8, True): ((4997, 2666, 1683, 1356), '06fec461c30cef13'),
+    ('guarded', 'case', 64, False): ((19658, 10185, 6981, 5808), '5ffcddaced6ac2ff'),
+    ('guarded', 'case', 64, True): ((4997, 2666, 1683, 1356), '06fec461c30cef13'),
+}
+
+
+class TestScheduleGolden:
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_schedules_match_golden(self, family):
+        expected = {
+            key: value for key, value in SCHEDULE_GOLDEN.items() if key[0] == family
+        }
+        got = {key: schedule_fingerprint(*key) for key in expected}
+        assert got == expected
