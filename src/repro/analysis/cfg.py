@@ -92,27 +92,6 @@ class SegmentGraph:
         """Transitive successors of ``node`` (excluding the exit)."""
         return {n for n in self.reachable_from(node) if n != EXIT_NODE}
 
-    def graph_ancestors(self, node: str) -> Set[str]:
-        """All nodes that can reach ``node`` (control-flow ancestors)."""
-        seen: Set[str] = set()
-        queue = deque(self._pred.get(node, []))
-        while queue:
-            current = queue.popleft()
-            if current in seen:
-                continue
-            seen.add(current)
-            queue.extend(self._pred.get(current, []))
-        return seen
-
-    def age_ancestors(self, node: str) -> List[str]:
-        """Segments older than ``node`` in sequential program order."""
-        if node == EXIT_NODE:
-            return list(self.age_order)
-        if node not in self.age_order:
-            return []
-        idx = self.age_order.index(node)
-        return self.age_order[:idx]
-
     def age_of(self, node: str) -> int:
         """Index of ``node`` in the age order (younger = larger)."""
         return self.age_order.index(node)

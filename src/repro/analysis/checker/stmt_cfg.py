@@ -90,9 +90,6 @@ class StmtCFG:
     def predecessors(self, node: CFGNode) -> List[CFGNode]:
         return [self.nodes[i] for i in self.preds[node.nid]]
 
-    def node_count(self) -> int:
-        return len(self.nodes)
-
 
 # ----------------------------------------------------------------------
 def build_segment_cfg(body: Sequence[Statement]) -> StmtCFG:

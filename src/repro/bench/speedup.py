@@ -5,7 +5,7 @@ execution performs relative to sequential runs, not just how much
 speculative storage it needs.  For every workload family this scenario
 
 1. prices one sequential execution with the timing cost model
-   (:func:`repro.timing.makespan.sequential_cycles`) -- the baseline;
+   (:func:`repro.timing.makespan.sequential_baseline`) -- the baseline;
 2. runs HOSE and CASE once per (window, capacity) configuration with a
    :class:`~repro.timing.events.TimingRecorder` attached (each run
    checked bit-for-bit against the sequential interpreter);
@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from repro.analysis.cache import AnalysisCache
 from repro.bench.workloads import FAMILIES, Workload, generate
 from repro.runtime.engines import CASEEngine, HOSEEngine
+from repro.runtime.interpreter import SequentialInterpreter
 from repro.timing.cost import CostModel
 from repro.timing.events import TimingRecorder
 from repro.timing.makespan import compute_makespan, sequential_baseline
@@ -82,7 +83,8 @@ def measure_speedup_family(
     this scenario knowing anything about the exporter.
     """
     cost = cost or CostModel()
-    baseline, sequential = sequential_baseline(workload.program, cost)
+    sequential = SequentialInterpreter(workload.program).run()
+    baseline = sequential_baseline(sequential.stats, cost)
     analysis_cache = AnalysisCache()
     entry: Dict = {
         "family": workload.family,

@@ -81,9 +81,6 @@ class LabelingResult:
     def idempotent_references(self) -> List[MemoryReference]:
         return [r for r in self.region.references if self.is_idempotent(r)]
 
-    def speculative_references(self) -> List[MemoryReference]:
-        return [r for r in self.region.references if not self.is_idempotent(r)]
-
     def static_fraction_idempotent(self) -> float:
         """Fraction of textual references labeled idempotent."""
         total = len(self.region.references)

@@ -12,7 +12,7 @@ sequential interpreter).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional
+from typing import Dict, Iterable, Mapping
 
 from repro.idempotency.labeling import LabelingResult
 from repro.ir.types import IdempotencyCategory
@@ -130,35 +130,3 @@ def merge_counts(per_region: Iterable[CategoryCounts]) -> CategoryCounts:
     for counts in per_region:
         merged = merged.merge(counts)
     return merged
-
-
-def format_fraction_table(
-    rows: Mapping[str, CategoryCounts],
-    title: Optional[str] = None,
-) -> str:
-    """Render a table of idempotent-reference fractions.
-
-    ``rows`` maps a row label (benchmark or loop name) to its counts;
-    columns are the three categories of Figure 5 plus the idempotent
-    total.
-    """
-    header = (
-        f"{'name':<22} {'read-only':>10} {'private':>10} "
-        f"{'shared-dep':>11} {'fully-ind':>10} {'idempotent':>11} {'refs':>12}"
-    )
-    lines = []
-    if title:
-        lines.append(title)
-    lines.append(header)
-    lines.append("-" * len(header))
-    for name, counts in rows.items():
-        lines.append(
-            f"{name:<22} "
-            f"{counts.fraction(IdempotencyCategory.READ_ONLY):>10.1%} "
-            f"{counts.fraction(IdempotencyCategory.PRIVATE):>10.1%} "
-            f"{counts.fraction(IdempotencyCategory.SHARED_DEPENDENT):>11.1%} "
-            f"{counts.fraction(IdempotencyCategory.FULLY_INDEPENDENT):>10.1%} "
-            f"{counts.fraction_idempotent:>11.1%} "
-            f"{counts.total:>12.0f}"
-        )
-    return "\n".join(lines)

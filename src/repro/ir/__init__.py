@@ -1,7 +1,8 @@
 """Intermediate representation: expressions, statements, segments, regions, programs.
 
-Most users only need the re-exports below plus either the builder API
-(:mod:`repro.ir.builder`) or the text front end (:mod:`repro.ir.dsl`).
+Most users only need the re-exports below plus the text front end
+(:mod:`repro.ir.dsl`); :mod:`repro.ir.builder` reads the daemon's JSON
+IR.
 """
 
 from repro.ir.expr import (

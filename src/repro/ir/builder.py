@@ -1,38 +1,16 @@
-"""Convenience builders for constructing programs in Python.
+"""The JSON IR front end: the :mod:`repro.serve` wire format.
 
 The DSL front end (:mod:`repro.ir.dsl`) is the primary way to write
-workloads, but tests, examples and generators frequently assemble IR
-directly; this module keeps that terse::
-
-    from repro.ir.builder import ProgramBuilder, assign, do, if_, idx, var
-
-    b = ProgramBuilder("demo")
-    b.scalar("n", initial=64.0)
-    b.array("x", (64,))
-    b.init(do("i", 1, 64, [assign("x", var("i"), subscripts=["i"])]))
-    b.loop_region(
-        "L1", "i", 2, 63,
-        body=[assign("x", idx("x", "i") + 1.0, subscripts=["i"])],
-        live_out={"x"},
-    )
-    program = b.build()
+programs; :func:`program_from_json` builds the same IR from the JSON
+objects the daemon accepts, with expressions written as number
+literals or DSL expression strings.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, List, Mapping, Optional, Sequence
 
-from repro.ir.expr import (
-    BinOp,
-    Call,
-    Const,
-    Expr,
-    ExprLike,
-    Index,
-    UnaryOp,
-    Var,
-    as_expr,
-)
+from repro.ir.expr import Const
 from repro.ir.program import Program
 from repro.ir.region import ExplicitRegion, LoopRegion, Region
 from repro.ir.segment import Segment
@@ -40,244 +18,6 @@ from repro.ir.stmt import Assign, Do, If, Statement
 from repro.ir.symbols import SymbolTable
 
 
-# ----------------------------------------------------------------------
-# expression helpers (thin wrappers with operator support)
-# ----------------------------------------------------------------------
-class E:
-    """Tiny expression-building namespace with operator overloading."""
-
-    @staticmethod
-    def const(value: Union[int, float]) -> Const:
-        return Const(value)
-
-    @staticmethod
-    def var(name: str) -> Var:
-        return Var(name)
-
-    @staticmethod
-    def idx(name: str, *subs: ExprLike) -> Index:
-        return Index(name, [as_expr(s) for s in subs])
-
-    @staticmethod
-    def call(func: str, *args: ExprLike) -> Call:
-        return Call(func, [as_expr(a) for a in args])
-
-
-def var(name: str) -> Var:
-    """Scalar read."""
-    return Var(name)
-
-
-def const(value: Union[int, float]) -> Const:
-    """Literal constant."""
-    return Const(value)
-
-
-def idx(name: str, *subs: ExprLike) -> Index:
-    """Array-element read."""
-    return Index(name, [as_expr(s) for s in subs])
-
-
-def call(func: str, *args: ExprLike) -> Call:
-    """Intrinsic call."""
-    return Call(func, [as_expr(a) for a in args])
-
-
-# Operator overloading on Expr (installed here to keep expr.py free of
-# syntactic sugar).
-def _install_operators() -> None:
-    def _bin(op: str):
-        def fwd(self: Expr, other: ExprLike) -> Expr:
-            return BinOp(op, self, as_expr(other))
-
-        def rev(self: Expr, other: ExprLike) -> Expr:
-            return BinOp(op, as_expr(other), self)
-
-        return fwd, rev
-
-    for op, (dunder, rdunder) in {
-        "+": ("__add__", "__radd__"),
-        "-": ("__sub__", "__rsub__"),
-        "*": ("__mul__", "__rmul__"),
-        "/": ("__truediv__", "__rtruediv__"),
-        "%": ("__mod__", "__rmod__"),
-        "**": ("__pow__", "__rpow__"),
-    }.items():
-        fwd, rev = _bin(op)
-        setattr(Expr, dunder, fwd)
-        setattr(Expr, rdunder, rev)
-
-    def _cmp(op: str):
-        def fwd(self: Expr, other: ExprLike) -> Expr:
-            return BinOp(op, self, as_expr(other))
-
-        return fwd
-
-    setattr(Expr, "__lt__", _cmp("<"))
-    setattr(Expr, "__le__", _cmp("<="))
-    setattr(Expr, "__gt__", _cmp(">"))
-    setattr(Expr, "__ge__", _cmp(">="))
-    setattr(Expr, "__neg__", lambda self: UnaryOp("-", self))
-
-
-_install_operators()
-
-
-# ----------------------------------------------------------------------
-# statement helpers
-# ----------------------------------------------------------------------
-def assign(
-    target: str,
-    rhs: ExprLike,
-    subscripts: Sequence[ExprLike] = (),
-    guard: Optional[ExprLike] = None,
-) -> Assign:
-    """Build an assignment statement."""
-    return Assign(target, rhs, subscripts=subscripts, guard=guard)
-
-
-def do(
-    index: str,
-    lower: ExprLike,
-    upper: ExprLike,
-    body: Sequence[Statement],
-    step: ExprLike = 1,
-) -> Do:
-    """Build an inner sequential ``DO`` loop."""
-    return Do(index, lower, upper, body, step=step)
-
-
-def if_(
-    cond: ExprLike,
-    then_body: Sequence[Statement],
-    else_body: Sequence[Statement] = (),
-) -> If:
-    """Build an ``IF``/``ELSE`` statement."""
-    return If(cond, then_body, else_body)
-
-
-# ----------------------------------------------------------------------
-# program builder
-# ----------------------------------------------------------------------
-class ProgramBuilder:
-    """Accumulates symbols, init code and regions, then builds a program."""
-
-    def __init__(self, name: str):
-        self.name = name
-        self.symbols = SymbolTable()
-        self._init: List[Statement] = []
-        self._finale: List[Statement] = []
-        self._regions: List[Region] = []
-
-    # -- symbols --------------------------------------------------------
-    def scalar(self, name: str, initial: float = 0.0) -> "ProgramBuilder":
-        """Declare a scalar variable."""
-        self.symbols.scalar(name, initial=initial)
-        return self
-
-    def array(
-        self, name: str, shape: Sequence[int], initial: float = 0.0
-    ) -> "ProgramBuilder":
-        """Declare an array variable."""
-        self.symbols.array(name, shape, initial=initial)
-        return self
-
-    # -- code sections ----------------------------------------------------
-    def init(self, *statements: Statement) -> "ProgramBuilder":
-        """Append statements to the sequential init section."""
-        self._init.extend(statements)
-        return self
-
-    def finale(self, *statements: Statement) -> "ProgramBuilder":
-        """Append statements to the sequential finale section."""
-        self._finale.extend(statements)
-        return self
-
-    # -- regions ----------------------------------------------------------
-    def loop_region(
-        self,
-        name: str,
-        index: str,
-        lower: ExprLike,
-        upper: ExprLike,
-        body: Sequence[Statement],
-        step: ExprLike = 1,
-        live_out: Optional[Iterable[str]] = None,
-        speculative: Optional[bool] = None,
-    ) -> LoopRegion:
-        """Add a loop region (segments = iterations) and return it."""
-        region = LoopRegion(
-            name,
-            index,
-            lower,
-            upper,
-            body,
-            step=step,
-            live_out=live_out,
-            speculative=speculative,
-        )
-        self._regions.append(region)
-        return region
-
-    def explicit_region(
-        self,
-        name: str,
-        segments: Sequence[Union[Segment, Tuple[str, Sequence[Statement]]]],
-        edges: Optional[Dict[str, Sequence[str]]] = None,
-        entry: Optional[str] = None,
-        live_out: Optional[Iterable[str]] = None,
-        speculative: Optional[bool] = None,
-    ) -> ExplicitRegion:
-        """Add an explicit-segment region and return it.
-
-        ``segments`` may mix :class:`Segment` objects with
-        ``(name, statements)`` tuples.
-        """
-        segs: List[Segment] = []
-        for item in segments:
-            if isinstance(item, Segment):
-                segs.append(item)
-            else:
-                seg_name, body = item
-                segs.append(Segment(seg_name, body))
-        region = ExplicitRegion(
-            name,
-            segs,
-            edges=edges,
-            entry=entry,
-            live_out=live_out,
-            speculative=speculative,
-        )
-        self._regions.append(region)
-        return region
-
-    def add_region(self, region: Region) -> Region:
-        """Add a pre-built region."""
-        self._regions.append(region)
-        return region
-
-    # -- finish -----------------------------------------------------------
-    def build(self, autodeclare: bool = False) -> Program:
-        """Assemble the :class:`Program`.
-
-        With ``autodeclare=True`` any referenced but undeclared variable
-        is declared as a scalar (useful for small hand-written tests).
-        """
-        program = Program(
-            self.name,
-            symbols=self.symbols,
-            init=self._init,
-            regions=self._regions,
-            finale=self._finale,
-        )
-        if autodeclare:
-            program.ensure_declared()
-        return program
-
-
-# ----------------------------------------------------------------------
-# JSON IR front end (the repro.serve wire format)
-# ----------------------------------------------------------------------
 #: Statement/region discriminator key.
 _KIND = "kind"
 
@@ -403,14 +143,15 @@ def program_from_json(payload: Mapping) -> Program:
     """
     if not isinstance(payload, Mapping):
         raise JsonIRError("program payload must be an object")
-    builder = ProgramBuilder(str(payload.get("name", "program")))
+    program_name = str(payload.get("name", "program"))
+    table = SymbolTable()
     symbols = payload.get("symbols", {})
     if not isinstance(symbols, Mapping):
         raise JsonIRError("symbols: object expected")
     for i, decl in enumerate(symbols.get("scalars", [])):
         if not isinstance(decl, Mapping) or "name" not in decl:
             raise JsonIRError(f"symbols.scalars[{i}]: needs a 'name'")
-        builder.scalar(decl["name"], initial=float(decl.get("initial", 0.0)))
+        table.scalar(decl["name"], initial=float(decl.get("initial", 0.0)))
     for i, decl in enumerate(symbols.get("arrays", [])):
         if not isinstance(decl, Mapping) or "name" not in decl:
             raise JsonIRError(f"symbols.arrays[{i}]: needs a 'name'")
@@ -422,14 +163,15 @@ def program_from_json(payload: Mapping) -> Program:
             raise JsonIRError(
                 f"symbols.arrays[{i}].shape: list of positive ints expected"
             )
-        builder.array(
+        table.array(
             decl["name"], list(shape), initial=float(decl.get("initial", 0.0))
         )
-    builder.init(*_json_body(payload.get("init", []), "init"))
-    builder.finale(*_json_body(payload.get("finale", []), "finale"))
+    init = _json_body(payload.get("init", []), "init")
+    finale = _json_body(payload.get("finale", []), "finale")
     regions = payload.get("regions", [])
     if not isinstance(regions, Sequence) or isinstance(regions, str):
         raise JsonIRError("regions: list expected")
+    built: List[Region] = []
     for i, region in enumerate(regions):
         path = f"regions[{i}]"
         if not isinstance(region, Mapping):
@@ -446,7 +188,7 @@ def program_from_json(payload: Mapping) -> Program:
             for field in ("index", "lower", "upper", "body"):
                 if field not in region:
                     raise JsonIRError(f"{path}: loop region needs {field!r}")
-            builder.loop_region(
+            built.append(LoopRegion(
                 name,
                 region["index"],
                 _json_expr(region["lower"], f"{path}.lower"),
@@ -455,7 +197,7 @@ def program_from_json(payload: Mapping) -> Program:
                 step=_json_expr(region.get("step", 1), f"{path}.step"),
                 live_out=live_out,
                 speculative=speculative,
-            )
+            ))
         elif kind == "explicit":
             segments: List[Segment] = []
             for j, seg in enumerate(region.get("segments", [])):
@@ -484,17 +226,17 @@ def program_from_json(payload: Mapping) -> Program:
                     src: _json_names(dsts, f"{path}.edges[{src!r}]")
                     for src, dsts in edges.items()
                 }
-            builder.explicit_region(
+            built.append(ExplicitRegion(
                 name,
                 segments,
                 edges=edges,
                 entry=region.get("entry"),
                 live_out=live_out,
                 speculative=speculative,
-            )
+            ))
         else:
             raise JsonIRError(
                 f"{path}: unknown region kind {kind!r} "
                 f"(expected loop / explicit)"
             )
-    return builder.build()
+    return Program(program_name, symbols=table, init=init, regions=built, finale=finale)

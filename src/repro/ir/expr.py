@@ -396,48 +396,6 @@ def as_expr(value: ExprLike) -> Expr:
     raise ExpressionError(f"cannot convert {value!r} to an expression")
 
 
-def add(*terms: ExprLike) -> Expr:
-    """Sum of one or more terms."""
-    exprs = [as_expr(t) for t in terms]
-    if not exprs:
-        raise ExpressionError("add() needs at least one term")
-    out = exprs[0]
-    for term in exprs[1:]:
-        out = BinOp("+", out, term)
-    return out
-
-
-def sub(a: ExprLike, b: ExprLike) -> Expr:
-    """Difference ``a - b``."""
-    return BinOp("-", as_expr(a), as_expr(b))
-
-
-def mul(*factors: ExprLike) -> Expr:
-    """Product of one or more factors."""
-    exprs = [as_expr(f) for f in factors]
-    if not exprs:
-        raise ExpressionError("mul() needs at least one factor")
-    out = exprs[0]
-    for factor in exprs[1:]:
-        out = BinOp("*", out, factor)
-    return out
-
-
-def div(a: ExprLike, b: ExprLike) -> Expr:
-    """Quotient ``a / b`` (division by zero evaluates to 0)."""
-    return BinOp("/", as_expr(a), as_expr(b))
-
-
-def neg(a: ExprLike) -> Expr:
-    """Negation ``-a``."""
-    return UnaryOp("-", as_expr(a))
-
-
-def idx(name: str, *subscripts: ExprLike) -> Index:
-    """Array-element read ``name(subscripts...)``."""
-    return Index(name, tuple(as_expr(s) for s in subscripts))
-
-
 def intrinsics() -> Tuple[str, ...]:
     """Names of the supported intrinsic functions."""
     return tuple(sorted(_INTRINSICS))

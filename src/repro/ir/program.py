@@ -109,12 +109,6 @@ class Program:
             if name not in self.symbols:
                 self.symbols.scalar(name)
 
-    def undeclared_variables(self) -> Set[str]:
-        """Referenced variables missing from the symbol table."""
-        return {
-            v for v in self.referenced_variables() if self.symbols.get(v) is None
-        }
-
     def summary(self) -> Dict[str, int]:
         """Small structural summary (used by reports and tests)."""
         return {

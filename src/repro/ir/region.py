@@ -282,8 +282,3 @@ class ExplicitRegion(Region):
             if seg.name == segment:
                 return i
         raise RegionError(f"region {self.name!r} has no segment {segment!r}")
-
-    def ancestors_of(self, segment: str) -> List[str]:
-        """Names of all segments older than ``segment`` (Definition 1)."""
-        age = self.age_of(segment)
-        return [s.name for s in self.segments[:age]]

@@ -122,23 +122,6 @@ class Symbol:
             stride *= int(extent)
         return offset
 
-    def unflatten_index(self, offset: int) -> Tuple[int, ...]:
-        """Inverse of :meth:`flatten_index` (mainly for diagnostics)."""
-        if not self.is_array:
-            if offset != 0:
-                raise SymbolError(f"scalar {self.name!r} offset {offset} != 0")
-            return ()
-        if offset < 0 or offset >= self.size:
-            raise SymbolError(
-                f"offset {offset} out of range for {self.name!r} (size {self.size})"
-            )
-        subs = []
-        rem = int(offset)
-        for extent in self.shape:
-            subs.append(rem % int(extent) + 1)
-            rem //= int(extent)
-        return tuple(subs)
-
 
 @dataclass
 class SymbolTable:
@@ -246,7 +229,3 @@ class SymbolTable:
     def copy(self) -> "SymbolTable":
         """Shallow copy (symbols are immutable)."""
         return SymbolTable(dict(self._symbols))
-
-    def total_footprint_bytes(self) -> int:
-        """Sum of all symbol footprints (diagnostics only)."""
-        return sum(s.footprint_bytes for s in self._symbols.values())

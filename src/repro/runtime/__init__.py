@@ -23,13 +23,13 @@
   Algorithm 2).  Both produce final memory states bit-identical to the
   sequential interpreter.
 
-Both the engines and the sequential interpreter accept timing hooks
-consumed by :mod:`repro.timing`: the engines emit a per-segment-attempt
-timing event stream through an attached
-:class:`~repro.timing.events.TimingRecorder`, the interpreter exposes a
-per-operation ``op_hook``, and the executor's ``compute_cost`` latency
-hook lets a cost model price arithmetic.  The timing package turns
-those streams into multiprocessor makespans and HOSE/CASE speedups.
+The executor prices compute once, in operator-weighted cycles (the
+trace path yields the same), and :mod:`repro.timing` consumes what the
+runtime counts: the engines emit a per-segment-attempt timing event
+stream through an attached :class:`~repro.timing.events.TimingRecorder`,
+and a sequential run's stats are its baseline price.  The timing
+package turns those into multiprocessor makespans and HOSE/CASE
+speedups.
 """
 
 from repro.runtime.errors import (

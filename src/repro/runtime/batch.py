@@ -549,13 +549,10 @@ class BatchProgram:
         "n_writes",
         "reads_by_route",
         "writes_by_route",
-        "default_compute",
-        "n_ctrl_computes",
-        "assign_stmts",
+        "compute_cycles",
         "ref_counts",
         "batched_ops",
         "promoted",
-        "_weighted",
         "__weakref__",
     )
 
@@ -590,27 +587,18 @@ class BatchProgram:
         self.writes_by_route = [0, 0, 0]
         #: Sum of executor-level compute cycles per attempt (control
         #: computes plus each assignment's cost op).
-        self.default_compute = 0
-        self.n_ctrl_computes = 0
-        #: Source statements of the assign steps (with unroll repeats),
-        #: for recorder-weighted compute totals.
-        self.assign_stmts: List[object] = []
+        self.compute_cycles = 0
         self.ref_counts: Dict[str, int] = {}
+        #: Operations per attempt: compute ops counted by the build,
+        #: reads and writes added by :meth:`finalize`.
         self.batched_ops = 0
         #: Variables whose log state the build resolved (register
         #: reads, elided stores); see the module docstring.
         self.promoted: FrozenSet[str] = frozenset()
-        #: CostModel (a frozen value) -> weighted attempt compute.
-        self._weighted: Dict[object, int] = {}
 
     # ------------------------------------------------------------------
     def finalize(self, n_regs: int) -> None:
-        self.batched_ops = (
-            self.n_reads
-            + self.n_writes
-            + self.n_ctrl_computes
-            + len(self.assign_stmts)
-        )
+        self.batched_ops += self.n_reads + self.n_writes
         if _np is not None and len(self.aff_base) >= NUMPY_MIN_AFFINE:
             self.aff_base_np = _np.asarray(self.aff_base, dtype=_np.int64)
             self.aff_coeff_np = _np.asarray(self.aff_coeff, dtype=_np.int64)
@@ -667,26 +655,6 @@ class BatchProgram:
                 self.aff_names, self.aff_base, self.aff_coeff
             )
         ]
-
-    def weighted_compute(self, cost) -> int:
-        """Attempt compute cycles under a recorder's cost model
-        (mirrors the interleaved engine's ``compute_cost`` hook, which
-        prices assignment arithmetic with operator weights and control
-        computes at one cycle).  Cached by the model's value: a
-        memoized program outlives the models that priced it."""
-        cached = self._weighted.get(cost)
-        if cached is None:
-            expression_cost = cost.expression_cost
-            per_stmt: Dict[int, int] = {}
-            total = self.n_ctrl_computes
-            for stmt in self.assign_stmts:
-                c = per_stmt.get(id(stmt))
-                if c is None:
-                    c = expression_cost(stmt.rhs)
-                    per_stmt[id(stmt)] = c
-                total += c
-            self._weighted[cost] = cached = total
-        return cached
 
 
 class _Register:
@@ -931,8 +899,8 @@ def build_batch_program(
     for event in trace.events_for(None):
         kind = event[0]
         if kind == EV_COMPUTE:
-            bp.default_compute += event[1].cycles
-            bp.n_ctrl_computes += 1
+            bp.compute_cycles += event[1].cycles
+            bp.batched_ops += 1
         elif kind == EV_CTRL_READ:
             rop, expected = event[1], event[2]
             bp.n_reads += 1
@@ -961,7 +929,6 @@ def build_batch_program(
                 subs_affine,
                 subs_const,
                 wref,
-                ca,
             ) = event
             rhs = tuple(read_access(r) for r in rhs_reads)
             tail = tuple(read_access(r) for r in target_reads)
@@ -971,10 +938,8 @@ def build_batch_program(
             write = access(
                 target, wref, subs_or_dims, subs_const, subs_affine, wcode
             )
-            bp.default_compute += cost_op.cycles
-            if ca is None or ca.stmt is None:  # pragma: no cover - defensive
-                raise _BuildError("assign event lacks its compiled statement")
-            bp.assign_stmts.append(ca.stmt)
+            bp.compute_cycles += cost_op.cycles
+            bp.batched_ops += 1
             steps.append(("assign", env, rhs, arith_program, tail, write))
         else:  # pragma: no cover - EV_CHARGE is stripped by events_for(None)
             raise _BuildError(f"unexpected trace event kind {kind}")
@@ -1132,21 +1097,14 @@ class _BatchScheduler:
         self._init = {
             name: memory.initial_value(name) for name in bp.var_names
         }
-        #: Compute cycles of one attempt (recorder-weighted when timed)
-        #: and the compiled attempts not yet in ``stats``.
-        recorder = engine._recorder
-        self._compute = (
-            bp.weighted_compute(recorder.cost)
-            if recorder is not None
-            else bp.default_compute
-        )
         #: ``(base, spec, priv)`` terms of an attempt's timing price
         #: (``CostModel.batch_price``); None when untimed.
+        recorder = engine._recorder
         self._price = None
         if recorder is not None:
             writes_by_route = bp.writes_by_route
             self._price = recorder.cost.batch_price(
-                self._compute,
+                bp.compute_cycles,
                 bp.n_reads,
                 {
                     ROUTE_SPECULATIVE: writes_by_route[0],
@@ -1154,6 +1112,7 @@ class _BatchScheduler:
                     None: writes_by_route[1],
                 },
             )
+        #: Compiled attempts not yet in ``stats``.
         self._compiled_attempts = 0
 
     # ------------------------------------------------------------------
@@ -1247,8 +1206,7 @@ class _BatchScheduler:
         the program adds alike is counted here and applied in bulk by
         :meth:`_flush_attempt_stats`."""
         self._compiled_attempts += 1
-        compute = self._compute
-        task.cycles += compute
+        task.cycles += self.bp.compute_cycles
         self.stats.batch_log_entries += (
             len(task.wlog) + len(task.rlog) + len(task.plog)
         )
@@ -1278,7 +1236,7 @@ class _BatchScheduler:
         counts = stats.reference_counts
         for uid, k in bp.ref_counts.items():
             counts[uid] = counts.get(uid, 0) + n * k
-        stats.cycles += n * self._compute
+        stats.cycles += n * bp.compute_cycles
         stats.batched_attempts += n
         stats.batched_ops += n * bp.batched_ops
 

@@ -68,6 +68,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.ir.program import Program
 from repro.ir.region import EXIT_NODE, ExplicitRegion, LoopRegion, Region
+from repro.ir.stmt import Statement
 from repro.obs import metrics as obs_metrics
 from repro.obs.tracer import TRACER, _NULL_SPAN
 from repro.ir.symbols import SymbolError
@@ -83,11 +84,14 @@ from repro.runtime.executor import (
     ComputeOp,
     ReadOp,
     SegmentCoroutine,
-    WriteOp,
     evaluate_expression,
     segment_coroutine,
 )
-from repro.runtime.interpreter import MAX_EXPLICIT_STEPS, SequentialInterpreter
+from repro.runtime.interpreter import (
+    MAX_EXPLICIT_STEPS,
+    SequentialInterpreter,
+    drive,
+)
 from repro.runtime.memory import Address, MemoryImage
 from repro.runtime.specstore import (
     SegmentBuffer,
@@ -349,12 +353,9 @@ class SpeculativeEngine:
         self._region_name: Optional[str] = None
         #: Optional :class:`repro.timing.events.TimingRecorder`; when
         #: attached, every lifecycle event and operation is emitted as a
-        #: timing event (and compute costs use the recorder's cost
-        #: model), without perturbing execution or final memory state.
+        #: timing event, without perturbing execution, stats or final
+        #: memory state.
         self._recorder = recorder
-        self._compute_cost = (
-            recorder.cost.compute_cost_fn() if recorder is not None else None
-        )
         if recorder is not None:
             recorder.run_begin(program.name, self.engine_name, self.window)
         #: Observability hook, snapshotted once (mirrors the recorder
@@ -494,15 +495,7 @@ class SpeculativeEngine:
     ) -> None:
         recorder = self._recorder
         self._region_name = None
-        self._drive_direct(
-            segment_coroutine(
-                self.program.init,
-                op_budget=self.op_budget,
-                compute_cost=self._compute_cost,
-            ),
-            memory,
-            stats,
-        )
+        self._run_direct(self.program.init, memory, stats)
         for region in self.program.regions:
             self._routes = self._routes_for(region, result)
             self._region_name = region.name
@@ -535,58 +528,23 @@ class SpeculativeEngine:
             if recorder is not None:
                 recorder.region_end()
         self._region_name = None
-        self._drive_direct(
-            segment_coroutine(
-                self.program.finale,
-                op_budget=self.op_budget,
-                compute_cost=self._compute_cost,
-            ),
-            memory,
-            stats,
-        )
+        self._run_direct(self.program.finale, memory, stats)
 
     # ------------------------------------------------------------------
     # non-speculative sections (init / finale)
     # ------------------------------------------------------------------
-    def _drive_direct(
-        self,
-        coroutine: SegmentCoroutine,
-        memory: MemoryImage,
-        stats: ExecutionStats,
+    def _run_direct(
+        self, body: List[Statement], memory: MemoryImage, stats: ExecutionStats
     ) -> None:
-        """Run a coroutine straight against conventional memory."""
-        recorder = self._recorder
-        try:
-            op = coroutine.send(None)
-            while True:
-                cls = type(op)
-                if cls is ReadOp:
-                    address = memory.address_of(op.variable, op.subscripts)
-                    value = memory.load(address)
-                    stats.reads += 1
-                    if op.ref is not None:
-                        stats.count_reference(op.ref.uid)
-                    if recorder is not None:
-                        recorder.direct_op("read", 0)
-                    op = coroutine.send(value)
-                elif cls is WriteOp:
-                    address = memory.address_of(op.variable, op.subscripts)
-                    memory.store(address, op.value)
-                    stats.writes += 1
-                    if op.ref is not None:
-                        stats.count_reference(op.ref.uid)
-                    if recorder is not None:
-                        recorder.direct_op("write", 0)
-                    op = coroutine.send(None)
-                else:  # ComputeOp
-                    stats.cycles += op.cycles
-                    if recorder is not None:
-                        recorder.direct_op("compute", op.cycles)
-                    op = coroutine.send(None)
-        except StopIteration:
-            return
-        except SymbolError as exc:
-            raise AddressError(str(exc)) from exc
+        """Run ``body`` straight against conventional memory; a recorder
+        gets the section's price in one call."""
+        accesses = stats.reads + stats.writes
+        cycles = stats.cycles
+        drive(segment_coroutine(body, op_budget=self.op_budget), memory, stats)
+        if self._recorder is not None:
+            self._recorder.direct(
+                stats.cycles - cycles, stats.reads + stats.writes - accesses
+            )
 
     # ------------------------------------------------------------------
     # the segment lifecycle (shared by both attempt executors)
@@ -1043,14 +1001,10 @@ class SpeculativeEngine:
         body = region.body
         index = region.index
         op_budget = self.op_budget
-        compute_cost = self._compute_cost
 
         def spawn_for(value: int) -> Callable[[], SegmentCoroutine]:
             return lambda: segment_coroutine(
-                body,
-                locals_in_scope={index: value},
-                op_budget=op_budget,
-                compute_cost=compute_cost,
+                body, locals_in_scope={index: value}, op_budget=op_budget
             )
 
         active: List[_SegmentTask] = []
@@ -1072,13 +1026,9 @@ class SpeculativeEngine:
         edges = region.segment_edges()
         op_budget = self.op_budget
 
-        compute_cost = self._compute_cost
-
         def spawn_for(segment_name: str) -> Callable[[], SegmentCoroutine]:
             body = region.segment(segment_name).body
-            return lambda: segment_coroutine(
-                body, op_budget=op_budget, compute_cost=compute_cost
-            )
+            return lambda: segment_coroutine(body, op_budget=op_budget)
 
         injector = self._injector
 

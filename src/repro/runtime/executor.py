@@ -28,17 +28,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    Generator,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, Generator, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.ir.expr import (
     BinOp,
@@ -103,11 +93,6 @@ class ExecContext:
     #: Optional hard limit on executed operations (guards against runaway
     #: loops in generated or property-based-test programs).
     op_budget: Optional[int] = None
-    #: Latency hook: an optional ``(stmt, expr) -> cycles`` override of
-    #: the default per-statement compute-cost estimate, letting a cost
-    #: model (e.g. :class:`repro.timing.cost.CostModel`) price operators
-    #: unevenly.  Only affects :class:`ComputeOp` cycles, never values.
-    compute_cost: Optional["Callable[[Statement, Expr], int]"] = None
     _ops: int = 0
 
     def charge(self, amount: int = 1) -> None:
@@ -124,16 +109,32 @@ class ExecContext:
 # would leak every statement ever executed.
 _COST_CACHE: "weakref.WeakKeyDictionary[Statement, int]" = weakref.WeakKeyDictionary()
 
+#: Operator weights of the compute-cost estimate (the base cost is 1):
+#: multiplies, divides and intrinsic calls cost more than adds.
+ADD_WEIGHT = 1
+MUL_WEIGHT = 2
+DIV_WEIGHT = 8
+CALL_WEIGHT = 8
+
 
 def _compute_cost(stmt: Statement, expr: Expr) -> int:
-    """Static instruction-count estimate of evaluating ``expr`` (cached)."""
+    """Operator-weighted instruction estimate of evaluating ``expr`` (cached)."""
     cached = _COST_CACHE.get(stmt)
     if cached is not None:
         return cached
-    operators = sum(
-        1 for node in expr.walk() if isinstance(node, (BinOp, UnaryOp, Call))
-    )
-    cost = 1 + operators
+    cost = 1
+    for node in expr.walk():
+        if isinstance(node, BinOp):
+            if node.op == "*":
+                cost += MUL_WEIGHT
+            elif node.op in ("/", "**"):
+                cost += DIV_WEIGHT
+            else:
+                cost += ADD_WEIGHT
+        elif isinstance(node, UnaryOp):
+            cost += ADD_WEIGHT
+        elif isinstance(node, Call):
+            cost += CALL_WEIGHT
     _COST_CACHE[stmt] = cost
     return cost
 
@@ -192,10 +193,7 @@ def _exec_assign(stmt: Assign, ctx: ExecContext) -> SegmentCoroutine:
             return
     refs = iter(stmt.reads or [])
     rhs_value = yield from _eval_expr(stmt.rhs, ctx, refs)
-    cost_fn = ctx.compute_cost
-    yield ComputeOp(
-        _compute_cost(stmt, stmt.rhs) if cost_fn is None else cost_fn(stmt, stmt.rhs)
-    )
+    yield ComputeOp(_compute_cost(stmt, stmt.rhs))
     subs: List[int] = []
     for sub in stmt.target_subscripts:
         sub_value = yield from _eval_expr(sub, ctx, refs)
@@ -254,20 +252,13 @@ def segment_coroutine(
     body: Sequence[Statement],
     locals_in_scope: Optional[Dict[str, Number]] = None,
     op_budget: Optional[int] = None,
-    compute_cost: Optional[Callable] = None,
 ) -> SegmentCoroutine:
     """Create a fresh coroutine executing ``body``.
 
     ``locals_in_scope`` seeds the register file (e.g. the region loop
-    index for a loop-region iteration); ``compute_cost`` is the optional
-    latency hook replacing the default compute-cost estimate (see
-    :class:`ExecContext`).
+    index for a loop-region iteration).
     """
-    ctx = ExecContext(
-        locals=dict(locals_in_scope or {}),
-        op_budget=op_budget,
-        compute_cost=compute_cost,
-    )
+    ctx = ExecContext(locals=dict(locals_in_scope or {}), op_budget=op_budget)
     return execute_body(body, ctx)
 
 

@@ -16,13 +16,16 @@ Two execution paths produce identical operation streams:
   body schedule is recorded on entry to the region and replayed for
   every iteration, bypassing AST re-interpretation.
 
-``use_replay=False`` forces the interpreter path everywhere.
+``use_replay=False`` forces the interpreter path everywhere.  Either
+way a run's stats carry the same reads, writes and operator-weighted
+compute cycles, which is all
+:func:`repro.timing.makespan.sequential_baseline` prices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.ir.program import Program
 from repro.ir.region import (
@@ -108,6 +111,75 @@ class SequentialResult:
         return self.memory.read(variable, subscripts)
 
 
+def drive(
+    coroutine: SegmentCoroutine,
+    memory: MemoryImage,
+    stats: ExecutionStats,
+    observer: Optional[ExecutionObserver] = None,
+) -> None:
+    """Pump one segment coroutine straight against ``memory``.
+
+    The one non-speculative op loop: the sequential interpreter runs
+    every segment through it, the speculative engines their init and
+    finale sections.
+    """
+    # This loop runs once per simulated operation; locals for every
+    # attribute that would otherwise be re-looked-up per op.
+    # Address translation goes straight to the symbol-table cache
+    # (SymbolError is re-wrapped below to keep the AddressError
+    # contract of MemoryImage.address_of).
+    address_of = memory.symbols.address_of
+    values = memory._values
+    initial_value = memory.initial_value
+    ref_counts = stats.reference_counts
+    missing = object()
+    send = coroutine.send
+    reads = writes = cycles = 0
+    try:
+        op = send(None)
+        while True:
+            cls = type(op)
+            if cls is ReadOp:
+                address = address_of(op.variable, op.subscripts)
+                value = values.get(address, missing)
+                if value is missing:
+                    value = initial_value(address[0])
+                reads += 1
+                ref = op.ref
+                if ref is not None:
+                    uid = ref.uid
+                    ref_counts[uid] = ref_counts.get(uid, 0) + 1
+                if observer is not None:
+                    observer.on_read(ref, address, value)
+                op = send(value)
+            elif cls is WriteOp:
+                address = address_of(op.variable, op.subscripts)
+                new_value = float(op.value)
+                if observer is not None:
+                    old_value = values.get(address, missing)
+                    if old_value is missing:
+                        old_value = initial_value(address[0])
+                    observer.on_write(op.ref, address, old_value, new_value)
+                values[address] = new_value
+                writes += 1
+                ref = op.ref
+                if ref is not None:
+                    uid = ref.uid
+                    ref_counts[uid] = ref_counts.get(uid, 0) + 1
+                op = send(None)
+            else:  # ComputeOp
+                cycles += op.cycles
+                op = send(None)
+    except StopIteration:
+        return
+    except SymbolError as exc:
+        raise AddressError(str(exc)) from exc
+    finally:
+        stats.reads += reads
+        stats.writes += writes
+        stats.cycles += cycles
+
+
 class SequentialInterpreter:
     """Sequential executor for complete programs."""
 
@@ -116,27 +188,14 @@ class SequentialInterpreter:
         program: Program,
         op_budget: Optional[int] = None,
         use_replay: bool = True,
-        op_hook: Optional[Callable[[str, int], None]] = None,
-        compute_cost: Optional[Callable] = None,
         observer: Optional[ExecutionObserver] = None,
     ):
         self.program = program
         self.op_budget = op_budget
         self.use_replay = use_replay
-        #: Optional observer called once per operation as
-        #: ``op_hook(kind, cycles)`` with kind "read" / "write" /
-        #: "compute" -- how the timing model prices a sequential run.
-        self.op_hook = op_hook
-        #: Optional executor latency hook (see
-        #: :class:`repro.runtime.executor.ExecContext`); replay bakes
-        #: default compute costs into traces, so a custom hook forces
-        #: the interpreter path.
-        self.compute_cost = compute_cost
         #: Optional :class:`ExecutionObserver` fed every segment
         #: instance and memory operation (both execution paths).
         self.observer = observer
-        if compute_cost is not None:
-            self.use_replay = False
         self._traces: Dict[str, Optional[SegmentTrace]] = {}
 
     # ------------------------------------------------------------------
@@ -162,78 +221,6 @@ class SequentialInterpreter:
             observer.end_segment()
         return result
 
-    # ------------------------------------------------------------------
-    def _drive(
-        self,
-        coroutine: SegmentCoroutine,
-        memory: MemoryImage,
-        stats: ExecutionStats,
-    ) -> None:
-        """Pump one segment coroutine against the shared memory image."""
-        # This loop runs once per simulated operation; locals for every
-        # attribute that would otherwise be re-looked-up per op.
-        # Address translation goes straight to the symbol-table cache
-        # (SymbolError is re-wrapped below to keep the AddressError
-        # contract of MemoryImage.address_of).
-        address_of = memory.symbols.address_of
-        values = memory._values
-        initial_value = memory.initial_value
-        ref_counts = stats.reference_counts
-        missing = object()
-        send = coroutine.send
-        op_hook = self.op_hook
-        observer = self.observer
-        reads = writes = cycles = 0
-        try:
-            op = send(None)
-            while True:
-                cls = type(op)
-                if cls is ReadOp:
-                    address = address_of(op.variable, op.subscripts)
-                    value = values.get(address, missing)
-                    if value is missing:
-                        value = initial_value(address[0])
-                    reads += 1
-                    ref = op.ref
-                    if ref is not None:
-                        uid = ref.uid
-                        ref_counts[uid] = ref_counts.get(uid, 0) + 1
-                    if op_hook is not None:
-                        op_hook("read", 0)
-                    if observer is not None:
-                        observer.on_read(ref, address, value)
-                    op = send(value)
-                elif cls is WriteOp:
-                    address = address_of(op.variable, op.subscripts)
-                    new_value = float(op.value)
-                    if observer is not None:
-                        old_value = values.get(address, missing)
-                        if old_value is missing:
-                            old_value = initial_value(address[0])
-                        observer.on_write(op.ref, address, old_value, new_value)
-                    values[address] = new_value
-                    writes += 1
-                    ref = op.ref
-                    if ref is not None:
-                        uid = ref.uid
-                        ref_counts[uid] = ref_counts.get(uid, 0) + 1
-                    if op_hook is not None:
-                        op_hook("write", 0)
-                    op = send(None)
-                else:  # ComputeOp
-                    cycles += op.cycles
-                    if op_hook is not None:
-                        op_hook("compute", op.cycles)
-                    op = send(None)
-        except StopIteration:
-            return
-        except SymbolError as exc:
-            raise AddressError(str(exc)) from exc
-        finally:
-            stats.reads += reads
-            stats.writes += writes
-            stats.cycles += cycles
-
     def _run_body(
         self,
         body: Sequence[Statement],
@@ -242,12 +229,11 @@ class SequentialInterpreter:
     ) -> None:
         if not body:
             return
-        self._drive(
-            segment_coroutine(
-                body, op_budget=self.op_budget, compute_cost=self.compute_cost
-            ),
+        drive(
+            segment_coroutine(body, op_budget=self.op_budget),
             memory,
             stats,
+            self.observer,
         )
 
     # ------------------------------------------------------------------
@@ -315,11 +301,10 @@ class SequentialInterpreter:
                     region.body,
                     locals_in_scope={region.index: value},
                     op_budget=self.op_budget,
-                    compute_cost=self.compute_cost,
                 )
             if observer is not None:
                 observer.begin_segment(region.name, LOOP_BODY_SEGMENT, value)
-            self._drive(coroutine, memory, stats)
+            drive(coroutine, memory, stats, observer)
             if observer is not None:
                 observer.end_segment()
             stats.segments_committed += 1
@@ -346,14 +331,11 @@ class SequentialInterpreter:
             stats.segments_started += 1
             if observer is not None:
                 observer.begin_segment(region.name, current, steps - 1)
-            self._drive(
-                segment_coroutine(
-                    segment.body,
-                    op_budget=self.op_budget,
-                    compute_cost=self.compute_cost,
-                ),
+            drive(
+                segment_coroutine(segment.body, op_budget=self.op_budget),
                 memory,
                 stats,
+                observer,
             )
             if observer is not None:
                 observer.end_segment()

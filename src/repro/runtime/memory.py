@@ -89,17 +89,6 @@ class MemoryImage:
         clone._values = dict(self._values)
         return clone
 
-    def live_values(
-        self, variables: Optional[Iterable[str]] = None
-    ) -> Dict[Address, float]:
-        """Stored values restricted to ``variables`` (all when ``None``)."""
-        if variables is None:
-            return self.snapshot()
-        wanted = set(variables)
-        return {
-            addr: value for addr, value in self._values.items() if addr[0] in wanted
-        }
-
     def differences(
         self,
         other: "MemoryImage",

@@ -312,9 +312,6 @@ class CompiledAssign:
     #: None for a scalar target, else per-dimension templates.
     target_dims: Optional[Tuple[Tuple, ...]]
     write_ref: Optional[MemoryReference]
-    #: The source statement (carried for consumers that need the AST,
-    #: e.g. batched pricing via ``CostModel.expression_cost``).
-    stmt: Optional[Assign] = None
 
 
 def _dim_template(
@@ -450,7 +447,6 @@ def compile_assign(
         target=stmt.target,
         target_dims=target_dims,
         write_ref=stmt.write,
-        stmt=stmt,
     )
 
 
@@ -557,14 +553,12 @@ EV_COMPUTE = 1    # (EV_COMPUTE, ComputeOp)
 EV_CTRL_READ = 2  # (EV_CTRL_READ, ReadOp, expected_value)
 EV_ASSIGN = 3     # (EV_ASSIGN, rhs_reads, target_reads, arith_fn,
                   #  arith_program, env, cost_op, target, subs_or_dims,
-                  #  subs_affine, subs_const, write_ref, compiled_assign)
+                  #  subs_affine, subs_const, write_ref)
                   # read entries: prebuilt ReadOp (fixed address),
                   #   (name, ref, dims) with all dims (base, coeff), or
                   #   (name, ref, dims, None) with mixed/program dims.
                   # target_reads are yielded after the cost ComputeOp,
                   # matching the interpreter's order for scatter writes.
-                  # The trailing CompiledAssign lets batched replay price
-                  # and re-derive the statement without the AST walk.
 
 Event = Tuple
 
@@ -733,7 +727,6 @@ def record_trace(
                 subs_affine,
                 subs_const,
                 ca.write_ref,
-                ca,
             )
         )
 
@@ -870,7 +863,6 @@ def replay_segment(
                 subs_affine,
                 subs_const,
                 wref,
-                _ca,
             ) = event
             values: List[float] = []
             for r in rhs_reads:

@@ -15,11 +15,11 @@ owns the two cross-request resources:
   a bounded LRU; eviction invalidates the program's cache entries so
   neither side grows without bound, and
 * the **ground-truth memo** -- each interned program carries its
-  sequential final memory and cost-model baseline cycles, filled by
-  the first request that needs them.  ``simulate`` and
-  ``speedup_sweep`` compare every engine run against the memoized
-  memory bit for bit, so a program runs sequentially once per
-  interner lifetime instead of once per request.  The memo lives in
+  sequential final memory and cost-model baseline cycles, both filled
+  by one sequential run for the first request that needs either.
+  ``simulate`` and ``speedup_sweep`` compare every engine run against
+  the memoized memory bit for bit, so a program runs sequentially once
+  per interner lifetime instead of once per request.  The memo lives in
   the interner entry and is dropped with it.
 
 Every response result carries a ``meta`` object:
@@ -90,9 +90,9 @@ class _Interned:
 
     ``memory`` (the sequential final memory) and ``baseline`` (the
     :data:`DEFAULT_COST_MODEL` sequential cycles) start empty and are
-    filled once, under the interner lock.  A fill that finishes after
-    the entry was evicted lands on this detached object only, so it
-    can never reach a later program.
+    filled together, once, under the interner lock.  A fill that
+    finishes after the entry was evicted lands on this detached object
+    only, so it can never reach a later program.
     """
 
     __slots__ = ("program", "memory", "baseline")
@@ -307,34 +307,23 @@ class Dispatcher:
     # ------------------------------------------------------------------
     # ground truth
     # ------------------------------------------------------------------
-    def _ground_truth(
-        self, entry: _Interned, baseline: bool = False
-    ) -> Tuple[MemoryImage, Optional[int]]:
+    def _ground_truth(self, entry: _Interned) -> Tuple[MemoryImage, int]:
         """The sequential final memory and baseline cycles of ``entry``.
 
-        Runs the program sequentially only when the memo lacks what is
-        asked for: the final memory always, the baseline cycles with
-        ``baseline``.  The run happens outside the lock, as in
-        :class:`AnalysisCache`; the first fill wins.  Both sequential
-        paths give bit-identical memory, so either may fill it.
+        One sequential run fills both, the first time either is asked
+        for.  The run happens outside the lock, as in
+        :class:`AnalysisCache`; the first fill wins.
         """
         with self._programs_lock:
-            if entry.memory is not None and (
-                entry.baseline is not None or not baseline
-            ):
+            if entry.memory is not None:
                 self._truth_hits += 1
                 return entry.memory, entry.baseline
-        if baseline:
-            cycles, result = sequential_baseline(
-                entry.program, DEFAULT_COST_MODEL
-            )
-        else:
-            cycles, result = None, SequentialInterpreter(entry.program).run()
+        result = SequentialInterpreter(entry.program).run()
+        cycles = sequential_baseline(result.stats, DEFAULT_COST_MODEL)
         with self._programs_lock:
             self._truth_misses += 1
             if entry.memory is None:
                 entry.memory = result.memory
-            if entry.baseline is None:
                 entry.baseline = cycles
             return entry.memory, entry.baseline
 
@@ -489,7 +478,7 @@ class Dispatcher:
                 f"unknown engines {unknown!r}",
                 data={"engines": sorted(ENGINES)},
             )
-        truth, baseline = self._ground_truth(entry, baseline=True)
+        truth, baseline = self._ground_truth(entry)
         engines: Dict[str, Any] = {}
         for name in engine_names:
             engine_cls = ENGINES[name]

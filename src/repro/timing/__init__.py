@@ -5,8 +5,8 @@ The speculative engines (:mod:`repro.runtime.engines`) prove the paper's
 claims by turning the engines' operation streams into parallel time:
 
 * :mod:`repro.timing.cost` -- the configurable cost model: operation
-  costs (operator-weighted compute via the executor's ``compute_cost``
-  latency hook), per-route access latencies (conventional memory /
+  costs (the executor's operator-weighted compute cycles times a
+  scale), per-route access latencies (conventional memory /
   speculative store / private frame), and the speculation overheads
   (dispatch, commit arbitration, overflow drain, squash penalty);
 * :mod:`repro.timing.events` -- the per-segment-attempt timing event
@@ -17,7 +17,8 @@ claims by turning the engines' operation streams into parallel time:
   ``P`` logical processors, window-ordered dispatch in age order,
   earliest-free-processor assignment, commit-in-age-order arbitration;
 * :mod:`repro.timing.makespan` -- critical-path makespan over a whole
-  recording plus the cost-modelled sequential baseline, yielding
+  recording plus the sequential baseline (a closed form of one
+  sequential run's stats), yielding
   per-processor busy / wasted / stall / idle breakdowns and
   speedup-vs-sequential.
 

@@ -4,11 +4,11 @@ Every quantity the timing model charges is a knob on one frozen
 :class:`CostModel`:
 
 * **operation costs** -- compute operations scale the executor's
-  per-statement instruction estimate by :attr:`~CostModel.compute_scale`;
-  optionally the estimate itself is re-derived with *weighted* operators
-  (multiplies, divides and intrinsic calls cost more than adds), which
-  :meth:`CostModel.compute_cost_fn` plugs into the executor's
-  ``compute_cost`` latency hook so the engines and the sequential
+  operator-weighted per-statement instruction estimate
+  (:func:`repro.runtime.executor._compute_cost`: multiplies, divides
+  and intrinsic calls cost more than adds) by
+  :attr:`~CostModel.compute_scale`; the AST coroutines and the recorded
+  traces yield the same estimate, so the engines and the sequential
   baseline price arithmetic identically;
 * **access latencies** -- one latency per storage a reference can be
   served from: conventional memory (:attr:`~CostModel.memory_latency`,
@@ -32,11 +32,8 @@ cycle total.
 
 from __future__ import annotations
 
-import weakref
 from dataclasses import asdict, dataclass
-from typing import Callable, Dict, Mapping, Optional, Tuple
-
-from repro.ir.expr import BinOp, Call, Expr, UnaryOp
+from typing import Dict, Mapping, Optional, Tuple
 
 #: Route tags carried by timing events (the engines' canonical route
 #: vocabulary, plus the non-speculative default ``None`` -> conventional
@@ -72,11 +69,6 @@ class CostModel:
     commit_per_entry: int = 2
     #: Pipeline flush + refetch paid on every violation restart.
     squash_penalty: int = 8
-    #: Operator weights of the compute-cost hook (base cost is 1).
-    add_weight: int = 1
-    mul_weight: int = 2
-    div_weight: int = 8
-    call_weight: int = 8
 
     # ------------------------------------------------------------------
     def op_cost(self, kind: str, cycles: int, route: Optional[str] = None) -> int:
@@ -93,6 +85,16 @@ class CostModel:
         if route == ROUTE_SPECULATIVE:
             return self.specstore_latency
         return self.memory_latency
+
+    def direct_cost(self, cycles: int, accesses: int) -> int:
+        """Price of non-speculative work: ``cycles`` executor compute
+        cycles and ``accesses`` conventional-memory reads and writes.
+
+        Equals summing :meth:`op_cost` over the op stream; it prices a
+        whole sequential run (the baseline) and the engines' init and
+        finale sections.
+        """
+        return self.compute_scale * cycles + self.memory_latency * accesses
 
     def commit_cost(self, entries: int) -> int:
         """Commit-arbitration cost of draining ``entries`` buffered entries."""
@@ -123,52 +125,6 @@ class CostModel:
             self.op_cost(KIND_READ, 0, ROUTE_SPECULATIVE) - memory,
             self.op_cost(KIND_READ, 0, ROUTE_PRIVATE) - memory,
         )
-
-    # ------------------------------------------------------------------
-    def expression_cost(self, expr: Expr) -> int:
-        """Operator-weighted instruction estimate of evaluating ``expr``."""
-        cost = 1
-        for node in expr.walk():
-            if isinstance(node, BinOp):
-                if node.op == "*":
-                    cost += self.mul_weight
-                elif node.op in ("/", "**"):
-                    cost += self.div_weight
-                else:
-                    cost += self.add_weight
-            elif isinstance(node, UnaryOp):
-                cost += self.add_weight
-            elif isinstance(node, Call):
-                cost += self.call_weight
-        return cost
-
-    def compute_cost_fn(self) -> Callable:
-        """A per-statement cost function for the executor's latency hook.
-
-        Returns a fresh memoized ``(stmt, expr) -> int`` closure pricing
-        arithmetic with this model's operator weights.  The memo is
-        keyed per ``(stmt, id(expr))``: the outer map is weakly keyed by
-        statement (like the executor's default cache), and each
-        statement holds an inner ``id(expr) -> cost`` map — keying by
-        statement alone would silently return the first expression's
-        cost for any other expression priced under the same statement.
-        ``id(expr)`` is honest because a statement keeps its expressions
-        alive for as long as the weak key itself exists; when the
-        statement dies, the inner map (and its ids) die with it.
-        """
-        cache: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-        expression_cost = self.expression_cost
-
-        def compute_cost(stmt, expr) -> int:
-            per_stmt = cache.get(stmt)
-            if per_stmt is None:
-                per_stmt = cache[stmt] = {}
-            cached = per_stmt.get(id(expr))
-            if cached is None:
-                cached = per_stmt[id(expr)] = expression_cost(expr)
-            return cached
-
-        return compute_cost
 
     def as_dict(self) -> Dict[str, int]:
         """All knobs as a plain dict (for bench report metadata)."""

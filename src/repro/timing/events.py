@@ -213,12 +213,16 @@ class TimingRecorder:
         self._recording.engine = engine
         self._recording.window = window
 
-    def direct_op(self, kind: str, cycles: int) -> None:
-        """One non-speculative operation (init / finale)."""
+    def direct(self, cycles: int, accesses: int) -> None:
+        """One non-speculative section (init / finale) of ``cycles``
+        compute cycles and ``accesses`` memory accesses; a section that
+        executed no operation records nothing."""
+        if not cycles and not accesses:
+            return
         if self._direct is None:
             self._direct = DirectSection()
             self._recording.sections.append(self._direct)
-        self._direct.cycles += self.cost.op_cost(kind, cycles)
+        self._direct.cycles += self.cost.direct_cost(cycles, accesses)
 
     def region_begin(self, name: str, kind: str) -> None:
         self._direct = None

@@ -10,8 +10,9 @@ and the longest single-segment critical path (the floor any parallel
 execution must respect).
 
 The **sequential baseline** prices the sequential interpreter's
-operation stream with the *same* cost model (memory accesses at
-``memory_latency``, compute at the weighted operator costs), so
+operation stream with the *same* cost model: a closed form of one run's
+stats, ``compute_scale * cycles + memory_latency * (reads + writes)``
+(:meth:`~repro.timing.cost.CostModel.direct_cost`), so
 ``speedup = sequential_cycles / makespan`` compares identical work under
 identical prices -- the only differences are parallelism and the
 explicit speculation overheads.
@@ -23,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.ir.program import Program
+from repro.runtime.stats import ExecutionStats
 from repro.timing.cost import CostModel
 from repro.timing.events import (
     DirectSection,
@@ -147,47 +149,22 @@ def compute_makespan(
     )
 
 
-class _CostSummer:
-    """Op hook summing the cost-modelled cycles of a sequential run."""
+def sequential_baseline(stats: ExecutionStats, cost: CostModel) -> int:
+    """Cost-modelled cycle total of a sequential run with ``stats``.
 
-    __slots__ = ("cost", "total")
-
-    def __init__(self, cost: CostModel):
-        self.cost = cost
-        self.total = 0
-
-    def __call__(self, kind: str, cycles: int) -> None:
-        self.total += self.cost.op_cost(kind, cycles)
-
-
-def sequential_baseline(
-    program: Program, cost: Optional[CostModel] = None
-) -> Tuple[int, "SequentialResult"]:
-    """Cost-modelled cycle total plus the sequential result, in one run.
-
-    Drives the sequential interpreter with the cost model's compute
-    weighting and prices every memory access at ``memory_latency`` --
-    the baseline all speedups are measured against.  The returned
-    result's memory is the ground truth for engine equivalence checks
-    (compute costs never affect values), so callers that need both pay
-    a single execution.
+    Every operation of a sequential run is priced like a direct
+    section's: memory accesses at ``memory_latency``, compute at the
+    executor's operator-weighted cycles times ``compute_scale``.
     """
-    from repro.runtime.interpreter import SequentialInterpreter
-
-    cost = cost or CostModel()
-    summer = _CostSummer(cost)
-    result = SequentialInterpreter(
-        program,
-        use_replay=False,
-        op_hook=summer,
-        compute_cost=cost.compute_cost_fn(),
-    ).run()
-    return summer.total, result
+    return cost.direct_cost(stats.cycles, stats.reads + stats.writes)
 
 
 def sequential_cycles(program: Program, cost: Optional[CostModel] = None) -> int:
     """Cost-modelled cycle total of one sequential execution."""
-    return sequential_baseline(program, cost)[0]
+    from repro.runtime.interpreter import SequentialInterpreter
+
+    stats = SequentialInterpreter(program).run().stats
+    return sequential_baseline(stats, cost or CostModel())
 
 
 def speculative_makespan(

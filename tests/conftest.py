@@ -44,3 +44,18 @@ def perfbench_inputs():
     finally:
         del sys.modules[spec.name]
     return inputs
+
+
+def perfbench_layers():
+    """The benchmark's traced-run module (``perfbench/layers.py``)."""
+    bench = os.path.join(_ROOT, "perfbench")
+    sys.path.insert(0, bench)  # layers imports its sibling ``arith``
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_layers", os.path.join(bench, "layers.py")
+    )
+    layers = importlib.util.module_from_spec(spec)
+    try:
+        spec.loader.exec_module(layers)
+    finally:
+        sys.path.remove(bench)
+    return layers

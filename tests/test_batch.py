@@ -34,7 +34,6 @@ from repro.runtime.engines import (
 from repro.runtime.executor import ReadOp, WriteOp
 from repro.runtime.interpreter import run_program
 from repro.runtime.trace import replay_segment
-from repro.timing.cost import CostModel
 from repro.timing.events import TimingRecorder
 
 SIZE = 12
@@ -469,24 +468,6 @@ class TestBatchProgramMemo:
         assert recorded == [4.0, 6.0]
         run_batched(second, CASEEngine)
         assert recorded == [4.0, 6.0]
-
-
-class TestWeightedCompute:
-    def test_pricing_survives_cost_model_id_reuse(self):
-        # A memoized program outlives the cost models that priced it; a
-        # cache keyed by id() hands a new model the cycles of a freed
-        # one that happened to live at the same address.
-        def priced(program, mul_weight):
-            recorder = TimingRecorder(CostModel(mul_weight=mul_weight))
-            CASEEngine(
-                program, window=4, capacity=64, batch=True, recorder=recorder
-            ).run()
-            return recorder.recording().summary()
-
-        program = generate("reduction", SIZE, STATEMENTS).program
-        for mul_weight in range(2, 12):
-            fresh = priced(generate("reduction", SIZE, STATEMENTS).program, mul_weight)
-            assert priced(program, mul_weight) == fresh
 
 
 class TestFallbackReasons:

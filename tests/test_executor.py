@@ -113,7 +113,7 @@ class TestOpBudget:
 class TestCostCache:
     def test_cost_counts_operators(self):
         stmt = Assign("x", BinOp("+", Var("a"), BinOp("*", Var("b"), Var("c"))))
-        assert _compute_cost(stmt, stmt.rhs) == 3  # 1 + two operators
+        assert _compute_cost(stmt, stmt.rhs) == 4  # 1 + add (1) + multiply (2)
 
     def test_cache_entry_dies_with_statement(self):
         # Regression: the cache used to be keyed by id(stmt); a new
@@ -131,7 +131,7 @@ class TestCostCache:
         cheap = Assign("x", Var("a"))
         costly = Assign("x", BinOp("+", Var("a"), BinOp("*", Var("b"), Var("c"))))
         assert _compute_cost(cheap, cheap.rhs) == 1
-        assert _compute_cost(costly, costly.rhs) == 3
+        assert _compute_cost(costly, costly.rhs) == 4
 
 
 class TestSequentialInterpreter:

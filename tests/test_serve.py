@@ -21,7 +21,9 @@ import time
 import pytest
 
 import repro
+from conftest import perfbench_layers
 from repro.obs.metrics import metrics_registry
+from repro.obs.tracer import TRACER
 from repro.serve import dispatch as dispatch_mod
 from repro.serve.dispatch import Dispatcher
 from repro.serve.pool import PoolSaturated, WorkerPool
@@ -341,9 +343,9 @@ class TestDispatcher:
         finally:
             registry.disable()
             registry.reset()
-        # simulate fills the memory, the second simulate hits, the sweep
-        # still needs the baseline cycles.
-        assert metrics["ground_truth"] == {"hits": 1, "misses": 2, "entries": 1}
+        # simulate's one sequential run fills the memory and the baseline
+        # cycles; the second simulate and the sweep hit.
+        assert metrics["ground_truth"] == {"hits": 2, "misses": 1, "entries": 1}
         latency = metrics["request_ms"]
         assert 0 < latency["p50"] <= latency["p95"]
 
@@ -360,7 +362,8 @@ class TestDispatcher:
 # ----------------------------------------------------------------------
 @pytest.fixture
 def sequential_runs(monkeypatch):
-    """Count sequential runs made through the dispatcher's module names."""
+    """Count sequential runs and baseline pricings made through the
+    dispatcher's module names."""
     runs = []
     interpreter = dispatch_mod.SequentialInterpreter
     baseline = dispatch_mod.sequential_baseline
@@ -370,9 +373,9 @@ def sequential_runs(monkeypatch):
             runs.append(("interpreter", self.program.name))
             return super().run()
 
-    def counted_baseline(program, cost=None):
-        runs.append(("baseline", program.name))
-        return baseline(program, cost)
+    def counted_baseline(stats, cost):
+        runs.append(("baseline",))
+        return baseline(stats, cost)
 
     monkeypatch.setattr(dispatch_mod, "SequentialInterpreter", Counted)
     monkeypatch.setattr(dispatch_mod, "sequential_baseline", counted_baseline)
@@ -400,16 +403,16 @@ class TestGroundTruthMemo:
                 rpc(1, "simulate", {"dsl": DSL, "engine": engine})
             )["result"]
             assert result["bit_identical"] is True
-        assert sequential_runs == [("interpreter", "served")]
+        assert sequential_runs == [("interpreter", "served"), ("baseline",)]
 
     def test_repeat_sweep_runs_no_sequential_execution(self, sequential_runs):
         dispatcher = Dispatcher()
         for _ in range(2):
             result = dispatcher.dispatch(rpc(1, "speedup_sweep", {"dsl": DSL}))
             assert result["result"]["sequential_cycles"] > 0
-        # The baseline run also filled the memory simulate needs.
+        # The sweep's run also filled the memory simulate needs.
         dispatcher.dispatch(rpc(2, "simulate", {"dsl": DSL}))
-        assert sequential_runs == [("baseline", "served")]
+        assert sequential_runs == [("interpreter", "served"), ("baseline",)]
 
     def test_sweep_after_simulate_reports_the_same_cycles(self):
         cold = Dispatcher().dispatch(rpc(1, "speedup_sweep", {"dsl": DSL}))
@@ -420,7 +423,7 @@ class TestGroundTruthMemo:
             warm["result"]["sequential_cycles"]
             == cold["result"]["sequential_cycles"]
         )
-        assert dispatcher.ground_truth_stats()["misses"] == 2
+        assert dispatcher.ground_truth_stats()["misses"] == 1
 
     def test_eviction_drops_the_entry(self, sequential_runs):
         dispatcher = Dispatcher(max_programs=1)
@@ -430,7 +433,7 @@ class TestGroundTruthMemo:
         dispatcher.dispatch(rpc(2, "analyze", {"dsl": other}))
         assert dispatcher.ground_truth_stats()["entries"] == 0
         dispatcher.dispatch(rpc(3, "simulate", {"dsl": DSL}))
-        assert sequential_runs == [("interpreter", "served")] * 2
+        assert sequential_runs == [("interpreter", "served"), ("baseline",)] * 2
 
     @pytest.mark.parametrize("method", ["simulate", "speedup_sweep"])
     def test_corrupted_engine_result_fails_against_memo(
@@ -507,6 +510,32 @@ class TestGroundTruthMemo:
         assert response["result"]["bit_identical"] is True
         assert dispatcher.ground_truth_stats()["misses"] == 2
         assert dispatcher.resolve_program({"dsl": DSL}) is not first
+
+
+class TestTracedLayers:
+    def test_instrument_spans_every_patched_layer(self):
+        # perfbench's traced run swaps span wrappers into the names
+        # dispatch calls through; a rename must fail here, not only in
+        # the traced benchmark run.
+        layers = perfbench_layers()
+        dispatcher = Dispatcher()
+        TRACER.reset()
+        TRACER.enable()
+        try:
+            with layers.instrument(dispatcher, layers.EngineLog()):
+                for n, method in enumerate(layers.METHODS):
+                    response = dispatcher.dispatch(rpc(n, method, {"dsl": DSL}))
+                    assert "result" in response, response
+        finally:
+            TRACER.disable()
+            names = {span.name for span in TRACER.finished_spans()}
+            TRACER.reset()
+        assert {
+            "ir.parse",
+            "runtime.verdict",
+            "timing.baseline",
+            "timing.makespan",
+        } <= names
 
 
 # ----------------------------------------------------------------------

@@ -14,14 +14,24 @@ import hashlib
 
 import pytest
 
+from conftest import perfbench_inputs
 from repro.bench.speedup import (
     check_embarrassing_speedup,
     measure_speedup_family,
 )
 from repro.bench.workloads import FAMILIES, generate
+from repro.corpus import corpus
 from repro.ir.dsl import parse_program
+from repro.ir.region import EXIT_NODE, LoopRegion
 from repro.runtime.engines import CASEEngine, HOSEEngine
+from repro.runtime.executor import (
+    ReadOp,
+    WriteOp,
+    evaluate_expression,
+    segment_coroutine,
+)
 from repro.runtime.interpreter import run_program
+from repro.runtime.memory import MemoryImage
 from repro.timing import (
     CostModel,
     TimingRecorder,
@@ -100,48 +110,92 @@ class TestCostModel:
         )
         assert base + spec * 3 + priv * 2 == expected
 
-    def test_compute_cost_fn_weights_operators(self):
-        from repro.ir.dsl import parse_program as parse
-
-        program = parse(
-            """
-program w
-  real a, b
-  region R do k = 1, 2
-    a = b * b
-    liveout a
-  end region
-end program
-"""
-        )
-        stmt = program.regions[0].body[0]
-        fn = COST.compute_cost_fn()
-        cost = fn(stmt, stmt.rhs)
-        assert cost == 1 + COST.mul_weight
-        assert fn(stmt, stmt.rhs) == cost  # memoized
-
-    def test_compute_cost_fn_keys_per_expression(self):
-        # Regression: the memo used to key by statement alone, so a
-        # second, different expression priced under the same statement
-        # silently got the first expression's cost.
-        from repro.ir.builder import assign, var
-
-        stmt = assign("a", var("b") * var("c"))          # cost 1 + mul
-        cheap = stmt.rhs
-        costly = var("b") / var("c") + var("b")          # cost 1 + div + add
-        stmt.rhs = costly  # the statement owns both exprs' lifetimes
-        fn = COST.compute_cost_fn()
-        assert fn(stmt, cheap) == COST.expression_cost(cheap)
-        assert fn(stmt, costly) == COST.expression_cost(costly)
-        assert fn(stmt, cheap) != fn(stmt, costly)
-        # Memoized per expression, not recomputed.
-        assert fn(stmt, cheap) == COST.expression_cost(cheap)
-
 
 # ----------------------------------------------------------------------
 # Sequential baseline.
 # ----------------------------------------------------------------------
+def priced_op_by_op(program, cost):
+    """Oracle of the sequential baseline: run the AST coroutines in
+    program order and price every operation with ``cost.op_cost``."""
+    memory = MemoryImage(program.symbols)
+    total = 0
+
+    def run(body, locals_in_scope=None):
+        nonlocal total
+        coroutine = segment_coroutine(body, locals_in_scope)
+        value = None
+        try:
+            while True:
+                op = coroutine.send(value)
+                value = None
+                if type(op) is ReadOp:
+                    value = memory.read(op.variable, op.subscripts)
+                    total += cost.op_cost("read", 0)
+                elif type(op) is WriteOp:
+                    memory.write(op.variable, op.value, op.subscripts)
+                    total += cost.op_cost("write", 0)
+                else:
+                    total += cost.op_cost("compute", op.cycles)
+        except StopIteration:
+            pass
+
+    def bound(expr):
+        return int(round(evaluate_expression(expr, memory.read)))
+
+    run(program.init)
+    for region in program.regions:
+        if isinstance(region, LoopRegion):
+            lower, upper, step = (
+                bound(region.lower), bound(region.upper), bound(region.step)
+            )
+            for value in range(lower, upper + (1 if step > 0 else -1), step):
+                run(region.body, {region.index: value})
+            continue
+        edges = region.segment_edges()
+        current = region.entry
+        while current != EXIT_NODE:
+            segment = region.segment(current)
+            run(segment.body)
+            successors = edges.get(current, [])
+            if not successors:
+                break
+            if len(successors) > 1 and segment.branch is not None:
+                taken = evaluate_expression(segment.branch, memory.read)
+                current = successors[0] if taken else successors[1]
+            else:
+                current = successors[0]
+    run(program.finale)
+    return total
+
+
+def _oracle_programs():
+    inputs = perfbench_inputs()
+    programs = [(f, generate(f, 12, 3).program) for f in FAMILIES]
+    programs += [
+        (
+            f"mix_{f}",
+            parse_program(
+                inputs.family_source(
+                    f, f"mix_{f}", inputs.MIX_SIZES[f], inputs.MIX_STATEMENTS
+                )
+            ),
+        )
+        for f in FAMILIES
+    ]
+    programs += [(f"corpus_{i}", p) for i, p in corpus(60, 4242)]
+    return programs
+
+
 class TestSequentialBaseline:
+    @pytest.mark.parametrize(
+        "cost", [COST, CostModel(compute_scale=3, memory_latency=7)]
+    )
+    def test_closed_form_equals_op_by_op_pricing(self, cost):
+        for name, program in _oracle_programs():
+            assert sequential_cycles(program, cost) == priced_op_by_op(
+                program, cost
+            ), name
+
     def test_positive_and_deterministic(self):
         workload = generate("reduction", 10, 2)
         a = sequential_cycles(workload.program, COST)
@@ -199,17 +253,23 @@ class TestMakespanBounds:
         assert makespan.speedup > 1.5
         assert makespan.makespan < makespan.sequential_cycles
 
-    def test_recorder_does_not_change_stats_or_storage(self):
-        workload = generate("stencil", 12, 2)
-        plain = HOSEEngine(workload.program, window=3, capacity=4).run()
-        recorder = TimingRecorder(COST)
-        recorded = HOSEEngine(
-            workload.program, window=3, capacity=4, recorder=recorder
+    @pytest.mark.parametrize("capacity", [8, None])
+    @pytest.mark.parametrize("batch", [False, True])
+    @pytest.mark.parametrize("engine_cls", [HOSEEngine, CASEEngine])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_recorder_does_not_change_stats_or_storage(
+        self, family, engine_cls, batch, capacity
+    ):
+        program = generate(family, 12, 3).program
+        options = dict(window=4, capacity=capacity, batch=batch)
+        plain = engine_cls(program, **options).run()
+        recorded = engine_cls(
+            program, recorder=TimingRecorder(COST), **options
         ).run()
-        assert recorded.stats.violations == plain.stats.violations
-        assert recorded.stats.rollbacks == plain.stats.rollbacks
-        assert recorded.stats.commit_entries == plain.stats.commit_entries
+        assert recorded.stats.as_dict() == plain.stats.as_dict()
+        assert recorded.stats.reference_counts == plain.stats.reference_counts
         assert recorded.spec_peak_entries == plain.spec_peak_entries
+        assert recorded.memory.differences(plain.memory, tolerance=0.0) == {}
 
 
 # ----------------------------------------------------------------------

@@ -21,8 +21,6 @@ from repro.runtime.trace import (
     replay_segment,
     trace_eligibility,
 )
-from repro.timing.cost import DEFAULT_COST_MODEL
-from repro.timing.makespan import sequential_baseline
 
 
 def record_for(program, region):
@@ -59,18 +57,16 @@ class TestEquivalenceOnBenchFamilies:
 
 
 class TestSequentialPathsAgree:
-    """The daemon memoizes whichever sequential run comes first, so the
-    replay interpreter, the coroutine interpreter and the cost-model
-    baseline run must leave bit-identical memory."""
+    """The replay and coroutine interpreters must leave bit-identical
+    memory and stats: the daemon's ground truth (final memory and
+    baseline cycles) comes from one replayed run."""
 
     @staticmethod
     def assert_paths_agree(program):
         replay = SequentialInterpreter(program).run()
         direct = SequentialInterpreter(program, use_replay=False).run()
-        _, baseline = sequential_baseline(program, DEFAULT_COST_MODEL)
         assert replay.memory.differences(direct.memory, tolerance=0.0) == {}
-        assert replay.memory.differences(baseline.memory, tolerance=0.0) == {}
-        assert direct.memory.differences(baseline.memory, tolerance=0.0) == {}
+        assert replay.stats.as_dict() == direct.stats.as_dict()
         return replay
 
     @pytest.mark.parametrize("family", FAMILIES)
