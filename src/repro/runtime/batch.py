@@ -75,9 +75,10 @@ Every other access runs the log chain of step 1.
 **The batch-program memo.**  A compiled :class:`BatchProgram` is kept
 with its :class:`LoopRegion` (held weakly: when the program is dropped,
 e.g. evicted by the daemon's interner, its batch programs go with it),
-one per route map.  A memoized program is reused only while the control
-reads its trace recorded still hold in memory; otherwise the region is
-recorded again.
+one per route map.  It compiles the region's one trace
+(:func:`repro.runtime.trace.region_trace`, which re-records when a
+recorded control read no longer holds) and is reused only while that
+trace and the symbol table are the ones it was built from.
 
 Timing is priced in bulk through
 :meth:`repro.timing.cost.CostModel.batch_price`, one
@@ -89,8 +90,8 @@ An attempt never violates or overflows partway through, so the
 dynamics are optimistic and the bench scenarios stay op-stepped.
 Regions the trace cannot capture (input-dependent control flow,
 oversized traces, non-integral or out-of-bounds affine templates),
-runs under an op budget or with a fault injector, and explicit
-regions use the op-stepped executor.
+runs under an op budget or with a fault injector (also one a faulty
+store brings), and explicit regions use the op-stepped executor.
 """
 
 from __future__ import annotations
@@ -100,6 +101,7 @@ import weakref
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 from repro.obs.log import get_logger
+from repro.obs.tracer import _NULL_SPAN
 
 try:  # numpy accelerates affine offset vectors; everything else is pure
     import numpy as _np
@@ -123,11 +125,10 @@ from repro.runtime.engines import (
     ROUTE_PRIVATE,
     ROUTE_SPECULATIVE,
     _SegmentTask,
-    iteration_values,
 )
 from repro.runtime.errors import AddressError, SimulationError
 from repro.runtime.executor import ReadOp
-from repro.runtime.memory import MemoryImage, same_value
+from repro.runtime.memory import MemoryImage
 from repro.runtime.stats import ExecutionStats
 from repro.runtime.trace import (
     _ARITH_FALLBACK_ERRORS,
@@ -136,11 +137,9 @@ from repro.runtime.trace import (
     EV_COMPUTE,
     EV_CTRL_READ,
     SegmentTrace,
-    TraceError,
     _eval_arith,
     _program_subs,
     arith_source,
-    record_trace,
     replay_segment,
 )
 
@@ -533,7 +532,6 @@ class BatchProgram:
         "region",
         "trace",
         "symbols",
-        "ctrl_values",
         "shapes",
         "runs",
         "n_steps",
@@ -560,9 +558,6 @@ class BatchProgram:
         self.region = region
         self.trace = trace
         self.symbols = symbols
-        #: Variable -> value of every control read the trace recorded
-        #: (read-only scalars; the schedule is valid while they hold).
-        self.ctrl_values: Dict[str, float] = {}
         #: Distinct shapes (sequences of step shapes); ``runs`` covers
         #: the schedule with runs of repeats of one shape as (shape
         #: index, entries), see :func:`_runs_of`.
@@ -605,18 +600,6 @@ class BatchProgram:
         self.attempt = _compile_attempt(
             self.region, self.shapes, self.symbols.address_of, n_regs
         )
-
-    def matches(self, memory: MemoryImage) -> bool:
-        """True when this program's trace is still the schedule of its
-        region over ``memory``: same symbol table, and every recorded
-        control read still returns its recorded value."""
-        if memory.symbols is not self.symbols:
-            return False
-        read = memory.read
-        for variable, value in self.ctrl_values.items():
-            if not same_value(float(read(variable)), value):
-                return False
-        return True
 
     def bound_dimension(self, base: int, coeff: int, extent: int) -> None:
         """Narrow :attr:`iv_range` to the ``iv`` values for which
@@ -906,7 +889,6 @@ def build_batch_program(
             bp.n_reads += 1
             var_names.add(rop.variable)
             note(rop.variable, None)
-            bp.ctrl_values[rop.variable] = expected
             count_ref(rop.ref)
             code = route_code(rop.ref)
             reads_by_route[code] += 1
@@ -1036,16 +1018,16 @@ _MEMO_LOCK = threading.Lock()
 
 
 def batch_program(
-    region: LoopRegion, routes: Dict[str, str], memory: MemoryImage
+    region: LoopRegion, trace: SegmentTrace, routes: Dict[str, str], symbols
 ) -> Optional[BatchProgram]:
-    """The compiled program of ``region`` under ``routes``; None when
-    the region cannot be batched.
+    """The compiled program of ``region``'s ``trace`` (from
+    :func:`repro.runtime.trace.region_trace`) under ``routes``; None
+    when the trace cannot be compiled.
 
-    A memoized program is returned while :meth:`BatchProgram.matches`
-    holds; otherwise the region is recorded again against ``memory``
-    and the new program replaces the old one.  Concurrent runs may
-    record the same region twice; the last store wins and both
-    programs are equivalent.
+    A memoized program is returned while it was built from ``trace``
+    over ``symbols``; otherwise the new program replaces it.
+    Concurrent runs may build the same program twice; the last store
+    wins and both programs are equivalent.
     """
     key = frozenset(routes.items())
     with _MEMO_LOCK:
@@ -1053,13 +1035,11 @@ def batch_program(
         if programs is None:
             programs = _MEMO[region] = {}
         bp = programs.get(key)
-    if bp is not None and bp.matches(memory):
+    if bp is not None and bp.trace is trace and bp.symbols is symbols:
         return bp
     try:
-        # Checks trace eligibility first (TraceError when ineligible).
-        trace = record_trace(region, memory.read)
-        bp = build_batch_program(region, trace, routes, memory.symbols)
-    except (TraceError, _BuildError):
+        bp = build_batch_program(region, trace, routes, symbols)
+    except _BuildError:
         return None
     with _MEMO_LOCK:
         programs[key] = bp
@@ -1344,11 +1324,10 @@ class _BatchScheduler:
 def try_run_batched(
     engine,
     region: LoopRegion,
+    trace: SegmentTrace,
     memory: MemoryImage,
     stats: ExecutionStats,
-    lower: int,
-    upper: int,
-    step: int,
+    values: range,
 ) -> bool:
     """Run ``region`` under the batched protocol if it is eligible.
 
@@ -1357,34 +1336,28 @@ def try_run_batched(
     region executed (or had no iterations) and its effects are in
     ``memory`` / ``stats``.
     """
-    bp = batch_program(region, engine._routes, memory)
+    bp = batch_program(region, trace, engine._routes, memory.symbols)
     if bp is None:
         return False
-    if step > 0:
-        count = 0 if lower > upper else (upper - lower) // step + 1
-    else:
-        count = 0 if lower < upper else (lower - upper) // (-step) + 1
-    if count == 0:
+    if not values:
         return True
-    last = lower + (count - 1) * step
-    if not bp.bounds_ok(lower, last):
+    if not bp.bounds_ok(values[0], values[-1]):
         # Out-of-range subscripts must fail exactly like the
         # interleaved path (mid-run AddressError with partial state).
         return False
-    scheduler = _BatchScheduler(
-        engine, bp, region, memory, stats, iteration_values(lower, upper, step)
-    )
+    scheduler = _BatchScheduler(engine, bp, region, memory, stats, iter(values))
     obs = engine._obs
-    if obs is not None:
-        with obs.span(
+    with (
+        obs.span(
             "engine.batch",
             category="engine",
             region=region.name,
             engine=engine.engine_name,
-            tasks=count,
+            tasks=len(values),
             ops_per_attempt=bp.batched_ops,
-        ):
-            scheduler.run()
-    else:
+        )
+        if obs is not None
+        else _NULL_SPAN
+    ):
         scheduler.run()
     return True

@@ -2,8 +2,11 @@
 
 Both engines execute a whole :class:`~repro.ir.program.Program` with a
 window of in-flight segments per region, driving the *same* operation
-streams the sequential interpreter drives (the coroutines of
-:mod:`repro.runtime.executor`).  The init section, region entry code
+streams the sequential interpreter drives: a loop region's attempts
+replay the one trace :func:`repro.runtime.trace.region_trace` records
+for the region (the coroutines of :mod:`repro.runtime.executor` for
+bodies it cannot capture and for explicit regions; ``replay_reasons``
+says which).  The init section, region entry code
 (loop bounds) and finale run non-speculatively, exactly as in
 :class:`~repro.runtime.interpreter.SequentialInterpreter`; inside a
 region up to ``window`` segments execute concurrently (simulated by
@@ -91,6 +94,7 @@ from repro.runtime.interpreter import (
     MAX_EXPLICIT_STEPS,
     SequentialInterpreter,
     drive,
+    loop_range,
 )
 from repro.runtime.memory import Address, MemoryImage
 from repro.runtime.specstore import (
@@ -99,6 +103,7 @@ from repro.runtime.specstore import (
     SpecStoreError,
 )
 from repro.runtime.stats import ExecutionStats
+from repro.runtime.trace import region_trace, replay_segment
 
 #: Reference routes (how an engine serves one static reference).  The
 #: canonical definition -- the timing cost model imports these (timing
@@ -178,6 +183,9 @@ class SpeculativeResult:
     degradation: Optional[DegradationReport] = None
     #: Injected-fault counts per kind (runs with an injector attached).
     fault_counts: Dict[str, int] = field(default_factory=dict)
+    #: Loop region name -> ``"replayed"`` when its attempts ran from the
+    #: recorded trace, else why the body could not be traced.
+    replay_reasons: Dict[str, str] = field(default_factory=dict)
 
     def value_of(self, variable: str, subscripts=()) -> float:
         """Convenience read of the final memory state."""
@@ -285,14 +293,6 @@ class _SegmentTask:
         self.n_priv_hit = 0
 
 
-def iteration_values(lower: int, upper: int, step: int) -> Iterator[int]:
-    """A loop region's index values, in order."""
-    value = lower
-    while (step > 0 and value <= upper) or (step < 0 and value >= upper):
-        yield value
-        value += step
-
-
 class SpeculativeEngine:
     """Common scheduler of the speculative engines.
 
@@ -336,7 +336,10 @@ class SpeculativeEngine:
         #: every scheduling round, bounded squash-restart cycles per
         #: segment occurrence, a global rounds-without-commit watchdog,
         #: and ``fallback`` selecting graceful degradation to the
-        #: sequential interpreter over raising.
+        #: sequential interpreter over raising.  A faulty store brings
+        #: its own injector.
+        if injector is None:
+            injector = getattr(self.store, "injector", None)
         self._injector = injector
         if injector is not None and auditor is None:
             # An injected substrate must always be audited, otherwise
@@ -370,8 +373,7 @@ class SpeculativeEngine:
         #: with post-hoc validation.  Off by default: the final memory
         #: is bit-identical, but no attempt violates or overflows
         #: partway through, so the dynamics are not the model's.  Runs
-        #: with an op budget or a fault injector ignore it.  Compiled
-        #: batch programs are memoized with their region.
+        #: with an op budget or a fault injector ignore it.
         self.batch = batch
 
     # ------------------------------------------------------------------
@@ -516,7 +518,7 @@ class SpeculativeEngine:
                 else _NULL_SPAN
             ):
                 if isinstance(region, LoopRegion):
-                    self._run_loop_region(region, memory, stats)
+                    self._run_loop_region(region, memory, stats, result)
                 elif isinstance(region, ExplicitRegion):
                     self._run_explicit_region(region, memory, stats)
                 else:  # pragma: no cover - defensive
@@ -982,40 +984,37 @@ class SpeculativeEngine:
     # loop regions
     # ------------------------------------------------------------------
     def _run_loop_region(
-        self, region: LoopRegion, memory: MemoryImage, stats: ExecutionStats
+        self,
+        region: LoopRegion,
+        memory: MemoryImage,
+        stats: ExecutionStats,
+        result: SpeculativeResult,
     ) -> None:
-        reader = memory.read
-        lower = int(round(evaluate_expression(region.lower, reader)))
-        upper = int(round(evaluate_expression(region.upper, reader)))
-        step = int(round(evaluate_expression(region.step, reader)))
-        if step == 0:
-            raise SimulationError(f"region {region.name!r} has zero step")
-
-        if self.batch and self.op_budget is None and self._injector is None:
+        values = loop_range(region, memory)
+        trace, result.replay_reasons[region.name] = region_trace(region, memory)
+        batch = self.batch and self.op_budget is None and self._injector is None
+        if trace is not None and batch:
             from repro.runtime.batch import try_run_batched
 
-            if try_run_batched(self, region, memory, stats, lower, upper, step):
+            if try_run_batched(self, region, trace, memory, stats, values):
                 return
-
-        values = iteration_values(lower, upper, step)
-        body = region.body
-        index = region.index
         op_budget = self.op_budget
 
         def spawn_for(value: int) -> Callable[[], SegmentCoroutine]:
+            if trace is not None:
+                return lambda: replay_segment(trace, value, op_budget=op_budget)
             return lambda: segment_coroutine(
-                body, locals_in_scope={index: value}, op_budget=op_budget
+                region.body, locals_in_scope={region.index: value}, op_budget=op_budget
             )
 
         active: List[_SegmentTask] = []
+        iterations = iter(values)
 
-        self._refill_loop(region, active, values, stats, spawn_for)
-        self._run_window(
-            active,
-            memory,
-            stats,
-            lambda task: self._refill_loop(region, active, values, stats, spawn_for),
-        )
+        def refill(task: Optional[_SegmentTask] = None) -> None:
+            self._refill_loop(region, active, iterations, stats, spawn_for)
+
+        refill()
+        self._run_window(active, memory, stats, refill)
 
     # ------------------------------------------------------------------
     # explicit regions (control speculation)

@@ -210,6 +210,12 @@ def _exec_if(stmt: If, ctx: ExecContext) -> SegmentCoroutine:
     yield from execute_body(body, ctx)
 
 
+def index_range(lower: int, upper: int, step: int) -> range:
+    """A loop index's values, ``lower`` to ``upper`` inclusive
+    (``step`` nonzero)."""
+    return range(lower, upper + (1 if step > 0 else -1), step)
+
+
 def _exec_do(stmt: Do, ctx: ExecContext) -> SegmentCoroutine:
     ctx.charge()
     control_refs = iter(stmt.control_reads or [])
@@ -222,13 +228,11 @@ def _exec_do(stmt: Do, ctx: ExecContext) -> SegmentCoroutine:
         raise SimulationError(f"DO loop {stmt.sid or stmt.index} has zero step")
     shadowed = ctx.locals.get(stmt.index)
     had_shadow = stmt.index in ctx.locals
-    value = lower_i
-    while (step_i > 0 and value <= upper_i) or (step_i < 0 and value >= upper_i):
+    for value in index_range(lower_i, upper_i, step_i):
         ctx.charge()
         ctx.locals[stmt.index] = value
         yield ComputeOp(1)
         yield from execute_body(stmt.body, ctx)
-        value += step_i
     if had_shadow:
         ctx.locals[stmt.index] = shadowed
     else:

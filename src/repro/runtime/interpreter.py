@@ -11,12 +11,14 @@ Two execution paths produce identical operation streams:
 
 * the coroutine interpreter of :mod:`repro.runtime.executor` (always
   available), and
-* the trace record-and-replay fast path of :mod:`repro.runtime.trace`,
-  used for loop regions whose control flow is input-independent; the
-  body schedule is recorded on entry to the region and replayed for
-  every iteration, bypassing AST re-interpretation.
+* the trace replay of :mod:`repro.runtime.trace`, for loop regions
+  whose control flow is input-independent: every iteration replays the
+  region's one recorded trace (:func:`~repro.runtime.trace.region_trace`,
+  shared with the speculative engines), bypassing AST
+  re-interpretation.
 
-``use_replay=False`` forces the interpreter path everywhere.  Either
+``use_replay=False`` forces the interpreter path everywhere (the
+reference path).  Either
 way a run's stats carry the same reads, writes and operator-weighted
 compute cycles, which is all
 :func:`repro.timing.makespan.sequential_baseline` prices.
@@ -47,16 +49,12 @@ from repro.runtime.executor import (
     SegmentCoroutine,
     WriteOp,
     evaluate_expression,
+    index_range,
     segment_coroutine,
 )
 from repro.runtime.memory import MemoryImage
 from repro.runtime.stats import ExecutionStats
-from repro.runtime.trace import (
-    SegmentTrace,
-    TraceError,
-    record_trace,
-    replay_segment,
-)
+from repro.runtime.trace import region_trace, replay_segment
 
 #: Safety valve for explicit regions whose edges form a cycle.
 MAX_EXPLICIT_STEPS = 100_000
@@ -101,14 +99,25 @@ class SequentialResult:
     program: str
     memory: MemoryImage
     stats: ExecutionStats
-    #: Region name -> True when the trace fast path served its iterations.
-    replayed_regions: Dict[str, bool] = field(default_factory=dict)
-    #: Region name -> human-readable eligibility note.
+    #: Region name -> ``"replayed"`` when the trace fast path served its
+    #: iterations, else why it did not.
     replay_reasons: Dict[str, str] = field(default_factory=dict)
 
     def value_of(self, variable: str, subscripts: Sequence[int] = ()) -> float:
         """Convenience read of the final memory state."""
         return self.memory.read(variable, subscripts)
+
+
+def loop_range(region: LoopRegion, memory: MemoryImage) -> range:
+    """The index values of ``region``, its bounds evaluated over
+    ``memory`` on entry."""
+    lower, upper, step = (
+        int(round(evaluate_expression(bound, memory.read)))
+        for bound in (region.lower, region.upper, region.step)
+    )
+    if step == 0:
+        raise SimulationError(f"region {region.name!r} has zero step")
+    return index_range(lower, upper, step)
 
 
 def drive(
@@ -196,7 +205,6 @@ class SequentialInterpreter:
         #: Optional :class:`ExecutionObserver` fed every segment
         #: instance and memory operation (both execution paths).
         self.observer = observer
-        self._traces: Dict[str, Optional[SegmentTrace]] = {}
 
     # ------------------------------------------------------------------
     def run(self) -> SequentialResult:
@@ -206,35 +214,40 @@ class SequentialInterpreter:
         result = SequentialResult(
             program=self.program.name, memory=memory, stats=stats
         )
-        observer = self.observer
-        if observer is not None and self.program.init:
-            observer.begin_segment(None, INIT_SEGMENT, 0)
-        self._run_body(self.program.init, memory, stats)
-        if observer is not None and self.program.init:
-            observer.end_segment()
+        self._run_serial(INIT_SEGMENT, self.program.init, memory, stats)
         for region in self.program.regions:
             self._run_region(region, memory, stats, result)
-        if observer is not None and self.program.finale:
-            observer.begin_segment(None, FINALE_SEGMENT, 0)
-        self._run_body(self.program.finale, memory, stats)
-        if observer is not None and self.program.finale:
-            observer.end_segment()
+        self._run_serial(FINALE_SEGMENT, self.program.finale, memory, stats)
         return result
 
-    def _run_body(
+    def _run_serial(
         self,
+        name: str,
         body: Sequence[Statement],
         memory: MemoryImage,
         stats: ExecutionStats,
     ) -> None:
-        if not body:
-            return
-        drive(
-            segment_coroutine(body, op_budget=self.op_budget),
-            memory,
-            stats,
-            self.observer,
-        )
+        """Run the init or finale section (nothing when it is empty)."""
+        if body:
+            coroutine = segment_coroutine(body, op_budget=self.op_budget)
+            self._run_segment(None, name, 0, coroutine, memory, stats)
+
+    def _run_segment(
+        self,
+        region: Optional[str],
+        segment: str,
+        instance: int,
+        coroutine: SegmentCoroutine,
+        memory: MemoryImage,
+        stats: ExecutionStats,
+    ) -> None:
+        """Drive one segment instance, reporting it to the observer."""
+        observer = self.observer
+        if observer is not None:
+            observer.begin_segment(region, segment, instance)
+        drive(coroutine, memory, stats, observer)
+        if observer is not None:
+            observer.end_segment()
 
     # ------------------------------------------------------------------
     def _run_region(
@@ -251,31 +264,6 @@ class SequentialInterpreter:
         else:  # pragma: no cover - defensive
             raise SimulationError(f"unknown region type {type(region).__name__}")
 
-    def _trace_for(
-        self, region: LoopRegion, memory: MemoryImage, result: SequentialResult
-    ) -> Optional[SegmentTrace]:
-        """Record (or fetch) the region's trace; ``None`` means interpret."""
-        if region.name in self._traces:
-            return self._traces[region.name]
-        trace: Optional[SegmentTrace] = None
-        if self.use_replay:
-            # record_trace performs the eligibility check itself (one
-            # body walk); an ineligible or oversized body raises.
-            try:
-                trace = record_trace(
-                    region, resolve=lambda name: memory.read(name, ())
-                )
-                reason = "replayed"
-            except TraceError as exc:
-                trace = None
-                reason = str(exc)
-        else:
-            reason = "fast path disabled"
-        self._traces[region.name] = trace
-        result.replayed_regions[region.name] = trace is not None
-        result.replay_reasons[region.name] = reason
-        return trace
-
     def _run_loop_region(
         self,
         region: LoopRegion,
@@ -283,16 +271,13 @@ class SequentialInterpreter:
         stats: ExecutionStats,
         result: SequentialResult,
     ) -> None:
-        reader = memory.read
-        lower = int(round(evaluate_expression(region.lower, reader)))
-        upper = int(round(evaluate_expression(region.upper, reader)))
-        step = int(round(evaluate_expression(region.step, reader)))
-        if step == 0:
-            raise SimulationError(f"region {region.name!r} has zero step")
-        trace = self._trace_for(region, memory, result)
-        observer = self.observer
-        value = lower
-        while (step > 0 and value <= upper) or (step < 0 and value >= upper):
+        values = loop_range(region, memory)
+        if self.use_replay:
+            trace, reason = region_trace(region, memory)
+        else:
+            trace, reason = None, "fast path disabled"
+        result.replay_reasons[region.name] = reason
+        for value in values:
             stats.segments_started += 1
             if trace is not None:
                 coroutine = replay_segment(trace, value, op_budget=self.op_budget)
@@ -302,13 +287,10 @@ class SequentialInterpreter:
                     locals_in_scope={region.index: value},
                     op_budget=self.op_budget,
                 )
-            if observer is not None:
-                observer.begin_segment(region.name, LOOP_BODY_SEGMENT, value)
-            drive(coroutine, memory, stats, observer)
-            if observer is not None:
-                observer.end_segment()
+            self._run_segment(
+                region.name, LOOP_BODY_SEGMENT, value, coroutine, memory, stats
+            )
             stats.segments_committed += 1
-            value += step
 
     def _run_explicit_region(
         self,
@@ -317,7 +299,6 @@ class SequentialInterpreter:
         stats: ExecutionStats,
     ) -> None:
         edges = region.segment_edges()
-        observer = self.observer
         current = region.entry
         steps = 0
         while current != EXIT_NODE:
@@ -329,16 +310,8 @@ class SequentialInterpreter:
                 )
             segment = region.segment(current)
             stats.segments_started += 1
-            if observer is not None:
-                observer.begin_segment(region.name, current, steps - 1)
-            drive(
-                segment_coroutine(segment.body, op_budget=self.op_budget),
-                memory,
-                stats,
-                observer,
-            )
-            if observer is not None:
-                observer.end_segment()
+            coroutine = segment_coroutine(segment.body, op_budget=self.op_budget)
+            self._run_segment(region.name, current, steps - 1, coroutine, memory, stats)
             stats.segments_committed += 1
             successors = edges.get(current, [])
             if not successors:

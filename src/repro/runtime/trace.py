@@ -54,11 +54,19 @@ matches the interpreter bit for bit) and the value the engine sends
 back must equal the recorded one.  A mismatch means the eligibility
 contract was broken and raises :class:`SimulationError` rather than
 silently replaying a wrong path.
+
+:func:`region_trace` is the one place a loop region is recorded: the
+sequential interpreter, the op-stepped engines and the compiled
+attempts of :mod:`repro.runtime.batch` share its memoized trace, which
+is reused while its recorded control reads
+(:attr:`SegmentTrace.ctrl_values`) still hold.
 """
 
 from __future__ import annotations
 
 import math
+import threading
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -85,8 +93,9 @@ from repro.runtime.executor import (
     SegmentCoroutine,
     WriteOp,
     _compute_cost,
+    index_range,
 )
-from repro.runtime.memory import same_value
+from repro.runtime.memory import MemoryImage, same_value
 
 #: Hard cap on recorded events; bodies that unroll past this fall back
 #: to the interpreter (keeps pathological trip counts from exhausting
@@ -570,12 +579,12 @@ class SegmentTrace:
     region: str
     region_index: str
     events: List[Event] = field(default_factory=list)
+    #: Variable -> value of every control read recorded (read-only
+    #: scalars; the schedule is valid while they hold).
+    ctrl_values: Dict[str, float] = field(default_factory=dict)
     _events_nocharge: Optional[List[Event]] = field(
         default=None, init=False, repr=False
     )
-
-    def __len__(self) -> int:
-        return len(self.events)
 
     def events_for(self, op_budget: Optional[int]) -> List[Event]:
         """Event list for one replay.
@@ -591,6 +600,16 @@ class SegmentTrace:
                 e for e in self.events if e[0] != EV_CHARGE
             ]
         return self._events_nocharge
+
+    def matches(self, memory: MemoryImage) -> bool:
+        """True when this is still the schedule of its region over
+        ``memory``: every recorded control read returns its recorded
+        value."""
+        read = memory.read
+        return all(
+            same_value(float(read(variable)), value)
+            for variable, value in self.ctrl_values.items()
+        )
 
 
 # ----------------------------------------------------------------------
@@ -739,7 +758,7 @@ def record_trace(
                 return env[name]
             # Eligibility guarantees a scalar read of a read-only variable.
             ref = next(refs, None)
-            value = float(resolve(name))
+            value = trace.ctrl_values[name] = float(resolve(name))
             events.append((EV_CTRL_READ, ReadOp(name, (), ref), value))
             return value
 
@@ -786,14 +805,12 @@ def record_trace(
                 had = stmt.index in env
                 shadowed = env.get(stmt.index)
                 body_nodes = node[2]
-                value = lo
-                while (st > 0 and value <= hi) or (st < 0 and value >= hi):
+                for value in index_range(lo, hi, st):
                     overflow()
                     events.append((EV_CHARGE,))
                     env[stmt.index] = value
                     events.append((EV_COMPUTE, _COMPUTE_1))
                     rec_body(body_nodes, env)
-                    value += st
                 if had:
                     env[stmt.index] = shadowed
                 else:
@@ -806,6 +823,38 @@ def record_trace(
         # region): emptying the cell lets reference counting free both.
         del rec_body
     return trace
+
+
+#: LoopRegion -> its last recorded trace; weak, so a dropped program
+#: frees its trace.
+_TRACES: "weakref.WeakKeyDictionary[LoopRegion, SegmentTrace]" = (
+    weakref.WeakKeyDictionary()
+)
+_TRACES_LOCK = threading.Lock()
+
+
+def region_trace(
+    region: LoopRegion, memory: MemoryImage
+) -> Tuple[Optional[SegmentTrace], str]:
+    """The trace of ``region`` over ``memory`` and the replay reason:
+    ``"replayed"``, or why the body cannot be traced (trace ``None``).
+
+    A memoized trace is returned while :meth:`SegmentTrace.matches`
+    holds; otherwise the region is recorded again and the new trace
+    replaces it (failures are not memoized).  Concurrent runs may
+    record one region twice; the last store wins, both are equivalent.
+    """
+    with _TRACES_LOCK:
+        trace = _TRACES.get(region)
+    if trace is not None and trace.matches(memory):
+        return trace, "replayed"
+    try:
+        trace = record_trace(region, resolve=lambda name: memory.read(name, ()))
+    except TraceError as exc:
+        return None, str(exc)
+    with _TRACES_LOCK:
+        _TRACES[region] = trace
+    return trace, "replayed"
 
 
 # ----------------------------------------------------------------------

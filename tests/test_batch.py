@@ -24,6 +24,7 @@ from repro.ir.program import Program
 from repro.resilience.faults import FAULT_KINDS, FaultPlan
 from repro.resilience.harness import run_resilient
 from repro.runtime import batch as batch_mod
+from repro.runtime import trace as trace_mod
 from repro.runtime.engines import (
     ROUTE_DIRECT,
     ROUTE_PRIVATE,
@@ -354,13 +355,13 @@ class TestNaNValues:
         # The replayed control check raised "returned nan, recorded nan"
         # (sequentially too), and the memo never matched again.
         recorded = []
-        record = batch_mod.record_trace
+        record = trace_mod.record_trace
 
         def counted(region, resolve, read_only=None):
             recorded.append(region.name)
             return record(region, resolve, read_only)
 
-        monkeypatch.setattr(batch_mod, "record_trace", counted)
+        monkeypatch.setattr(trace_mod, "record_trace", counted)
         program = parse_program(NAN_CONTROL)
         for _ in range(2):
             result = run_batched(program, engine_cls, window=4, capacity=64)
@@ -393,17 +394,19 @@ class TestBatchProgramMemo:
         program = generate("stencil", SIZE, STATEMENTS).program
         sequential = run_program(program)
         recorded = []
-        record = batch_mod.record_trace
+        record = trace_mod.record_trace
 
         def counted(region, resolve, read_only=None):
             recorded.append(region.name)
             return record(region, resolve, read_only)
 
-        monkeypatch.setattr(batch_mod, "record_trace", counted)
+        monkeypatch.setattr(trace_mod, "record_trace", counted)
+        # The sequential run above recorded every region's trace, and
+        # the batched runs compile that shared trace: neither records.
         first = run_batched(program, CASEEngine, sequential, capacity=8)
-        assert recorded == [region.name for region in program.regions]
+        assert recorded == []
         second = run_batched(program, CASEEngine, sequential, capacity=8)
-        assert recorded == [region.name for region in program.regions]
+        assert recorded == []
         assert second.stats.batched_attempts > 0
         assert second.stats.as_dict() == first.stats.as_dict()
 
@@ -443,13 +446,13 @@ class TestBatchProgramMemo:
 
     def test_changed_control_scalar_rerecords(self, monkeypatch):
         recorded = []
-        record = batch_mod.record_trace
+        record = trace_mod.record_trace
 
         def counted(region, resolve, read_only=None):
             recorded.append(resolve("n"))
             return record(region, resolve, read_only)
 
-        monkeypatch.setattr(batch_mod, "record_trace", counted)
+        monkeypatch.setattr(trace_mod, "record_trace", counted)
         first = parse_program(CONTROL_SCALAR.format(init=""))
         run_batched(first, CASEEngine)
         # Same region and symbol table, but n is 6 when the region runs:
@@ -468,6 +471,54 @@ class TestBatchProgramMemo:
         assert recorded == [4.0, 6.0]
         run_batched(second, CASEEngine)
         assert recorded == [4.0, 6.0]
+
+    def test_every_executor_shares_one_recording(self, monkeypatch):
+        recorded = []
+        record = trace_mod.record_trace
+
+        def counted(region, resolve, read_only=None):
+            recorded.append(region.name)
+            return record(region, resolve, read_only)
+
+        monkeypatch.setattr(trace_mod, "record_trace", counted)
+        program = generate("guarded", SIZE, STATEMENTS).program
+        sequential = run_program(program)
+        for engine_cls in ENGINES:
+            stepped = engine_cls(program, window=4, capacity=8).run()
+            assert stepped.replay_reasons == sequential.replay_reasons
+        batched = run_batched(program, CASEEngine, sequential, capacity=8)
+        assert batched.stats.batched_attempts > 0
+        assert recorded == [region.name for region in program.regions]
+
+    def test_op_stepped_run_rerecords_a_changed_control_scalar(
+        self, monkeypatch
+    ):
+        first = parse_program(CONTROL_SCALAR.format(init=""))
+        run_program(first)  # memoizes the schedule of n = 4
+        recorded = []
+        record = trace_mod.record_trace
+
+        def counted(region, resolve, read_only=None):
+            recorded.append(resolve("n"))
+            return record(region, resolve, read_only)
+
+        monkeypatch.setattr(trace_mod, "record_trace", counted)
+        init = parse_program(
+            CONTROL_SCALAR.format(init="init\n    n = 6\n  end init")
+        ).init
+        second = Program(
+            "control_scalar6",
+            symbols=first.symbols,
+            init=init,
+            regions=first.regions,
+        )
+        # Replaying the n = 4 schedule would raise "trace replay
+        # divergence" on the first control read.
+        result = HOSEEngine(second, window=4, capacity=8, fallback=False).run()
+        assert result.replay_reasons["R"] == "replayed"
+        assert recorded == [6.0]
+        sequential = run_program(second)
+        assert sequential.memory.differences(result.memory, tolerance=0.0) == {}
 
 
 class TestFallbackReasons:

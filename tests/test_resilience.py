@@ -194,6 +194,19 @@ class TestFaultFree:
         assert plain.stats.as_dict() == wrapped.stats.as_dict()
         assert injector.total_injected() == 0
 
+    def test_faulty_store_batched_run_steps_every_attempt(self):
+        # The store brings its own injector, so a batched run must step
+        # every attempt instead of asking it for a bulk transfer (which
+        # it refuses, degrading the run).
+        program = make_program("sparse")
+        sequential = run_program(program)
+        store = FaultySpeculativeStore(8, FaultInjector(FaultPlan([]), seed=0))
+        plain = HOSEEngine(program, window=4, capacity=8).run()
+        batched = HOSEEngine(program, window=4, store=store, batch=True).run()
+        assert not batched.degraded, batched.degradation
+        assert sequential.memory.differences(batched.memory, tolerance=0.0) == {}
+        assert plain.stats.as_dict() == batched.stats.as_dict()
+
 
 # ----------------------------------------------------------------------
 # The tentpole acceptance matrix: every fault kind recovers.

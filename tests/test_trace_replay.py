@@ -12,6 +12,10 @@ from conftest import drive_stream
 from repro.bench.workloads import FAMILIES, generate
 from repro.corpus import corpus
 from repro.ir.dsl import parse_program
+from repro.resilience.faults import FaultPlan
+from repro.resilience.harness import run_resilient
+from repro.runtime import engines as engines_mod
+from repro.runtime.engines import CASEEngine, HOSEEngine
 from repro.runtime.errors import SimulationError
 from repro.runtime.executor import segment_coroutine
 from repro.runtime.interpreter import SequentialInterpreter, run_program
@@ -21,6 +25,7 @@ from repro.runtime.trace import (
     replay_segment,
     trace_eligibility,
 )
+from repro.timing.events import TimingRecorder
 
 
 def record_for(program, region):
@@ -50,7 +55,7 @@ class TestEquivalenceOnBenchFamilies:
         workload = generate(family, 20, 4)
         base = run_program(workload.program, use_replay=False)
         fast = run_program(workload.program, use_replay=True)
-        assert fast.replayed_regions[workload.region.name], family
+        assert fast.replay_reasons[workload.region.name] == "replayed", family
         assert base.memory.differences(fast.memory) == {}, family
         assert base.stats.as_dict() == fast.stats.as_dict(), family
         assert base.stats.reference_counts == fast.stats.reference_counts, family
@@ -73,7 +78,7 @@ class TestSequentialPathsAgree:
     def test_bench_families(self, family):
         workload = generate(family, 20, 4)
         replay = self.assert_paths_agree(workload.program)
-        assert replay.replayed_regions[workload.region.name], family
+        assert replay.replay_reasons[workload.region.name] == "replayed", family
 
     def test_non_finite_constants(self):
         # 1e400 parses to inf, whose repr is not an expression: the
@@ -84,13 +89,13 @@ class TestSequentialPathsAgree:
             "end program"
         )
         replay = self.assert_paths_agree(program)
-        assert replay.replayed_regions["R"]
+        assert replay.replay_reasons["R"] == "replayed"
 
     def test_seeded_fuzz_batch(self):
         replayed = 0
         for _index, program in corpus(40, seed=20261017):
             replay = self.assert_paths_agree(program)
-            replayed += any(replay.replayed_regions.values())
+            replayed += "replayed" in replay.replay_reasons.values()
         assert replayed > 0, "no fuzz program took the replay path"
 
 
@@ -143,7 +148,7 @@ end program
         program = parse_program(src)
         base = run_program(program, use_replay=False)
         fast = run_program(program, use_replay=True)
-        assert fast.replayed_regions["R"]
+        assert fast.replay_reasons["R"] == "replayed"
         assert base.memory.differences(fast.memory) == {}
         assert base.stats.as_dict() == fast.stats.as_dict()
         assert fast.value_of("a", (1,)) == 9.0  # 9 region iterations
@@ -224,7 +229,7 @@ end program
         assert trace_eligibility(region)[0]
         base = run_program(program, use_replay=False)
         fast = run_program(program, use_replay=True)
-        assert fast.replayed_regions["R"]
+        assert fast.replay_reasons["R"] == "replayed"
         assert base.memory.differences(fast.memory) == {}
         assert base.stats.as_dict() == fast.stats.as_dict()
 
@@ -244,7 +249,7 @@ end program
         program = parse_program(src)
         base = run_program(program, use_replay=False)
         fast = run_program(program, use_replay=True)
-        assert not fast.replayed_regions["R"]
+        assert fast.replay_reasons["R"] != "replayed"
         assert base.memory.differences(fast.memory) == {}
         assert base.stats.as_dict() == fast.stats.as_dict()
 
@@ -269,3 +274,76 @@ end program
         memory.write("n", 7.0)
         with pytest.raises(SimulationError, match="divergence"):
             drive_stream(replay_segment(trace, 1), memory)
+
+
+class TestEngineAttemptsReplay:
+    """Op-stepped engine attempts replay the region's recorded trace.
+    Forcing the AST path (``region_trace`` answering "no trace") must
+    change nothing the model observes."""
+
+    @staticmethod
+    def force_ast(monkeypatch):
+        monkeypatch.setattr(
+            engines_mod,
+            "region_trace",
+            lambda region, memory: (None, "forced AST path"),
+        )
+
+    @staticmethod
+    def observe(program, engine_cls, **kwargs):
+        recorder = TimingRecorder()
+        result = engine_cls(program, recorder=recorder, **kwargs).run()
+        assert not result.degraded
+        return result.replay_reasons, {
+            "stats": result.stats.as_dict(),
+            "refs": result.stats.reference_counts,
+            "peaks": (result.spec_peak_entries, result.spec_peak_segment_entries),
+            "memory": result.memory.snapshot(),
+            "summary": recorder.recording().summary(),
+        }
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("engine_cls", [HOSEEngine, CASEEngine])
+    @pytest.mark.parametrize("capacity", [2, 8, None])
+    @pytest.mark.parametrize("window", [1, 4])
+    def test_trace_and_ast_attempts_agree(
+        self, family, engine_cls, capacity, window, monkeypatch
+    ):
+        program = generate(family, 12, 2).program
+        region = program.regions[0].name
+        reasons, replayed = self.observe(
+            program, engine_cls, window=window, capacity=capacity
+        )
+        assert reasons[region] == "replayed"
+        self.force_ast(monkeypatch)
+        reasons, interpreted = self.observe(
+            program, engine_cls, window=window, capacity=capacity
+        )
+        assert reasons[region] == "forced AST path"
+        assert replayed == interpreted
+
+    @pytest.mark.parametrize("engine", ["hose", "case"])
+    def test_injected_runs_agree(self, engine, monkeypatch):
+        program = generate("sparse", 8, 2).program
+
+        def run():
+            result = run_resilient(
+                program,
+                engine=engine,
+                plan=FaultPlan.uniform(0.2),
+                seed=5,
+                window=4,
+                capacity=16,
+                max_restarts=50,
+                watchdog_rounds=5_000,
+            )
+            return (
+                result.fault_counts,
+                result.stats.as_dict(),
+                result.memory.snapshot(),
+            )
+
+        replayed = run()
+        assert sum(replayed[0].values()) > 0
+        self.force_ast(monkeypatch)
+        assert run() == replayed
