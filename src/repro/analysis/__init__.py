@@ -26,8 +26,6 @@ from repro.analysis.dependence import (
     Dependence,
     DependenceGraph,
     DependenceAnalyzer,
-    DependenceGranularity,
-    DirectionMode,
     analyze_dependences,
 )
 
@@ -35,9 +33,7 @@ __all__ = [
     "AccessSummary",
     "Dependence",
     "DependenceAnalyzer",
-    "DependenceGranularity",
     "DependenceGraph",
-    "DirectionMode",
     "SegmentGraph",
     "analyze_dependences",
     "has_cross_segment_control_dependence",

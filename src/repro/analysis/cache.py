@@ -10,8 +10,8 @@ the region text.
 :class:`AnalysisCache` memoizes per-region artifacts.  Entries are keyed
 by the region *object* (regions hash by identity and are immutable after
 construction) together with a caller-supplied discriminator key, so the
-same region analysed under different knobs (granularity, direction,
-private sets...) gets distinct entries.  Holding the region object as
+same region analysed under different inputs (private and read-only
+sets...) gets distinct entries.  Holding the region object as
 the key keeps it alive while its entries are cached, which makes the
 cache immune to the id()-reuse hazard of address-keyed caches.
 

@@ -15,15 +15,12 @@ variable.  This subpackage provides that substrate:
 * :mod:`repro.analysis.dependence.graph` -- the dependence record and
   the queryable dependence graph;
 * :mod:`repro.analysis.dependence.analyzer` -- the driver that builds
-  the graph for loop and explicit regions, with configurable
-  granularity (element-precise vs whole-variable) and direction mode
-  (execution order vs the paper's textual order).
+  the graph for loop and explicit regions: element-precise
+  may-dependences, oriented by execution order.
 """
 
 from repro.analysis.dependence.analyzer import (
     DependenceAnalyzer,
-    DependenceGranularity,
-    DirectionMode,
     analyze_dependences,
 )
 from repro.analysis.dependence.graph import Dependence, DependenceGraph
@@ -44,9 +41,7 @@ __all__ = [
     "AliasRelation",
     "Dependence",
     "DependenceAnalyzer",
-    "DependenceGranularity",
     "DependenceGraph",
-    "DirectionMode",
     "ReferenceSignature",
     "RelationSet",
     "SignatureIndex",

@@ -1,20 +1,10 @@
 """Dependence analysis driver.
 
 Builds the :class:`~repro.analysis.dependence.graph.DependenceGraph` of
-one region, reference by reference.  Two knobs exist, both of which the
-paper's evaluation implicitly fixes:
-
-* :class:`DependenceGranularity` -- ``ELEMENT`` applies the subscript
-  tests of :mod:`repro.analysis.dependence.subscript_tests`; ``VARIABLE`` treats
-  every pair of references to the same variable as may-aliasing (the
-  whole-array behaviour of simpler prototypes).
-* :class:`DirectionMode` -- ``EXECUTION`` orients cross-segment
-  dependences by actual execution order (older segment is the source),
-  which is the sound interpretation of the paper's definitions;
-  ``TEXTUAL`` orients them by textual program order inside the segment
-  body, which reproduces the narrative of the paper's Figure 4 for the
-  count-down APPLU ``BUTS_DO1`` loop (see "Dependence direction" in
-  docs/ANALYSIS.md for the discussion of this deviation).
+one region, reference by reference: element-precise may-dependences
+(the subscript tests of :mod:`repro.analysis.dependence.subscript_tests`)
+oriented by execution order, so the older segment of a cross-segment
+pair is its source (see "Dependence direction" in docs/ANALYSIS.md).
 
 Variables recognised as *private* carry no cross-segment dependences
 (each segment gets its own copy at run time), so their cross-segment
@@ -23,7 +13,6 @@ pairs are suppressed; intra-segment dependences are kept.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
@@ -41,7 +30,6 @@ from repro.analysis.dependence.graph import (
 )
 from repro.analysis.dependence.signature import SignatureIndex
 from repro.analysis.dependence.subscript_tests import (
-    ALL_RELATIONS,
     AliasRelation,
     RelationSet,
     explicit_pair_may_alias,
@@ -151,33 +139,16 @@ def _intra_segment_edges(
     return edges
 
 
-class DependenceGranularity(enum.Enum):
-    """Precision of the aliasing decision."""
-
-    ELEMENT = "element"
-    VARIABLE = "variable"
-
-
-class DirectionMode(enum.Enum):
-    """How cross-segment dependences are oriented."""
-
-    EXECUTION = "execution"
-    TEXTUAL = "textual"
-
-
 @dataclass
 class DependenceAnalyzer:
-    """Configurable reference-by-reference dependence analyser.
+    """Reference-by-reference dependence analyser.
 
-    At ``ELEMENT`` granularity, loop-region relations come from the
-    signature-bucketed memoization of
-    :mod:`repro.analysis.dependence.signature` (one subscript test per
-    signature pair).  ``cache`` memoizes whole dependence graphs (and
-    signature indexes) across analysis passes.
+    Loop-region relations come from the signature-bucketed memoization
+    of :mod:`repro.analysis.dependence.signature` (one subscript test
+    per signature pair).  ``cache`` memoizes whole dependence graphs
+    (and signature indexes) across analysis passes.
     """
 
-    granularity: DependenceGranularity = DependenceGranularity.ELEMENT
-    direction: DirectionMode = DirectionMode.EXECUTION
     cache: Optional[AnalysisCache] = None
 
     # ------------------------------------------------------------------
@@ -199,8 +170,6 @@ class DependenceAnalyzer:
         if self.cache is not None:
             key = (
                 "dependence_graph",
-                self.granularity,
-                self.direction,
                 frozenset(private_variables),
                 frozenset(read_only),
             )
@@ -255,9 +224,7 @@ class DependenceAnalyzer:
         for ref in region.references:
             by_var.setdefault(ref.variable, []).append(ref)
 
-        index: Optional[SignatureIndex] = None
-        if self.granularity is DependenceGranularity.ELEMENT:
-            index = self._signature_index(region, read_only)
+        index = self._signature_index(region, read_only)
 
         # Names whose values cannot change between two instances within
         # one segment: the region index and region-read-only scalars.
@@ -279,10 +246,7 @@ class DependenceAnalyzer:
         def decide(
             key: PlanKey, ref_a: MemoryReference, ref_b: MemoryReference
         ) -> Optional[PairPlan]:
-            relations = (
-                index.relations_of_groups(groups[key[0]], groups[key[1]])
-                if index is not None else ALL_RELATIONS
-            )
+            relations = index.relations_of_groups(groups[key[0]], groups[key[1]])
             if not relations:
                 return None
             plan = self._emission_plan(
@@ -298,7 +262,7 @@ class DependenceAnalyzer:
             pats: List[int] = []
             for ref in refs_sorted:
                 texts = tuple(map(str, ref.subscripts))
-                group = index.group_of(ref, texts) if index is not None else -1
+                group = index.group_of(ref, texts)
                 pattern = (group, ref.access, texts, id(ref.enclosing_loops), private)
                 if pattern not in patterns:
                     patterns[pattern] = len(groups)
@@ -335,25 +299,15 @@ class DependenceAnalyzer:
         carried = AliasRelation.BEFORE in relations or AliasRelation.AFTER in relations
         if variable in private_variables or not carried:
             return PairPlan(tuple(edges))
-        if self.direction is DirectionMode.TEXTUAL:
-            source, sink = (
-                (ref_a, ref_b) if ref_a.order <= ref_b.order else (ref_b, ref_a)
-            )
-            kind = dependence_kind(source, sink)
+        # Execution order decides: BEFORE means ref_a's segment is older.
+        if AliasRelation.BEFORE in relations:
+            kind = dependence_kind(ref_a, ref_b)
             if kind is not None:
-                edges.append(
-                    (source is ref_a, kind, DependenceScope.CROSS_SEGMENT, None)
-                )
-        else:
-            # Execution-order direction: BEFORE means ref_a's segment is older.
-            if AliasRelation.BEFORE in relations:
-                kind = dependence_kind(ref_a, ref_b)
-                if kind is not None:
-                    edges.append((True, kind, DependenceScope.CROSS_SEGMENT, None))
-            if AliasRelation.AFTER in relations and ref_a is not ref_b:
-                kind = dependence_kind(ref_b, ref_a)
-                if kind is not None:
-                    edges.append((False, kind, DependenceScope.CROSS_SEGMENT, None))
+                edges.append((True, kind, DependenceScope.CROSS_SEGMENT, None))
+        if AliasRelation.AFTER in relations and ref_a is not ref_b:
+            kind = dependence_kind(ref_b, ref_a)
+            if kind is not None:
+                edges.append((False, kind, DependenceScope.CROSS_SEGMENT, None))
         return PairPlan(tuple(edges))
 
     def _emit_loop_dependences(
@@ -415,9 +369,8 @@ class DependenceAnalyzer:
                     and ref_b.access is AccessType.READ
                 ):
                     continue
-                if self.granularity is DependenceGranularity.ELEMENT:
-                    if not explicit_pair_may_alias(ref_a, ref_b):
-                        continue
+                if not explicit_pair_may_alias(ref_a, ref_b):
+                    continue
                 if ref_a.segment == ref_b.segment:
                     for edge in _intra_segment_edges(ref_a, ref_b, read_only, memo):
                         graph.add(Dependence(
@@ -455,16 +408,9 @@ def analyze_dependences(
     region: Region,
     private_variables: Optional[Set[str]] = None,
     read_only: Optional[Set[str]] = None,
-    granularity: DependenceGranularity = DependenceGranularity.ELEMENT,
-    direction: DirectionMode = DirectionMode.EXECUTION,
     cache: Optional[AnalysisCache] = None,
 ) -> DependenceGraph:
     """Convenience wrapper around :class:`DependenceAnalyzer`."""
-    analyzer = DependenceAnalyzer(
-        granularity=granularity,
-        direction=direction,
-        cache=cache,
-    )
-    return analyzer.analyze(
+    return DependenceAnalyzer(cache=cache).analyze(
         region, private_variables=private_variables, read_only=read_only
     )

@@ -34,12 +34,7 @@ from typing import Dict, List, Optional, Set
 from repro.analysis.access import AccessSummary, summarize_region_segments
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.control_dependence import has_cross_segment_control_dependence
-from repro.analysis.dependence import (
-    DependenceGranularity,
-    DependenceGraph,
-    DirectionMode,
-    analyze_dependences,
-)
+from repro.analysis.dependence import DependenceGraph, analyze_dependences
 from repro.analysis.liveness import region_live_out
 from repro.analysis.privatization import private_variables
 from repro.analysis.readonly import read_only_variables
@@ -116,8 +111,6 @@ def label_region(
     region: Region,
     program: Optional[Program] = None,
     live_out: Optional[Set[str]] = None,
-    granularity: DependenceGranularity = DependenceGranularity.ELEMENT,
-    direction: DirectionMode = DirectionMode.EXECUTION,
     cache: Optional[AnalysisCache] = None,
 ) -> LabelingResult:
     """Run the full labeling pipeline (Algorithm 2) on one region.
@@ -138,23 +131,17 @@ def label_region(
     the only cost is this single ``enabled`` check.
     """
     if not TRACER.enabled:
-        return _label_region(
-            region, program, live_out, granularity, direction, cache, None
-        )
+        return _label_region(region, program, live_out, cache, None)
     with TRACER.span(
         "analysis.label_region", category="analysis", region=region.name
     ):
-        return _label_region(
-            region, program, live_out, granularity, direction, cache, TRACER
-        )
+        return _label_region(region, program, live_out, cache, TRACER)
 
 
 def _label_region(
     region: Region,
     program: Optional[Program],
     live_out: Optional[Set[str]],
-    granularity: DependenceGranularity,
-    direction: DirectionMode,
     cache: Optional[AnalysisCache],
     obs: Optional[Tracer],
 ) -> LabelingResult:
@@ -210,8 +197,6 @@ def _label_region(
             region,
             private_variables=private,
             read_only=read_only,
-            granularity=granularity,
-            direction=direction,
             cache=cache,
         )
     with (
@@ -323,18 +308,10 @@ def _label_region(
 
 def label_program(
     program: Program,
-    granularity: DependenceGranularity = DependenceGranularity.ELEMENT,
-    direction: DirectionMode = DirectionMode.EXECUTION,
     cache: Optional[AnalysisCache] = None,
 ) -> Dict[str, LabelingResult]:
     """Label every region of ``program``; keyed by region name."""
     return {
-        region.name: label_region(
-            region,
-            program=program,
-            granularity=granularity,
-            direction=direction,
-            cache=cache,
-        )
+        region.name: label_region(region, program=program, cache=cache)
         for region in program.regions
     }

@@ -21,9 +21,40 @@ from repro.ir.symbols import SymbolTable
 #: Statement/region discriminator key.
 _KIND = "kind"
 
+#: The keys each JSON IR object may carry; any other key is an error, so
+#: a misspelt field cannot silently drop part of a program.
+_PROGRAM_KEYS = frozenset({"name", "symbols", "init", "regions", "finale"})
+_SYMBOLS_KEYS = frozenset({"scalars", "arrays"})
+_SCALAR_KEYS = frozenset({"name", "initial"})
+_ARRAY_KEYS = frozenset({"name", "shape", "initial"})
+_STMT_KEYS = {
+    "assign": frozenset({_KIND, "target", "subscripts", "rhs", "guard"}),
+    "do": frozenset({_KIND, "index", "lower", "upper", "step", "body"}),
+    "if": frozenset({_KIND, "cond", "then", "else"}),
+}
+_REGION_KEYS = {
+    "loop": frozenset({
+        _KIND, "name", "index", "lower", "upper", "step", "body",
+        "live_out", "speculative",
+    }),
+    "explicit": frozenset({
+        _KIND, "name", "segments", "edges", "entry", "live_out", "speculative",
+    }),
+}
+_SEGMENT_KEYS = frozenset({"name", "body", "branch"})
+
 
 class JsonIRError(ValueError):
     """Raised on any malformed JSON IR payload (message names the path)."""
+
+
+def _known_keys(node: Mapping, allowed: frozenset, path: str) -> None:
+    """Reject any key of ``node`` outside ``allowed``."""
+    unknown = sorted(str(key) for key in node if key not in allowed)
+    if unknown:
+        raise JsonIRError(
+            f"{path}: unknown keys {unknown} (expected some of {sorted(allowed)})"
+        )
 
 
 def _json_expr(node: Any, path: str):
@@ -49,6 +80,8 @@ def _json_stmt(node: Any, path: str) -> Statement:
     if not isinstance(node, Mapping):
         raise JsonIRError(f"{path}: statement must be an object")
     kind = node.get(_KIND, "assign" if "target" in node else None)
+    if kind in _STMT_KEYS:
+        _known_keys(node, _STMT_KEYS[kind], path)
     if kind == "assign":
         target = node.get("target")
         if not isinstance(target, str) or not target:
@@ -139,22 +172,27 @@ def program_from_json(payload: Mapping) -> Program:
     ``{"kind": "if", "cond", "then", "else"}``.
 
     Raises :class:`JsonIRError` (a ``ValueError``) naming the offending
-    path on any malformed payload.
+    path on any malformed payload, including a key the schema does not
+    name at any object it reads.
     """
     if not isinstance(payload, Mapping):
         raise JsonIRError("program payload must be an object")
+    _known_keys(payload, _PROGRAM_KEYS, "program")
     program_name = str(payload.get("name", "program"))
     table = SymbolTable()
     symbols = payload.get("symbols", {})
     if not isinstance(symbols, Mapping):
         raise JsonIRError("symbols: object expected")
+    _known_keys(symbols, _SYMBOLS_KEYS, "symbols")
     for i, decl in enumerate(symbols.get("scalars", [])):
         if not isinstance(decl, Mapping) or "name" not in decl:
             raise JsonIRError(f"symbols.scalars[{i}]: needs a 'name'")
+        _known_keys(decl, _SCALAR_KEYS, f"symbols.scalars[{i}]")
         table.scalar(decl["name"], initial=float(decl.get("initial", 0.0)))
     for i, decl in enumerate(symbols.get("arrays", [])):
         if not isinstance(decl, Mapping) or "name" not in decl:
             raise JsonIRError(f"symbols.arrays[{i}]: needs a 'name'")
+        _known_keys(decl, _ARRAY_KEYS, f"symbols.arrays[{i}]")
         shape = decl.get("shape")
         if not isinstance(shape, Sequence) or isinstance(shape, str) or not all(
             isinstance(d, int) and not isinstance(d, bool) and d > 0
@@ -180,6 +218,8 @@ def program_from_json(payload: Mapping) -> Program:
         if not isinstance(name, str) or not name:
             raise JsonIRError(f"{path}: needs a 'name'")
         kind = region.get(_KIND, "loop")
+        if kind in _REGION_KEYS:
+            _known_keys(region, _REGION_KEYS[kind], path)
         speculative = region.get("speculative")
         if speculative is not None and not isinstance(speculative, bool):
             raise JsonIRError(f"{path}.speculative: true/false/null expected")
@@ -204,6 +244,7 @@ def program_from_json(payload: Mapping) -> Program:
                 seg_path = f"{path}.segments[{j}]"
                 if not isinstance(seg, Mapping) or "name" not in seg:
                     raise JsonIRError(f"{seg_path}: needs a 'name'")
+                _known_keys(seg, _SEGMENT_KEYS, seg_path)
                 branch = seg.get("branch")
                 segments.append(
                     Segment(

@@ -200,6 +200,26 @@ class Index(Expr):
 # ----------------------------------------------------------------------
 # Operators
 # ----------------------------------------------------------------------
+def power(a: Number, b: Number) -> Number:
+    """``a ** b``, made total: 0.0 where Python raises (``0.0 ** -1``),
+    returns a complex (``(-1.0) ** 0.5``) or gives an integer too large
+    for a float (``18 ** 400``); every other result is unchanged.
+
+    An integer power that cannot fit a float is answered before it is
+    computed, so a huge exponent costs nothing.
+    """
+    if type(a) is int and type(b) is int and b > 0:
+        if (abs(a).bit_length() - 1) * b > 1024:  # |a| ** b >= 2 ** 1025
+            return 0.0
+    try:
+        result = a ** b
+        if type(result) is int:
+            float(result)  # OverflowError when it does not fit
+    except (ArithmeticError, ValueError):
+        return 0.0
+    return 0.0 if type(result) is complex else result
+
+
 _BINARY_OPS: dict = {
     "+": lambda a, b: a + b,
     "-": lambda a, b: a - b,
@@ -207,7 +227,7 @@ _BINARY_OPS: dict = {
     "/": lambda a, b: a / b if b != 0 else 0.0,
     "//": lambda a, b: a // b if b != 0 else 0,
     "%": lambda a, b: a % b if b != 0 else 0,
-    "**": lambda a, b: a ** b,
+    "**": power,
     "<": lambda a, b: int(a < b),
     "<=": lambda a, b: int(a <= b),
     ">": lambda a, b: int(a > b),

@@ -82,6 +82,7 @@ from repro.ir.expr import (
     _BINARY_OPS,
     _INTRINSICS,
     _UNARY_OPS,
+    power,
 )
 from repro.ir.reference import MemoryReference
 from repro.ir.stmt import Assign, Do, If, Statement
@@ -108,17 +109,12 @@ _COMPUTE_1 = ComputeOp(1)
 #: reference postfix evaluator: intrinsic / operator domain errors that
 #: :func:`_eval_arith` (matching ``apply_binary`` / ``apply_intrinsic``)
 #: absorbs to 0.0 -- ``TypeError`` / ``ValueError`` / ``OverflowError``
-#: from intrinsics and ``**``, plus ``ZeroDivisionError`` from integer
-#: ``**`` with a negative exponent (the ``/ // %`` guards are generated
-#: inline, but ``0 ** -1`` raises only in the closure form).  Anything
-#: else (e.g. a ``KeyError`` for a missing env binding) is a recording
-#: bug and must propagate, not silently re-run the interpreter.
-_ARITH_FALLBACK_ERRORS = (
-    TypeError,
-    ValueError,
-    OverflowError,
-    ZeroDivisionError,
-)
+#: from intrinsics and operators (the ``/ // %`` zero guards are generated
+#: inline and ``**`` calls the total :func:`repro.ir.expr.power`, so no
+#: ``ZeroDivisionError`` reaches here).  Anything else (e.g. a
+#: ``KeyError`` for a missing env binding) is a recording bug and must
+#: propagate, not silently re-run the interpreter.
+_ARITH_FALLBACK_ERRORS = (TypeError, ValueError, OverflowError)
 
 
 class TraceError(Exception):
@@ -190,14 +186,16 @@ def _eval_arith(
 # ----------------------------------------------------------------------
 # Closure generation
 # ----------------------------------------------------------------------
-_DIRECT_BINOPS = {"+", "-", "*", "**"}
+_DIRECT_BINOPS = {"+", "-", "*"}
 _COMPARE_BINOPS = {"<", "<=", ">", ">=", "==", "!="}
 _GUARDED_BINOPS = {"/": "0.0", "//": "0", "%": "0"}
 
 
-#: Globals of generated arithmetic: every intrinsic as ``_intr_<name>``.
+#: Globals of generated arithmetic: every intrinsic as ``_intr_<name>``
+#: and ``**`` as ``_pow``.
 ARITH_GLOBALS: Dict[str, object] = {
-    f"_intr_{name}": fn for name, fn in _INTRINSICS.items()
+    "_pow": power,
+    **{f"_intr_{name}": fn for name, fn in _INTRINSICS.items()},
 }
 
 
@@ -217,7 +215,7 @@ def arith_source(
 
     ``slot(k)`` gives the text of read value ``k`` and ``const(value)``
     the text of a constant; the region index is ``iv``, an inner index
-    ``env[name]`` and an intrinsic ``_intr_<name>`` (see
+    ``env[name]``, ``**`` ``_pow`` and an intrinsic ``_intr_<name>`` (see
     :data:`ARITH_GLOBALS`).  The text mirrors :mod:`repro.ir.expr`
     semantics for the non-exceptional cases; callers catch
     :data:`_ARITH_FALLBACK_ERRORS` and re-run the program through
@@ -241,6 +239,8 @@ def arith_source(
             a = stack.pop()
             if sym in _DIRECT_BINOPS:
                 stack.append(f"({a} {sym} {b})")
+            elif sym == "**":
+                stack.append(f"_pow({a}, {b})")
             elif sym in _COMPARE_BINOPS:
                 stack.append(f"(1 if {a} {sym} {b} else 0)")
             elif sym in _GUARDED_BINOPS:

@@ -51,6 +51,7 @@ from repro.ir.dsl import DSLSyntaxError, parse_program
 from repro.ir.program import Program
 from repro.obs.metrics import metrics_registry
 from repro.runtime.engines import CASEEngine, HOSEEngine
+from repro.runtime.errors import AddressError
 from repro.runtime.interpreter import SequentialInterpreter
 from repro.runtime.memory import MemoryImage
 from repro.serve.pool import FAILURES_COUNTER
@@ -206,6 +207,17 @@ class Dispatcher:
                 self._registry.counter("serve.errors").inc()
             return error_response(
                 request.id, INVALID_PARAMS, f"invalid params: {exc}"
+            )
+        except AddressError as exc:
+            # The submitted program addresses memory it does not have: a
+            # run-time fault of the program, so the client's error.
+            if collecting:
+                self._registry.counter("serve.errors").inc()
+            return error_response(
+                request.id,
+                INVALID_PARAMS,
+                f"invalid program: {exc}",
+                data={"type": type(exc).__name__},
             )
         except Exception as exc:  # noqa: BLE001 -- the envelope is the
             # daemon's error boundary; anything else is a bug report.

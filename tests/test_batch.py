@@ -778,7 +778,8 @@ class TestCompiledAttempt:
 class TestAffineAddresses:
     """Both ways of building an attempt's affine address list (numpy
     from :data:`NUMPY_MIN_AFFINE` items on, a list comprehension below)
-    give the per-item ``(name, base + coeff * iv)`` of the reference."""
+    give the per-item ``(name, base + coeff * iv)`` of the reference.
+    Without numpy every size takes the list path."""
 
     @pytest.mark.parametrize("family, size, numpy", [
         ("stencil", 24, True),
@@ -788,8 +789,8 @@ class TestAffineAddresses:
         program = generate(family, size, 4).program
         run_batched(program, CASEEngine, window=4, capacity=64)
         (bp,) = batch_mod._MEMO[program.regions[0]].values()
-        assert (bp.aff_base_np is not None) == numpy
         assert (len(bp.aff_names) >= batch_mod.NUMPY_MIN_AFFINE) == numpy
+        assert (bp.aff_base_np is not None) == (numpy and batch_mod._np is not None)
         for iv in range(-3, size + 3):
             reference = [
                 (name, base + coeff * iv)
@@ -808,6 +809,8 @@ class TestNumpyImportGuard:
     silently degraded every batched run to the pure-python path with no
     signal.  Now only ImportError degrades -- with a one-time structured
     warning through ``repro.obs.log`` -- and anything else propagates.
+    Each test reloads the module at the end, so it leaves the numpy path
+    as it found it: on where numpy imports, off where it does not.
     """
 
     def _reload_batch(self):
@@ -824,17 +827,17 @@ class TestNumpyImportGuard:
 
         from repro.obs.log import configure_logging, reset_logging
 
+        had_numpy = batch_mod._np is not None
         stream = io.StringIO()
         try:
             configure_logging(stream=stream)
             # None in sys.modules makes `import numpy` raise ImportError.
             with mock.patch.dict(sys.modules, {"numpy": None}):
-                batch_mod = self._reload_batch()
-                assert batch_mod._np is None
+                assert self._reload_batch()._np is None
         finally:
             reset_logging()
-            batch_mod = self._reload_batch()
-        assert batch_mod._np is not None
+            self._reload_batch()
+        assert (batch_mod._np is not None) == had_numpy
         assert "numpy unavailable" in stream.getvalue()
 
     def test_non_import_errors_propagate(self):
@@ -850,6 +853,7 @@ class TestNumpyImportGuard:
                     raise RuntimeError("simulated numpy init failure")
                 return None
 
+        had_numpy = batch_mod._np is not None
         finder = _ExplodingFinder()
         saved_numpy = {
             name: sys.modules.pop(name)
@@ -863,8 +867,8 @@ class TestNumpyImportGuard:
         finally:
             sys.meta_path.remove(finder)
             sys.modules.update(saved_numpy)
-            batch_mod = self._reload_batch()
-        assert batch_mod._np is not None
+            self._reload_batch()
+        assert (batch_mod._np is not None) == had_numpy
 
     def test_pure_python_path_still_bit_identical(self):
         import sys

@@ -1,4 +1,4 @@
-"""Dependence analyzer tests: granularity modes, signature relations,
+"""Dependence analyzer tests: loop-carried recurrences, signature relations,
 emission plans, edge records, access coverage, caching."""
 
 import copy
@@ -15,14 +15,11 @@ from repro.analysis.access import (
 from repro.analysis.cache import AnalysisCache
 from repro.analysis.dependence import (
     DependenceAnalyzer,
-    DependenceGranularity,
-    DirectionMode,
     SignatureIndex,
     analyze_dependences,
     relation_of_reference_pair,
 )
 from repro.analysis.dependence.graph import Dependence, DependenceGraph
-from repro.analysis.dependence.subscript_tests import ALL_RELATIONS
 from repro.analysis.readonly import read_only_variables
 from repro.bench.workloads import FAMILIES, generate
 from repro.corpus.generator import corpus
@@ -30,13 +27,6 @@ from repro.idempotency.labeling import label_region
 from repro.ir.dsl import parse_program
 from repro.ir.region import LoopRegion
 from repro.ir.types import AccessType, DependenceKind, DependenceScope, NodeMark
-
-
-def dep_set(graph):
-    return {
-        (d.source.uid, d.sink.uid, d.kind.value, d.scope.value, d.distance)
-        for d in graph
-    }
 
 
 STENCIL = """
@@ -54,18 +44,7 @@ end program
 
 
 class TestGranularity:
-    def test_element_vs_variable(self):
-        region = parse_program(STENCIL).regions[0]
-        element = analyze_dependences(
-            region, granularity=DependenceGranularity.ELEMENT
-        )
-        variable = analyze_dependences(
-            region, granularity=DependenceGranularity.VARIABLE
-        )
-        # VARIABLE granularity treats every same-variable pair as
-        # may-aliasing, so it can only add dependences.
-        assert dep_set(element) <= dep_set(variable)
-        assert len(variable) > len(element)
+    """Subscript tests decide aliasing element by element."""
 
     def test_element_finds_loop_carried_recurrence(self):
         region = parse_program(STENCIL).regions[0]
@@ -78,9 +57,8 @@ class TestGranularity:
 
 class TestSignatureRelations:
     def test_relations_match_pairwise_test_on_all_bench_families(self):
-        # The signature index is the only relation source the analyzer
-        # uses at ELEMENT granularity; the per-pair subscript test is
-        # its reference.
+        # The signature index is the analyzer's only relation source for
+        # loop regions; the per-pair subscript test is its reference.
         for family in FAMILIES:
             region = generate(family, 24, 6).region
             read_only = read_only_variables(region)
@@ -112,15 +90,6 @@ class TestAnalysisCache:
         assert second.labels == first.labels
         assert cache.misses == misses_after_first  # nothing recomputed
         assert cache.hits > 0
-
-    def test_cache_distinguishes_granularity(self):
-        region = generate("stencil", 16, 4).region
-        cache = AnalysisCache()
-        element = analyze_dependences(region, cache=cache)
-        variable = analyze_dependences(
-            region, granularity=DependenceGranularity.VARIABLE, cache=cache
-        )
-        assert dep_set(element) != dep_set(variable)
 
     def test_invalidate_drops_entries(self):
         region = generate("stencil", 16, 4).region
@@ -240,29 +209,16 @@ def _per_pair_graph(analyzer, region, private, read_only):
             a, b = refs[i], refs[j]
             if a.access is AccessType.READ and b.access is AccessType.READ:
                 continue
-            if analyzer.granularity is DependenceGranularity.ELEMENT:
-                relations = index.relations_of(a, b)
-            else:
-                relations = ALL_RELATIONS
             analyzer._emit_loop_dependences(
-                graph, a, b, relations, variable, private, invariant, memo
+                graph, a, b, index.relations_of(a, b), variable, private,
+                invariant, memo,
             )
     return graph
 
 
-MODES = [
-    (granularity, direction)
-    for granularity in DependenceGranularity
-    for direction in DirectionMode
-]
-
-
 class TestEmissionPlans:
-    @pytest.mark.parametrize("granularity,direction", MODES)
-    def test_loop_graph_equals_per_pair_oracle(
-        self, loop_regions, granularity, direction
-    ):
-        analyzer = DependenceAnalyzer(granularity=granularity, direction=direction)
+    def test_loop_graph_equals_per_pair_oracle(self, loop_regions):
+        analyzer = DependenceAnalyzer()
         edges = 0
         for region, private_vars, read_only in loop_regions:
             for private in (set(), private_vars):
@@ -277,11 +233,8 @@ class TestEmissionPlans:
                 edges += len(graph)
         assert len(loop_regions) > 200 and edges > 0
 
-    @pytest.mark.parametrize("granularity,direction", MODES)
-    def test_loop_pass_emits_no_duplicate_edge(
-        self, loop_regions, granularity, direction
-    ):
-        analyzer = DependenceAnalyzer(granularity=granularity, direction=direction)
+    def test_loop_pass_emits_no_duplicate_edge(self, loop_regions):
+        analyzer = DependenceAnalyzer()
         for region, private, read_only in loop_regions:
             graph = analyzer.analyze(
                 region, private_variables=private, read_only=read_only
@@ -344,11 +297,8 @@ def _order_blocks(merge):
 
 
 class TestCompactQueries:
-    @pytest.mark.parametrize("granularity,direction", MODES)
-    def test_compact_queries_equal_materialized_edges(
-        self, loop_regions, granularity, direction
-    ):
-        analyzer = DependenceAnalyzer(granularity=granularity, direction=direction)
+    def test_compact_queries_equal_materialized_edges(self, loop_regions):
+        analyzer = DependenceAnalyzer()
         for region, private_vars, read_only in loop_regions:
             for private in (set(), private_vars):
                 graph = analyzer.analyze(
@@ -356,9 +306,8 @@ class TestCompactQueries:
                 )
                 _assert_compact_queries_equal_edges(graph, region)
 
-    @pytest.mark.parametrize("granularity,direction", MODES)
-    def test_shared_patterns_and_order_blocks(self, granularity, direction):
-        analyzer = DependenceAnalyzer(granularity=granularity, direction=direction)
+    def test_shared_patterns_and_order_blocks(self):
+        analyzer = DependenceAnalyzer()
         for merge in (1, 2, 3):
             region = _order_blocks(merge)
             read_only = read_only_variables(region)

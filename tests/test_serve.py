@@ -27,7 +27,9 @@ from repro.obs.tracer import TRACER
 from repro.serve import dispatch as dispatch_mod
 from repro.serve.dispatch import Dispatcher
 from repro.serve.pool import PoolSaturated, WorkerPool
+from repro.runtime.errors import SimulationError
 from repro.serve.protocol import (
+    INTERNAL_ERROR,
     INVALID_PARAMS,
     INVALID_REQUEST,
     METHOD_NOT_FOUND,
@@ -89,6 +91,23 @@ JSON_IR = {
         }
     ],
 }
+
+
+def _ir(**changes):
+    """JSON_IR with top-level keys replaced (``None`` drops a key)."""
+    out = {k: v for k, v in dict(JSON_IR, **changes).items() if v is not None}
+    return json.loads(json.dumps(out))
+
+
+def _ir_region(**changes):
+    return _ir(regions=[dict(JSON_IR["regions"][0], **changes)])
+
+
+EXPLICIT_IR = _ir(regions=[{
+    "kind": "explicit", "name": "E", "live_out": ["s"],
+    "segments": [{"name": "E0", "body": [{"target": "s", "rhs": "s + 1"}],
+                  "brnach": "s > 0"}],
+}])
 
 
 def rpc(req_id, method, params=None):
@@ -279,6 +298,10 @@ class TestDispatcher:
             {"program": {"regions": [{"name": "L"}]}},
             {"dsl": DSL, "engine": "warp"},
             {"dsl": DSL, "region": "missing"},
+            # JSON IR keys the schema does not name, which used to drop
+            # part of the program and simulate what was left.
+            {"program": {"dsl": DSL}, "engine": "case"},
+            {"program": _ir(regions=None, region=JSON_IR["regions"]), "engine": "case"},
         ],
     )
     def test_invalid_params(self, params):
@@ -286,6 +309,83 @@ class TestDispatcher:
         method = "simulate" if "engine" in params else "label"
         response = dispatcher.dispatch(rpc(7, method, params))
         assert response["error"]["code"] == INVALID_PARAMS
+
+    @pytest.mark.parametrize(
+        "program, path",
+        [
+            (_ir(regions=None, region=JSON_IR["regions"]), "program"),
+            (_ir(symbols={"scalar": [{"name": "s"}]}), "symbols"),
+            (_ir(symbols={"scalars": [{"name": "s", "intial": 2.0}]}),
+             "symbols.scalars[0]"),
+            (_ir(symbols={"arrays": [{"name": "x", "shape": [32], "init": 1.0}]}),
+             "symbols.arrays[0]"),
+            (_ir_region(liveout=["x"]), "regions[0]"),
+            (_ir_region(body=[{"target": "s", "rhs": "s + 1", "gaurd": "s > 0"}]),
+             "regions[0].body[0]"),
+            (_ir_region(body=[{"kind": "do", "index": "k", "lower": 1, "upper": 2,
+                               "body": [], "stride": 1}]),
+             "regions[0].body[0]"),
+            (_ir_region(body=[{"kind": "if", "cond": "s > 0", "than": []}]),
+             "regions[0].body[0]"),
+            (EXPLICIT_IR, "regions[0].segments[0]"),
+        ],
+    )
+    def test_unknown_json_ir_keys(self, program, path):
+        # Every JSON IR object rejects a key the schema does not name,
+        # with the object's path.
+        dispatcher = Dispatcher()
+        response = dispatcher.dispatch(rpc(7, "label", {"program": program}))
+        assert response["error"]["code"] == INVALID_PARAMS
+        assert response["error"]["message"].startswith(
+            f"invalid params: {path}: unknown keys"
+        )
+
+    @pytest.mark.parametrize(
+        "rhs", ["x(i) ** (0 - 1)", "(x(i) - 1) ** 0.5", "(i + 10) ** 400"]
+    )
+    def test_power_is_total(self, rhs):
+        # ``**`` used to raise, return a complex or overflow a float on
+        # these, so a valid program got an error envelope.
+        dsl = DSL.replace("y(i) = x(i-1) + x(i+1)", f"y(i) = {rhs}")
+        dispatcher = Dispatcher()
+        for batch in (True, False):
+            response = dispatcher.dispatch(
+                rpc(7, "simulate", {"dsl": dsl, "batch": batch})
+            )
+            assert response["result"]["bit_identical"] is True, batch
+        response = dispatcher.dispatch(rpc(8, "speedup_sweep", {"dsl": dsl}))
+        engines = response["result"]["engines"]
+        assert [e["bit_identical"] for e in engines.values()] == [True, True]
+
+    @pytest.mark.parametrize(
+        "old, new",
+        [
+            ("y(i) = x(i-1) + x(i+1)", "y(i) = x(i+1) + x(i+2)"),
+            ("s = s + y(i)", "x = x(i) + 1"),
+        ],
+    )
+    def test_address_error_is_invalid_params(self, old, new):
+        # A program that addresses memory it does not have is the
+        # client's error; other run-time failures stay INTERNAL_ERROR.
+        dsl = DSL.replace(old, new)
+        dispatcher = Dispatcher()
+        for method, params in (("simulate", {"batch": True}),
+                               ("simulate", {"batch": False}),
+                               ("speedup_sweep", {})):
+            response = dispatcher.dispatch(rpc(7, method, dict(params, dsl=dsl)))
+            error = response["error"]
+            assert error["code"] == INVALID_PARAMS, (method, params)
+            assert error["data"] == {"type": "AddressError"}
+            assert error["message"].startswith("invalid program: ")
+
+    def test_other_simulation_errors_stay_internal(self, monkeypatch):
+        def diverged(self, entry):
+            raise SimulationError("replay diverged")
+
+        monkeypatch.setattr(Dispatcher, "_ground_truth", diverged)
+        response = Dispatcher().dispatch(rpc(7, "simulate", {"dsl": DSL}))
+        assert response["error"]["code"] == INTERNAL_ERROR
+        assert "SimulationError: replay diverged" in response["error"]["message"]
 
     @pytest.mark.parametrize(
         "old, new, message",

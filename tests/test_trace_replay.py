@@ -12,6 +12,7 @@ from conftest import drive_stream
 from repro.bench.workloads import FAMILIES, generate
 from repro.corpus import corpus
 from repro.ir.dsl import parse_program
+from repro.ir.expr import power
 from repro.resilience.faults import FaultPlan
 from repro.resilience.harness import run_resilient
 from repro.runtime import engines as engines_mod
@@ -97,6 +98,53 @@ class TestSequentialPathsAgree:
             replay = self.assert_paths_agree(program)
             replayed += "replayed" in replay.replay_reasons.values()
         assert replayed > 0, "no fuzz program took the replay path"
+
+
+#: ``y(i) = <rhs>`` programs whose ``**`` Python cannot answer with a
+#: float: ``0.0 ** -1`` raises, ``(-1.0) ** 0.5`` is complex and
+#: ``18 ** 400`` does not fit a float.
+POWER_RHS = ["x(i) ** (0 - 1)", "(x(i) - 1) ** 0.5", "(i + 10) ** 400"]
+
+
+def power_program(rhs):
+    return parse_program(
+        "program pow\n  real x(16) = 0.0, y(16)\n  region R do i = 1, 16\n"
+        f"    y(i) = {rhs}\n    x(i) = y(i) + x(i)\n    liveout x, y\n"
+        "  end region\nend program"
+    )
+
+
+class TestTotalPower:
+    """``**`` is total: 0.0 where Python raises, returns a complex or
+    overflows a float, and every executor agrees on it."""
+
+    def test_power_values(self):
+        assert power(0.0, -1) == 0.0
+        assert power(-1.0, 0.5) == 0.0
+        assert power(18, 400) == 0.0
+        assert power(-18, 401) == 0.0
+        assert power(2, 10 ** 12) == 0.0  # answered without computing
+        assert power(10.0, 400) == 0.0
+        for a, b in [(2, 10), (2, -1), (-2, 3), (1, 10 ** 12), (0, 0),
+                     (2.5, 2), (4, 0.5), (-8.0, 3), (2, 1023)]:
+            got = power(a, b)
+            assert got == a ** b and type(got) is type(a ** b), (a, b)
+
+    @pytest.mark.parametrize("rhs", POWER_RHS)
+    def test_every_executor_agrees(self, rhs):
+        program = power_program(rhs)
+        direct = SequentialInterpreter(program, use_replay=False).run()
+        replay = SequentialInterpreter(program).run()
+        assert replay.replay_reasons["R"] == "replayed"
+        assert replay.memory.differences(direct.memory, tolerance=0.0) == {}
+        assert replay.stats.as_dict() == direct.stats.as_dict()
+        assert direct.memory.read("y", (1,)) == 0.0
+        for engine_cls in (HOSEEngine, CASEEngine):
+            for batch in (False, True):
+                result = engine_cls(program, window=4, capacity=8, batch=batch).run()
+                assert not result.degraded, (engine_cls, batch)
+                assert direct.memory.differences(result.memory, tolerance=0.0) == {}
+                assert (result.stats.batched_attempts > 0) == batch
 
 
 class TestScatterWrite:
