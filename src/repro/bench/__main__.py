@@ -168,12 +168,6 @@ def _parse_args(argv):
         help="speculative-buffer capacities swept by the engine scenario",
     )
     parser.add_argument(
-        "--engine-window",
-        type=int,
-        default=ENGINE_WINDOW,
-        help="in-flight segments per region in the engine scenario",
-    )
-    parser.add_argument(
         "--processors",
         type=int,
         nargs="+",
@@ -221,13 +215,6 @@ def _parse_args(argv):
         nargs="+",
         default=list(CHAOS_RATES),
         help="fault-injection rates swept by the chaos scenario",
-    )
-    parser.add_argument(
-        "--chaos-seed",
-        type=int,
-        default=None,
-        help="fault-injection seed for the chaos scenario "
-        "(default: the scenario's fixed seed)",
     )
     parser.add_argument(
         "--out",
@@ -312,7 +299,7 @@ def main(argv=None) -> int:
         verify_statements = (
             SMOKE_STATEMENTS if args.smoke else VERIFY_STATEMENTS
         )
-        windows = tuple(sorted({1, args.engine_window}))
+        windows = (1, ENGINE_WINDOW)
         LOG.info(
             f"engine equivalence: HOSE/CASE vs sequential "
             f"(size={verify_size}, statements={verify_statements}, "
@@ -347,21 +334,21 @@ def main(argv=None) -> int:
         LOG.info(
             f"engines: HOSE vs CASE "
             f"(size={engine_size}, statements={engine_statements}, "
-            f"window={args.engine_window}, "
+            f"window={ENGINE_WINDOW}, "
             f"capacities={args.engine_capacities}) ..."
         )
         with TRACER.span("bench.scenario", category="bench", scenario="engines"):
             engines_section = {
                 "size": engine_size,
                 "statements": engine_statements,
-                "window": args.engine_window,
+                "window": ENGINE_WINDOW,
                 "capacities": list(args.engine_capacities),
                 "families": measure_engines(
                     size=engine_size,
                     statements=engine_statements,
                     families=tuple(args.families),
                     capacities=tuple(args.engine_capacities),
-                    window=args.engine_window,
+                    window=ENGINE_WINDOW,
                 ),
             }
         # Batched vs op-interleaved replay throughput.  The smoke sweep
@@ -382,7 +369,7 @@ def main(argv=None) -> int:
                 f"engines: batched vs interleaved replay throughput "
                 f"(families={list(throughput_families)}, "
                 f"size={throughput_size or 'default'}, "
-                f"window={args.engine_window}) ..."
+                f"window={ENGINE_WINDOW}) ..."
             )
             with TRACER.span(
                 "bench.scenario",
@@ -392,7 +379,7 @@ def main(argv=None) -> int:
                 engines_section["throughput"] = measure_engine_throughput(
                     families=throughput_families,
                     size=throughput_size,
-                    window=args.engine_window,
+                    window=ENGINE_WINDOW,
                 )
 
     speedup_section = None
@@ -471,16 +458,12 @@ def main(argv=None) -> int:
             f"(size={chaos_size}, statements={CHAOS_STATEMENTS}, "
             f"rates={chaos_rates}) ..."
         )
-        chaos_kwargs = {}
-        if args.chaos_seed is not None:
-            chaos_kwargs["seed"] = args.chaos_seed
         with TRACER.span("bench.scenario", category="bench", scenario="chaos"):
             chaos_section = measure_chaos(
                 size=chaos_size,
                 statements=CHAOS_STATEMENTS,
                 families=tuple(args.families),
                 rates=tuple(chaos_rates),
-                **chaos_kwargs,
             )
 
     report = {

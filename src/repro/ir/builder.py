@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Any, List, Mapping, Optional, Sequence
 
-from repro.ir.expr import Const
+from repro.ir.expr import Const, ExpressionError, int_constant_error
 from repro.ir.program import Program
 from repro.ir.region import ExplicitRegion, LoopRegion, Region
 from repro.ir.segment import Segment
@@ -63,17 +63,25 @@ def _json_expr(node: Any, path: str):
 
     if isinstance(node, bool):
         raise JsonIRError(f"{path}: booleans are not IR expressions")
-    if isinstance(node, (int, float)):
-        return Const(node)
-    if isinstance(node, str):
-        try:
+    try:
+        if isinstance(node, (int, float)):
+            return Const(node)
+        if isinstance(node, str):
             return parse_expression(node)
-        except DSLSyntaxError as exc:
-            raise JsonIRError(f"{path}: {exc}") from exc
+    except (DSLSyntaxError, ExpressionError) as exc:
+        raise JsonIRError(f"{path}: {exc}") from exc
     raise JsonIRError(
         f"{path}: expected a number or DSL expression string, "
         f"got {type(node).__name__}"
     )
+
+
+def _json_initial(decl: Mapping, path: str) -> float:
+    """A declaration's initial value; an integer must fit a float."""
+    value = decl.get("initial", 0.0)
+    if type(value) is int and int_constant_error(value):
+        raise JsonIRError(f"{path}.initial: {int_constant_error(value)}")
+    return float(value)
 
 
 def _json_stmt(node: Any, path: str) -> Statement:
@@ -188,7 +196,7 @@ def program_from_json(payload: Mapping) -> Program:
         if not isinstance(decl, Mapping) or "name" not in decl:
             raise JsonIRError(f"symbols.scalars[{i}]: needs a 'name'")
         _known_keys(decl, _SCALAR_KEYS, f"symbols.scalars[{i}]")
-        table.scalar(decl["name"], initial=float(decl.get("initial", 0.0)))
+        table.scalar(decl["name"], initial=_json_initial(decl, f"symbols.scalars[{i}]"))
     for i, decl in enumerate(symbols.get("arrays", [])):
         if not isinstance(decl, Mapping) or "name" not in decl:
             raise JsonIRError(f"symbols.arrays[{i}]: needs a 'name'")
@@ -202,7 +210,8 @@ def program_from_json(payload: Mapping) -> Program:
                 f"symbols.arrays[{i}].shape: list of positive ints expected"
             )
         table.array(
-            decl["name"], list(shape), initial=float(decl.get("initial", 0.0))
+            decl["name"], list(shape),
+            initial=_json_initial(decl, f"symbols.arrays[{i}]"),
         )
     init = _json_body(payload.get("init", []), "init")
     finale = _json_body(payload.get("finale", []), "finale")

@@ -61,7 +61,8 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.ir.expr import (
-    BinOp, Call, Const, Expr, ExpressionError, Index, UnaryOp, Var, intrinsics)
+    BinOp, Call, Const, Expr, ExpressionError, Index, UnaryOp, Var, arity_error,
+    int_constant_error, intrinsics)
 from repro.ir.program import Program, ProgramError
 from repro.ir.region import ExplicitRegion, LoopRegion, Region, RegionError
 from repro.ir.segment import Segment, SegmentError
@@ -130,8 +131,10 @@ def _parse_tokens(
 ):
     """Parse all of ``tokens[start:end]`` as one expression (with ``many``, a
     comma-separated list) by precedence climbing.  ``Const``, ``Var``,
-    ``Index`` and ``BinOp`` skip their constructors' checks, which the grammar
-    guarantees.  A bad character is reported in place of any other error."""
+    ``Index``, ``BinOp`` and ``Call`` skip their constructors: the grammar
+    guarantees their checks but two, a call's arity and an integer literal's
+    size, made here.  A bad character is reported in place of any other
+    error."""
     pos = start
 
     def expect_close() -> None:
@@ -163,7 +166,11 @@ def _parse_tokens(
                 expect_close()
                 func = token.lower()
                 if func in _INTRINSICS:
-                    lhs = Call(func, args)
+                    error = arity_error(func, len(args))
+                    if error:
+                        raise DSLSyntaxError(error, line_no)
+                    lhs = _new(Call)
+                    lhs.func, lhs.args = func, tuple(args)
                 elif not args:
                     raise ExpressionError(f"array read of {token!r} needs subscripts")
                 else:
@@ -174,10 +181,13 @@ def _parse_tokens(
                 lhs.name = token
         elif first.isdecimal() or (first == "." and len(token) > 1):
             lhs = _new(Const)
-            lhs.value = (
-                int(token) if token.isdigit()
-                else float(token.lower().replace("d", "e"))
-            )
+            if token.isdigit():
+                lhs.value = int(token)
+                # Only a literal of 309 or more digits can reach 2 ** 1024.
+                if len(token) > 308 and int_constant_error(lhs.value):
+                    raise DSLSyntaxError(int_constant_error(lhs.value), line_no)
+            else:
+                lhs.value = float(token.lower().replace("d", "e"))
         else:
             token = _KEYWORDS.get(token, token)
             if token == "(":

@@ -12,6 +12,18 @@ intercept every memory read: ``reader(name, subscripts)`` receives the
 variable name and a tuple of integer subscript values (empty for
 scalars) and returns the value.
 
+Every operator and intrinsic is total: its entry in ``_BINARY_OPS``,
+``_UNARY_OPS`` or ``_INTRINSICS`` answers every float and every integer
+that fits a float with a number, and never raises.  Division, ``//``,
+``%`` and ``mod`` by zero give 0; ``**``, ``int``, ``sin`` and ``cos``
+give 0.0 where Python would raise or return a complex; an integer ``+``,
+``-``, ``*`` or ``**`` whose result does not fit a float gives 0.0.
+Integer literals that do not fit a float and intrinsic calls with the
+wrong number of arguments are rejected when the node is built.  These
+tables are the one statement of the arithmetic: the interpreters call
+them, and generated code inlines an operator only where the inline text
+cannot differ from its entry.
+
 The traversal order of :meth:`Expr.reads` defines the program order of
 the read references inside one expression and is therefore load-bearing
 for dependence analysis and for the speculative engines: subscripts are
@@ -106,6 +118,8 @@ class Const(Expr):
             value = int(value)
         if not isinstance(value, (int, float)):
             raise ExpressionError(f"constant must be a number, got {value!r}")
+        if type(value) is int and int_constant_error(value):
+            raise ExpressionError(int_constant_error(value))
         self.value = value
 
     def evaluate(self, reader: Reader) -> Number:
@@ -200,6 +214,34 @@ class Index(Expr):
 # ----------------------------------------------------------------------
 # Operators
 # ----------------------------------------------------------------------
+#: Integers whose magnitude reaches this do not fit a float: ``float()``
+#: rounds them to ``2 ** 1024`` and raises.
+_FLOAT_INT_LIMIT = 2 ** 1024 - 2 ** 970
+
+
+def fits_float(value: int) -> bool:
+    """True when the integer ``value`` converts to a (finite) float."""
+    return -_FLOAT_INT_LIMIT < value < _FLOAT_INT_LIMIT
+
+
+def add(a: Number, b: Number) -> Number:
+    """``a + b``; 0.0 for an integer sum too large for a float."""
+    r = a + b
+    return r if type(r) is not int or fits_float(r) else 0.0
+
+
+def sub(a: Number, b: Number) -> Number:
+    """``a - b``; 0.0 for an integer difference too large for a float."""
+    r = a - b
+    return r if type(r) is not int or fits_float(r) else 0.0
+
+
+def mul(a: Number, b: Number) -> Number:
+    """``a * b``; 0.0 for an integer product too large for a float."""
+    r = a * b
+    return r if type(r) is not int or fits_float(r) else 0.0
+
+
 def power(a: Number, b: Number) -> Number:
     """``a ** b``, made total: 0.0 where Python raises (``0.0 ** -1``),
     returns a complex (``(-1.0) ** 0.5``) or gives an integer too large
@@ -213,17 +255,20 @@ def power(a: Number, b: Number) -> Number:
             return 0.0
     try:
         result = a ** b
-        if type(result) is int:
-            float(result)  # OverflowError when it does not fit
     except (ArithmeticError, ValueError):
         return 0.0
+    if type(result) is int:
+        return result if fits_float(result) else 0.0
     return 0.0 if type(result) is complex else result
 
 
+#: The operators' one meaning (see the module docstring).  Integer
+#: results fit a float too, so with integer literals checked at
+#: construction no expression ever sees an integer that does not.
 _BINARY_OPS: dict = {
-    "+": lambda a, b: a + b,
-    "-": lambda a, b: a - b,
-    "*": lambda a, b: a * b,
+    "+": add,
+    "-": sub,
+    "*": mul,
     "/": lambda a, b: a / b if b != 0 else 0.0,
     "//": lambda a, b: a // b if b != 0 else 0,
     "%": lambda a, b: a % b if b != 0 else 0,
@@ -253,11 +298,34 @@ _INTRINSICS: dict = {
     "sqrt": lambda a: math.sqrt(abs(a)),
     "exp": lambda a: math.exp(min(a, 60.0)),
     "log": lambda a: math.log(abs(a)) if a != 0 else 0.0,
-    "sin": math.sin,
-    "cos": math.cos,
-    "int": lambda a: int(a),
+    "sin": lambda a: 0.0 if math.isinf(a) else math.sin(a),
+    "cos": lambda a: 0.0 if math.isinf(a) else math.cos(a),
+    "int": lambda a: int(a) if math.isfinite(a) else 0.0,
     "sign": lambda a: (a > 0) - (a < 0),
 }
+
+#: Argument counts of the intrinsics other than one: (fewest, most),
+#: ``None`` for no upper bound.
+_ARITY: dict = {"min": (2, None), "max": (2, None), "mod": (2, 2)}
+
+
+def arity_error(func: str, n: int) -> Optional[str]:
+    """Why intrinsic ``func`` cannot take ``n`` arguments (None when it
+    can)."""
+    low, high = _ARITY.get(func, (1, 1))
+    if low <= n and (high is None or n <= high):
+        return None
+    count = f"at least {low}" if high is None else str(low)
+    noun = "argument" if count == "1" else "arguments"
+    return f"intrinsic {func!r} takes {count} {noun}, got {n}"
+
+
+def int_constant_error(value: int) -> Optional[str]:
+    """Why an integer constant is rejected (None when it fits a float,
+    as every value an expression computes must)."""
+    if fits_float(value):
+        return None
+    return f"integer constant of {value.bit_length()} bits does not fit a float"
 
 
 class BinOp(Expr):
@@ -274,11 +342,7 @@ class BinOp(Expr):
 
     def evaluate(self, reader: Reader) -> Number:
         lhs = self.left.evaluate(reader)
-        rhs = self.right.evaluate(reader)
-        try:
-            return _BINARY_OPS[self.op](lhs, rhs)
-        except (OverflowError, ValueError):  # pragma: no cover - defensive
-            return 0.0
+        return _BINARY_OPS[self.op](lhs, self.right.evaluate(reader))
 
     def _add_reads(self, out: List[ReadOccurrence]) -> None:
         self.left._add_reads(out)
@@ -346,13 +410,12 @@ class Call(Expr):
             raise ExpressionError(f"unknown intrinsic {func!r}")
         self.func = func
         self.args = tuple(as_expr(a) for a in args)
+        error = arity_error(func, len(self.args))
+        if error:
+            raise ExpressionError(error)
 
     def evaluate(self, reader: Reader) -> Number:
-        values = [a.evaluate(reader) for a in self.args]
-        try:
-            return _INTRINSICS[self.func](*values)
-        except (TypeError, ValueError, OverflowError):  # pragma: no cover
-            return 0.0
+        return _INTRINSICS[self.func](*[a.evaluate(reader) for a in self.args])
 
     def _add_reads(self, out: List[ReadOccurrence]) -> None:
         for arg in self.args:
@@ -420,32 +483,3 @@ def intrinsics() -> Tuple[str, ...]:
     """Names of the supported intrinsic functions."""
     return tuple(sorted(_INTRINSICS))
 
-
-def apply_binary(op: str, left: Number, right: Number) -> Number:
-    """Apply a binary operator to evaluated operands (used by the runtime)."""
-    try:
-        return _BINARY_OPS[op](left, right)
-    except KeyError:
-        raise ExpressionError(f"unknown binary operator {op!r}") from None
-    except (OverflowError, ValueError):  # pragma: no cover - defensive
-        return 0.0
-
-
-def apply_unary(op: str, operand: Number) -> Number:
-    """Apply a unary operator to an evaluated operand (used by the runtime)."""
-    try:
-        return _UNARY_OPS[op](operand)
-    except KeyError:
-        raise ExpressionError(f"unknown unary operator {op!r}") from None
-
-
-def apply_intrinsic(func: str, args: Sequence[Number]) -> Number:
-    """Apply an intrinsic function to evaluated arguments (used by the runtime)."""
-    try:
-        fn = _INTRINSICS[func]
-    except KeyError:
-        raise ExpressionError(f"unknown intrinsic {func!r}") from None
-    try:
-        return fn(*args)
-    except (TypeError, ValueError, OverflowError):  # pragma: no cover - defensive
-        return 0.0

@@ -60,25 +60,22 @@ def run_resilient(
         raise ValueError(
             f"unknown engine {engine!r}; have {sorted(ENGINES)}"
         ) from None
-    injector = None
     store = None
     if plan is not None and plan:
-        injector = FaultInjector(plan, seed=seed)
-        store = FaultySpeculativeStore(capacity, injector)
+        store = FaultySpeculativeStore(capacity, FaultInjector(plan, seed=seed))
     auditor = InvariantAuditor() if audit else None
     with TRACER.span(
         "resilience.run",
         category="resilience",
         program=program.name,
         engine=engine,
-        faulted=bool(injector),
+        faulted=store is not None,
     ):
         runner = cls(
             program,
             window=window,
             capacity=capacity,
             store=store,
-            injector=injector,
             auditor=auditor,
             max_restarts=max_restarts,
             watchdog_rounds=watchdog_rounds,

@@ -131,13 +131,11 @@ from repro.runtime.executor import ReadOp
 from repro.runtime.memory import MemoryImage
 from repro.runtime.stats import ExecutionStats
 from repro.runtime.trace import (
-    _ARITH_FALLBACK_ERRORS,
     ARITH_GLOBALS,
     EV_ASSIGN,
     EV_COMPUTE,
     EV_CTRL_READ,
     SegmentTrace,
-    _eval_arith,
     _program_subs,
     arith_source,
     replay_segment,
@@ -349,11 +347,9 @@ def _step_source(shape: Tuple) -> str:
     target_read_items, target_item)`` (items as in :func:`_read_source`
     and :func:`_write_source`); the payload is ``(env, <rhs item
     entries>, <arith entries>, <target-read item entries>, <target
-    entries>)``.  ``arith`` is ``(text, n_consts, fallback)``: the
-    inlined expression of :func:`repro.runtime.trace.arith_source`, its
-    constants read from the payload, then (``fallback``) the postfix
-    program the exact evaluator re-runs when the text raises; ``text``
-    is None when only the evaluator can run the program.
+    entries>)``.  ``arith`` is ``(text, n_consts)``: the inlined
+    expression of :func:`repro.runtime.trace.arith_source` (which never
+    raises), its ``n_consts`` constants read from the payload.
     """
     body = ""
     if shape[0] == "ctrl":
@@ -364,7 +360,7 @@ def _step_source(shape: Tuple) -> str:
             "    _diverged(region, p[2], v, p[1])\n"
         )
     else:
-        _, rhs_items, (text, n_consts, fallback), target_reads, target = shape
+        _, rhs_items, (text, n_consts), target_reads, target = shape
         at = 1
         n = 0
         for item in rhs_items:
@@ -372,21 +368,8 @@ def _step_source(shape: Tuple) -> str:
             body += source
             at += width
             n += 1
-        values = _values_tuple(n)
         at += n_consts
-        if text is None:
-            body += f"r = _eval_arith(p[{at}], {values}, iv, p[0])\n"
-            at += 1
-        elif fallback:
-            body += (
-                "try:\n"
-                f"    r = {text}\n"
-                "except _ARITH_FALLBACK_ERRORS:\n"
-                f"    r = _eval_arith(p[{at}], {values}, iv, p[0])\n"
-            )
-            at += 1
-        else:
-            body += f"r = {text}\n"
+        body += f"r = {text}\n"
         for item in target_reads:
             source, width = _read_source(item, at, n)
             body += source
@@ -504,8 +487,6 @@ def _compile_attempt(region: str, shapes: List[Tuple], address_of, n_regs: int):
         "address_of": address_of,
         "region": region,
         "_program_subs": _program_subs,
-        "_eval_arith": _eval_arith,
-        "_ARITH_FALLBACK_ERRORS": _ARITH_FALLBACK_ERRORS,
         "_diverged": _diverged,
         "SymbolError": SymbolError,
         "AddressError": AddressError,
@@ -760,18 +741,16 @@ def _promote(steps: List[Tuple], promoted: FrozenSet[str]) -> int:
     return slots
 
 
-def _arith_template(program) -> Tuple[Optional[str], Tuple]:
+def _arith_template(program) -> Tuple[str, Tuple]:
     """The inlined form of an arithmetic program: its text with the
-    k-th constant as ``{k}``, and the constants; (None, ()) when only
-    the exact evaluator can run it."""
+    k-th constant as ``{k}``, and the constants."""
     consts: List = []
 
     def const(value) -> str:
         consts.append(value)
         return "{%d}" % (len(consts) - 1)
 
-    text = arith_source(program, "v{}".format, const)
-    return (text, tuple(consts)) if text is not None else (None, ())
+    return arith_source(program, "v{}".format, const), tuple(consts)
 
 
 def build_batch_program(
@@ -930,7 +909,7 @@ def build_batch_program(
         name for name, how in addressing.items() if how is not None
     )
     n_regs = _promote(steps, bp.promoted)
-    templates: Dict[int, Tuple[Optional[str], Tuple]] = {}
+    templates: Dict[int, Tuple[str, Tuple]] = {}
     for step in steps:
         if step[0] == "ctrl":
             schedule.append((("ctrl", step[1]), step[2]))
@@ -942,19 +921,15 @@ def build_batch_program(
         if template is None:
             template = templates[id(program)] = _arith_template(program)
         text, consts = template
-        if text is not None:
-            at = len(payload)
-            text = text.format(*(f"p[{at + j}]" for j in range(len(consts))))
-            payload.extend(consts)
-        fallback = text is not None and len(program) > 1
-        if text is None or fallback:
-            payload.append(program)
+        at = len(payload)
+        text = text.format(*(f"p[{at + j}]" for j in range(len(consts))))
+        payload.extend(consts)
         tail_items = tuple(_read_item(acc, payload) for acc in tail)
         schedule.append((
             (
                 "assign",
                 rhs_items,
-                (text, len(consts), fallback),
+                (text, len(consts)),
                 tail_items,
                 _write_item(write, payload),
             ),

@@ -311,7 +311,6 @@ class SpeculativeEngine:
         op_budget: Optional[int] = None,
         recorder=None,
         store: Optional[SpeculativeStore] = None,
-        injector=None,
         auditor=None,
         max_restarts: Optional[int] = DEFAULT_MAX_RESTARTS,
         watchdog_rounds: Optional[int] = DEFAULT_WATCHDOG_ROUNDS,
@@ -329,17 +328,17 @@ class SpeculativeEngine:
         )
         if store is not None:
             self.capacity = store.capacity
-        #: Resilience policy (see docs/ROBUSTNESS.md): an optional
+        #: Resilience policy (see docs/ROBUSTNESS.md): the fault
+        #: injector a faulty store brings (a
         #: :class:`repro.resilience.faults.FaultInjector` feeding the
-        #: op/prediction fault hooks, an optional
+        #: op/prediction fault hooks; the one thing that makes a run
+        #: faulted), an optional
         #: :class:`repro.resilience.auditor.InvariantAuditor` run after
         #: every scheduling round, bounded squash-restart cycles per
         #: segment occurrence, a global rounds-without-commit watchdog,
         #: and ``fallback`` selecting graceful degradation to the
-        #: sequential interpreter over raising.  A faulty store brings
-        #: its own injector.
-        if injector is None:
-            injector = getattr(self.store, "injector", None)
+        #: sequential interpreter over raising.
+        injector = getattr(self.store, "injector", None)
         self._injector = injector
         if injector is not None and auditor is None:
             # An injected substrate must always be audited, otherwise

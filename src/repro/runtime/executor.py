@@ -38,9 +38,9 @@ from repro.ir.expr import (
     Index,
     UnaryOp,
     Var,
-    apply_binary,
-    apply_intrinsic,
-    apply_unary,
+    _BINARY_OPS,
+    _INTRINSICS,
+    _UNARY_OPS,
 )
 from repro.ir.reference import MemoryReference
 from repro.ir.stmt import Assign, Do, If, Statement
@@ -167,16 +167,16 @@ def _eval_expr(
     if isinstance(expr, BinOp):
         left = yield from _eval_expr(expr.left, ctx, refs)
         right = yield from _eval_expr(expr.right, ctx, refs)
-        return apply_binary(expr.op, left, right)
+        return _BINARY_OPS[expr.op](left, right)
     if isinstance(expr, UnaryOp):
         operand = yield from _eval_expr(expr.operand, ctx, refs)
-        return apply_unary(expr.op, operand)
+        return _UNARY_OPS[expr.op](operand)
     if isinstance(expr, Call):
         args: List[Number] = []
         for arg in expr.args:
             value = yield from _eval_expr(arg, ctx, refs)
             args.append(value)
-        return apply_intrinsic(expr.func, args)
+        return _INTRINSICS[expr.func](*args)
     raise SimulationError(f"cannot evaluate expression {expr!r}")  # pragma: no cover
 
 

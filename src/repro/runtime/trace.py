@@ -29,9 +29,9 @@ Replay eligibility (decided by :func:`trace_eligibility`):
 
 Data expressions are unconstrained.  Each assignment is compiled once
 into a *slot form*: its memory reads are enumerated in operation order,
-the arithmetic becomes a postfix program over read-value slots (plus a
-generated Python closure for the common case -- see below), and each
-subscript dimension becomes either
+the arithmetic becomes a postfix program over read-value slots (and a
+generated Python closure -- see below), and each subscript dimension
+becomes either
 
 * an **affine template** ``base + coeff * region_index`` (inner-index
   terms folded away at record time, when their values are known), or
@@ -39,13 +39,12 @@ subscript dimension becomes either
   ``x(col(t, k))`` gather of sparse codes -- the subscript reads occupy
   earlier slots, so replay never needs the AST.
 
-Arithmetic programs are additionally translated to a single Python
-lambda (``fn(values, iv, env)``) so the per-assignment cost at replay is
-one native call instead of a per-instruction interpreter loop.  The
-generated code reproduces the operator semantics of
-:mod:`repro.ir.expr` (zero-division guards, 0/1 comparisons); any
-exception falls back to the exact postfix interpreter, which implements
-the reference overflow behaviour.
+Each arithmetic program is translated to a single Python lambda
+(``fn(values, iv, env)``), so the per-assignment cost at replay is one
+native call.  The lambda has the values of :mod:`repro.ir.expr`'s total
+operator tables: it inlines an operator only where the inline text
+cannot differ from the table entry and calls the entry elsewhere
+(:func:`arith_source`), so it never raises and needs no fallback.
 
 Reads of read-only scalars inside control expressions are recorded
 together with the value observed at record time and *validated* during
@@ -81,8 +80,6 @@ from repro.ir.expr import (
     Var,
     _BINARY_OPS,
     _INTRINSICS,
-    _UNARY_OPS,
-    power,
 )
 from repro.ir.reference import MemoryReference
 from repro.ir.stmt import Assign, Do, If, Statement
@@ -105,18 +102,6 @@ MAX_TRACE_EVENTS = 500_000
 
 _COMPUTE_1 = ComputeOp(1)
 
-#: The only ways a generated arithmetic closure can diverge from the
-#: reference postfix evaluator: intrinsic / operator domain errors that
-#: :func:`_eval_arith` (matching ``apply_binary`` / ``apply_intrinsic``)
-#: absorbs to 0.0 -- ``TypeError`` / ``ValueError`` / ``OverflowError``
-#: from intrinsics and operators (the ``/ // %`` zero guards are generated
-#: inline and ``**`` calls the total :func:`repro.ir.expr.power`, so no
-#: ``ZeroDivisionError`` reaches here).  Anything else (e.g. a
-#: ``KeyError`` for a missing env binding) is a recording bug and must
-#: propagate, not silently re-run the interpreter.
-_ARITH_FALLBACK_ERRORS = (TypeError, ValueError, OverflowError)
-
-
 class TraceError(Exception):
     """Raised internally when a body cannot be traced; callers fall back."""
 
@@ -128,9 +113,9 @@ class TraceError(Exception):
 OP_CONST = 0         # (OP_CONST, value)
 OP_LOCAL = 1         # (OP_LOCAL, name)   -- inner index, served from env
 OP_REGION_INDEX = 2  # (OP_REGION_INDEX,) -- the replay iteration value
-OP_BINOP = 3         # (OP_BINOP, fn, op_symbol)
-OP_UNOP = 4          # (OP_UNOP, fn, op_symbol)
-OP_CALL = 5          # (OP_CALL, fn, nargs, func_name)
+OP_BINOP = 3         # (OP_BINOP, op_symbol)
+OP_UNOP = 4          # (OP_UNOP, op_symbol)
+OP_CALL = 5          # (OP_CALL, nargs, func_name)
 OP_SLOT = 6          # (OP_SLOT, k)       -- k-th read value of the assignment
 
 Instruction = Tuple
@@ -139,62 +124,24 @@ ArithProgram = Tuple[Instruction, ...]
 ArithFn = Callable[[Sequence[float], float, Optional[Dict[str, float]]], float]
 
 
-def _eval_arith(
-    program: ArithProgram,
-    values: Sequence[float],
-    iv: float,
-    env: Optional[Dict[str, float]] = None,
-) -> float:
-    """Run one postfix program; ``values`` are the read-value slots.
-
-    This is the exact reference evaluator (the generated closures defer
-    to it on any arithmetic exception).
-    """
-    stack: List[float] = []
-    push = stack.append
-    for ins in program:
-        op = ins[0]
-        if op == OP_SLOT:
-            push(values[ins[1]])
-        elif op == OP_CONST:
-            push(ins[1])
-        elif op == OP_BINOP:
-            b = stack.pop()
-            a = stack.pop()
-            try:
-                push(ins[1](a, b))
-            except (OverflowError, ValueError):  # matches apply_binary
-                push(0.0)
-        elif op == OP_REGION_INDEX:
-            push(iv)
-        elif op == OP_LOCAL:
-            push(env[ins[1]])
-        elif op == OP_UNOP:
-            push(ins[1](stack.pop()))
-        else:  # OP_CALL
-            n = ins[2]
-            args = stack[-n:] if n else []
-            if n:
-                del stack[-n:]
-            try:
-                push(ins[1](*args))
-            except (TypeError, ValueError, OverflowError):  # matches apply_intrinsic
-                push(0.0)
-    return stack[0]
-
-
 # ----------------------------------------------------------------------
 # Closure generation
 # ----------------------------------------------------------------------
-_DIRECT_BINOPS = {"+", "-", "*"}
+#: ``+ - *`` on two operands that may both be integers call their table
+#: function (an integer result may not fit a float); with a float
+#: operand the inline operator gives the same value and cannot raise.
+_INT_SAFE_BINOPS = {"+": "_add", "-": "_sub", "*": "_mul"}
 _COMPARE_BINOPS = {"<", "<=", ">", ">=", "==", "!="}
-_GUARDED_BINOPS = {"/": "0.0", "//": "0", "%": "0"}
+#: Intrinsics whose result is always a float.
+_FLOAT_INTRINSICS = {"sqrt", "exp", "log", "sin", "cos"}
 
 
-#: Globals of generated arithmetic: every intrinsic as ``_intr_<name>``
-#: and ``**`` as ``_pow``.
+#: Globals of generated arithmetic: every intrinsic as ``_intr_<name>``,
+#: ``**`` as ``_pow`` and the integer-safe ``+ - *`` as ``_add``,
+#: ``_sub`` and ``_mul`` -- the entries of :mod:`repro.ir.expr`'s tables.
 ARITH_GLOBALS: Dict[str, object] = {
-    "_pow": power,
+    "_pow": _BINARY_OPS["**"],
+    **{name: _BINARY_OPS[sym] for sym, name in _INT_SAFE_BINOPS.items()},
     **{f"_intr_{name}": fn for name, fn in _INTRINSICS.items()},
 }
 
@@ -210,84 +157,79 @@ def arith_source(
     program: ArithProgram,
     slot: Callable[[int], str],
     const: Callable[[object], str] = _const_text,
-) -> Optional[str]:
-    """Python expression text of a postfix program.
+) -> str:
+    """Python expression text of a postfix program, with the values of
+    :mod:`repro.ir.expr`'s operator tables.
 
     ``slot(k)`` gives the text of read value ``k`` and ``const(value)``
     the text of a constant; the region index is ``iv``, an inner index
-    ``env[name]``, ``**`` ``_pow`` and an intrinsic ``_intr_<name>`` (see
-    :data:`ARITH_GLOBALS`).  The text mirrors :mod:`repro.ir.expr`
-    semantics for the non-exceptional cases; callers catch
-    :data:`_ARITH_FALLBACK_ERRORS` and re-run the program through
-    :func:`_eval_arith` for exact behaviour.  ``None`` when the program
-    uses something the generator does not cover.
+    ``env[name]``, ``**`` ``_pow``, an intrinsic ``_intr_<name>`` and an
+    integer-safe ``+ - *`` ``_add``/``_sub``/``_mul`` (see
+    :data:`ARITH_GLOBALS`).  An operator is inlined only where its text
+    cannot differ from its table entry: each operand is known to be a
+    float (read values, float constants, results of ``/``, ``sqrt``,
+    ``exp``, ``log``, ``sin`` and ``cos``, and what floats propagate
+    through) or may be an integer, and ``+ - *`` of two operands that
+    may both be integers call the table function.
     """
-    stack: List[str] = []
+    stack: List[Tuple[str, bool]] = []  # (text, known to be a float)
+    push = stack.append
     for ins in program:
         op = ins[0]
         if op == OP_SLOT:
-            stack.append(slot(ins[1]))
+            push((slot(ins[1]), True))
         elif op == OP_CONST:
-            stack.append(const(ins[1]))
+            push((const(ins[1]), type(ins[1]) is float))
         elif op == OP_REGION_INDEX:
-            stack.append("iv")
+            push(("iv", False))
         elif op == OP_LOCAL:
-            stack.append(f"env[{ins[1]!r}]")
+            push((f"env[{ins[1]!r}]", False))
         elif op == OP_BINOP:
-            sym = ins[2]
-            b = stack.pop()
-            a = stack.pop()
-            if sym in _DIRECT_BINOPS:
-                stack.append(f"({a} {sym} {b})")
+            sym = ins[1]
+            b, b_float = stack.pop()
+            a, a_float = stack.pop()
+            if sym in _INT_SAFE_BINOPS:
+                if a_float or b_float:
+                    push((f"({a} {sym} {b})", True))
+                else:
+                    push((f"{_INT_SAFE_BINOPS[sym]}({a}, {b})", False))
+            elif sym == "/":
+                push((f"(({a}) / ({b}) if ({b}) != 0 else 0.0)", True))
             elif sym == "**":
-                stack.append(f"_pow({a}, {b})")
+                push((f"_pow({a}, {b})", a_float or b_float))
             elif sym in _COMPARE_BINOPS:
-                stack.append(f"(1 if {a} {sym} {b} else 0)")
-            elif sym in _GUARDED_BINOPS:
-                zero = _GUARDED_BINOPS[sym]
-                stack.append(f"(({a}) {sym} ({b}) if ({b}) != 0 else {zero})")
-            elif sym == "and":
-                stack.append(f"(1 if (bool({a}) and bool({b})) else 0)")
-            elif sym == "or":
-                stack.append(f"(1 if (bool({a}) or bool({b})) else 0)")
-            else:  # pragma: no cover - defensive
-                return None
+                push((f"(1 if {a} {sym} {b} else 0)", False))
+            elif sym == "and" or sym == "or":
+                push((f"(1 if (bool({a}) {sym} bool({b})) else 0)", False))
+            else:  # // and %: an integer 0 for a zero divisor
+                push((f"(({a}) {sym} ({b}) if ({b}) != 0 else 0)", False))
         elif op == OP_UNOP:
-            sym = ins[2]
-            a = stack.pop()
-            if sym == "-":
-                stack.append(f"(-{a})")
-            elif sym == "+":
-                stack.append(f"(+{a})")
-            elif sym == "not":
-                stack.append(f"(1 if not bool({a}) else 0)")
+            sym = ins[1]
+            a, a_float = stack.pop()
+            if sym == "not":
+                push((f"(1 if not bool({a}) else 0)", False))
             elif sym == "abs":
-                stack.append(f"abs({a})")
-            else:  # pragma: no cover - defensive
-                return None
-        elif op == OP_CALL:
-            n = ins[2]
-            args = ", ".join(stack[-n:]) if n else ""
-            if n:
-                del stack[-n:]
-            stack.append(f"_intr_{ins[3]}({args})")
-        else:  # pragma: no cover - defensive
-            return None
-    return stack[0]
+                push((f"abs({a})", a_float))
+            else:  # - and +
+                push((f"({sym}{a})", a_float))
+        else:  # OP_CALL
+            n, name = ins[1], ins[2]
+            args = stack[-n:]
+            del stack[-n:]
+            if name in _FLOAT_INTRINSICS:
+                is_float = True
+            elif name in ("abs", "min", "max"):  # returns an argument
+                is_float = all(f for _, f in args)
+            else:
+                is_float = False
+            push((f"_intr_{name}({', '.join(t for t, _ in args)})", is_float))
+    return stack[0][0]
 
 
-def codegen_arith(program: ArithProgram) -> Optional[ArithFn]:
+def codegen_arith(program: ArithProgram) -> ArithFn:
     """Translate a postfix program into one Python lambda
-    ``fn(values, iv, env)`` over the text of :func:`arith_source`.
-
-    Returns ``None`` when the program is a single trivial instruction
-    (not worth a call) or uses something the generator does not cover.
-    """
-    if len(program) <= 1:
-        return None  # single const/slot: tuple indexing is cheaper
+    ``fn(values, iv, env)`` over the text of :func:`arith_source`."""
     text = arith_source(program, "v[{}]".format)
-    if text is None:  # pragma: no cover - defensive
-        return None
     return eval(f"lambda v, iv, env: {text}", ARITH_GLOBALS)
 
 
@@ -297,7 +239,7 @@ def codegen_arith(program: ArithProgram) -> Optional[ArithFn]:
 # A subscript dimension template is either
 #   (DIM_AFFINE, const, region_coeff, ((local, coeff), ...))
 # or
-#   (DIM_PROGRAM, arith_program, arith_fn_or_None)
+#   (DIM_PROGRAM, arith_program, arith_fn)
 DIM_AFFINE = 0
 DIM_PROGRAM = 1
 
@@ -314,7 +256,7 @@ class CompiledAssign:
     read_specs: Tuple[Tuple, ...]
     rhs_read_count: int
     arith_program: ArithProgram
-    arith_fn: Optional[ArithFn]
+    arith_fn: ArithFn
     needs_env: bool
     cost_op: ComputeOp
     target: str
@@ -400,16 +342,16 @@ def _compile_arith(
     if isinstance(expr, BinOp):
         _compile_arith(expr.left, local_names, region_index, refs, read_specs, out)
         _compile_arith(expr.right, local_names, region_index, refs, read_specs, out)
-        out.append((OP_BINOP, _BINARY_OPS[expr.op], expr.op))
+        out.append((OP_BINOP, expr.op))
         return
     if isinstance(expr, UnaryOp):
         _compile_arith(expr.operand, local_names, region_index, refs, read_specs, out)
-        out.append((OP_UNOP, _UNARY_OPS[expr.op], expr.op))
+        out.append((OP_UNOP, expr.op))
         return
     if isinstance(expr, Call):
         for arg in expr.args:
             _compile_arith(arg, local_names, region_index, refs, read_specs, out)
-        out.append((OP_CALL, _INTRINSICS[expr.func], len(expr.args), expr.func))
+        out.append((OP_CALL, len(expr.args), expr.func))
         return
     raise TraceError(f"cannot compile expression {expr!r}")
 
@@ -514,11 +456,12 @@ def _build_tree(
 def _fold_dims(dim_templates: Tuple[Tuple, ...], env: Dict[str, float]):
     """Resolve inner-index terms of each dimension against ``env``.
 
-    Returns ``(dims, affine, constant)``: each folded dim is either a
-    ``(base, region_coeff)`` pair or a ``[program, fn]`` list (slot
-    program form).  ``affine`` is True when no program dims remain;
-    ``constant`` additionally means no region-index involvement, i.e.
-    the subscript tuple is fixed for every iteration.
+    Returns ``(dims, affine, constant)``: each folded dim is a
+    ``(base, region_coeff)`` pair, the slot index of a gather subscript
+    or the generated function of a slot program.  ``affine`` is True
+    when no program dims remain; ``constant`` additionally means no
+    region-index involvement, i.e. the subscript tuple is fixed for
+    every iteration.
     """
     dims: List = []
     affine = True
@@ -533,13 +476,13 @@ def _fold_dims(dim_templates: Tuple[Tuple, ...], env: Dict[str, float]):
                 constant = False
             dims.append((base, region_coeff))
         else:
-            program = tpl[1]
+            _, program, fn = tpl
             if not any(
                 ins[0] in (OP_SLOT, OP_REGION_INDEX) for ins in program
             ):
                 # Fully known at record time (e.g. mod(t, 4) over an
                 # inner index): fold to a constant dimension.
-                dims.append((int(round(_eval_arith(program, (), 0, env))), 0))
+                dims.append((int(round(fn((), 0, env))), 0))
             elif len(program) == 1 and program[0][0] == OP_SLOT:
                 # Plain gather dimension x(col(...)): the subscript IS
                 # an earlier read value; represent it as its slot index.
@@ -549,7 +492,7 @@ def _fold_dims(dim_templates: Tuple[Tuple, ...], env: Dict[str, float]):
             else:
                 affine = False
                 constant = False
-                dims.append([program, tpl[2]])
+                dims.append(fn)
     return tuple(dims), affine, constant
 
 
@@ -869,16 +812,8 @@ def _program_subs(dims, values, iv, env) -> Tuple[int, ...]:
             out.append(d[0] + d[1] * iv)
         elif kind is int:  # slot index of a gather subscript
             out.append(int(round(values[d])))
-        else:  # [program, fn]
-            fn = d[1]
-            if fn is not None:
-                try:
-                    value = fn(values, iv, env)
-                except _ARITH_FALLBACK_ERRORS:
-                    value = _eval_arith(d[0], values, iv, env)
-            else:
-                value = _eval_arith(d[0], values, iv, env)
-            out.append(int(round(value)))
+        else:  # the generated function of a slot program
+            out.append(int(round(d(values, iv, env))))
     return tuple(out)
 
 
@@ -904,7 +839,7 @@ def replay_segment(
                 rhs_reads,
                 target_reads,
                 arith_fn,
-                arith_program,
+                _arith_program,
                 env,
                 cost_op,
                 target,
@@ -936,13 +871,7 @@ def replay_segment(
                         subs = _program_subs(dims, values, iv, env)
                     v = yield ReadOp(r[0], subs, r[1])
                 values.append(0.0 if v is None else v)
-            if arith_fn is not None:
-                try:
-                    rhs_value = arith_fn(values, iv, env)
-                except _ARITH_FALLBACK_ERRORS:
-                    rhs_value = _eval_arith(arith_program, values, iv, env)
-            else:
-                rhs_value = _eval_arith(arith_program, values, iv, env)
+            rhs_value = arith_fn(values, iv, env)
             yield cost_op
             # Target-subscript reads execute after the cost op, exactly
             # as in executor._exec_assign.

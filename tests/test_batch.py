@@ -774,6 +774,38 @@ class TestCompiledAttempt:
         assert shapes[0] == shapes[1]
         assert steps[0] <= steps[1]
 
+    @staticmethod
+    def generated_source(program):
+        run_batched(program, CASEEngine, window=4, capacity=64)
+        (bp,) = memoized_programs(program.regions[0]).values()
+        return "".join(
+            batch_mod._shape_source(f"s{k}", shape)
+            for k, shape in enumerate(bp.shapes)
+        )
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_family_arithmetic_stays_inline(self, family):
+        # Every ``+ - *`` of the families has a float operand, so the
+        # generated code inlines it rather than calling its table entry.
+        source = self.generated_source(generate(family, 24, 4).program)
+        assert "r = " in source
+        for helper in ("_add(", "_sub(", "_mul("):
+            assert helper not in source
+
+    def test_integer_operands_call_the_table(self):
+        # ``i * 2``, ``k - 1`` and their sum may be integers past the
+        # float range, so they call the table entries; ``+ x(i)`` has a
+        # float operand and is inline.
+        program = parse_program(
+            "program ints\n  real x(8) = 1.0, y(8)\n  region R do i = 1, 8\n"
+            "    do k = 1, 2\n      y(i) = i * 2 + (k - 1) + x(i)\n    end do\n"
+            "    liveout y\n  end region\nend program"
+        )
+        source = self.generated_source(program)
+        assert "r = (_add(_mul(iv, " in source
+        assert "_sub(env['k'], " in source
+        assert ") + v0)\n" in source
+
 
 class TestAffineAddresses:
     """Both ways of building an attempt's affine address list (numpy

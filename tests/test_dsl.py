@@ -121,7 +121,6 @@ GOLDEN = [
     ("MOD(i, 2)", C("mod", V("i"), I(2))),
     ("Min(a, b, c)", C("min", a, b, c)),
     ("sqrt(a + 1.0)", C("sqrt", B("+", a, F(1.0)))),
-    ("sqrt()", C("sqrt")),
     ("A(i)", X("A", V("i"))),
     ("a(i, j + 1)", X("a", V("i"), B("+", V("j"), I(1)))),
     ("a(b(i), mod(j, 2) + 1)", X("a", X("b", V("i")), B("+", C("mod", V("j"), I(2)), I(1)))),
@@ -158,6 +157,14 @@ EXPRESSION_ERRORS = [
     ("-not a", "unexpected token 'not'"),
     ("a ** not b", "unexpected token 'not'"),
     ("a and", "unexpected end of expression"),
+    # Intrinsic arity and integer literals that no memory cell can hold.
+    ("sqrt()", "intrinsic 'sqrt' takes 1 argument, got 0"),
+    ("sqrt(x, 2)", "intrinsic 'sqrt' takes 1 argument, got 2"),
+    ("min(x)", "intrinsic 'min' takes at least 2 arguments, got 1"),
+    ("max()", "intrinsic 'max' takes at least 2 arguments, got 0"),
+    ("mod(a, b, c)", "intrinsic 'mod' takes 2 arguments, got 3"),
+    ("a + " + "9" * 309, "integer constant of 1027 bits does not fit a float"),
+    (str(2 ** 1024), "integer constant of 1025 bits does not fit a float"),
 ]
 
 
@@ -171,6 +178,24 @@ def test_expression_errors(text, message):
         parse_expression(text, 7)
     assert str(info.value) == "line 7: " + message
     assert info.value.line_no == 7
+
+
+def test_largest_integer_literals_parse():
+    # The largest integer a float holds (after rounding) parses; one
+    # more rounds to 2 ** 1024 and is rejected above.
+    limit = 2 ** 1024 - 2 ** 970
+    assert parse_expression(str(limit - 1)).value == limit - 1
+    assert parse_expression("0" * 400 + "5").value == 5
+    with pytest.raises(DSLSyntaxError, match="1024 bits does not fit a float"):
+        parse_expression(str(limit))
+
+
+def test_constructors_reject_what_the_parser_rejects():
+    with pytest.raises(ExpressionError, match="integer constant of 1025 bits"):
+        Const(2 ** 1024)
+    with pytest.raises(ExpressionError, match="'sqrt' takes 1 argument, got 2"):
+        Call("sqrt", [Var("x"), 2])
+    assert Call("min", [Var("x"), 2, 3]).args[2] == Const(3)
 
 
 def test_array_read_without_subscripts_is_an_expression_error():
@@ -240,6 +265,12 @@ PROGRAM_ERRORS = [
     (_program(region=["  region R do i = 1, 2, 0", "    y = 1", "  end region"]),
      "line 3: loop region 'R' has zero step"),
     (_program("  real z = abc"), "line 3: could not convert string to float: 'abc'"),
+    (_program(region=_loop("    x(i) = sqrt(x(i), 2)")),
+     "line 4: intrinsic 'sqrt' takes 1 argument, got 2"),
+    (_program(region=_loop("    x(i) = min(x(i))")),
+     "line 4: intrinsic 'min' takes at least 2 arguments, got 1"),
+    (_program(region=_loop("    x(i) = 1" + "0" * 400)),
+     "line 4: integer constant of 1329 bits does not fit a float"),
 ]
 
 

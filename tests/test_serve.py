@@ -198,6 +198,20 @@ class TestDispatcher:
         assert result["engine"] == engine
         assert result["bit_identical"] is True
 
+    @pytest.mark.parametrize("engine", ["hose", "case"])
+    def test_integer_overflow_is_total(self, engine):
+        # Each factor fits a float, their integer product does not: the
+        # product is 0.0 in every executor, not an internal error.
+        source = (
+            "program big\n  real y(16)\n  region R do i = 1, 16\n"
+            "    y(i) = (i + 10) ** 200 * (i + 10) ** 200\n"
+            "    liveout y\n  end region\nend program\n"
+        )
+        response = Dispatcher().dispatch(
+            rpc(3, "simulate", {"dsl": source, "engine": engine})
+        )
+        assert response["result"]["bit_identical"] is True
+
     def test_speedup_sweep_round_trip(self):
         dispatcher = Dispatcher()
         response = dispatcher.dispatch(
@@ -302,6 +316,15 @@ class TestDispatcher:
             # part of the program and simulate what was left.
             {"program": {"dsl": DSL}, "engine": "case"},
             {"program": _ir(regions=None, region=JSON_IR["regions"]), "engine": "case"},
+            # Intrinsic arity and integer literals past the float range,
+            # in DSL text and in JSON IR (a number or an expression).
+            {"dsl": DSL.replace("x(i-1) + x(i+1)", "sqrt(x(i-1), 2)")},
+            {"dsl": DSL.replace("x(i-1) + x(i+1)", "min(x(i-1))")},
+            {"dsl": DSL.replace("x(i-1) + x(i+1)", "1" + "0" * 400)},
+            {"program": _ir_region(upper=10 ** 400), "engine": "case"},
+            {"program": _ir(symbols={"scalars": [{"name": "s", "initial": 10 ** 400}]})},
+            {"program": _ir_region(body=[{"target": "s", "rhs": "mod(s)"}])},
+            {"program": _ir_region(body=[{"target": "s", "rhs": "x()"}])},
         ],
     )
     def test_invalid_params(self, params):

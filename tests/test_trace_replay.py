@@ -6,13 +6,15 @@ tags and compute costs) per iteration, same final memory image per
 program, same op-budget error behaviour.
 """
 
+import math
+
 import pytest
 
 from conftest import drive_stream
 from repro.bench.workloads import FAMILIES, generate
 from repro.corpus import corpus
 from repro.ir.dsl import parse_program
-from repro.ir.expr import power
+from repro.ir.expr import _BINARY_OPS, _INTRINSICS, _UNARY_OPS, power
 from repro.resilience.faults import FaultPlan
 from repro.resilience.harness import run_resilient
 from repro.runtime import engines as engines_mod
@@ -20,8 +22,16 @@ from repro.runtime.engines import CASEEngine, HOSEEngine
 from repro.runtime.errors import SimulationError
 from repro.runtime.executor import segment_coroutine
 from repro.runtime.interpreter import SequentialInterpreter, run_program
-from repro.runtime.memory import MemoryImage
+from repro.runtime.memory import MemoryImage, same_value
 from repro.runtime.trace import (
+    OP_BINOP,
+    OP_CALL,
+    OP_CONST,
+    OP_LOCAL,
+    OP_REGION_INDEX,
+    OP_SLOT,
+    OP_UNOP,
+    codegen_arith,
     record_trace,
     replay_segment,
     trace_eligibility,
@@ -132,19 +142,140 @@ class TestTotalPower:
 
     @pytest.mark.parametrize("rhs", POWER_RHS)
     def test_every_executor_agrees(self, rhs):
-        program = power_program(rhs)
-        direct = SequentialInterpreter(program, use_replay=False).run()
-        replay = SequentialInterpreter(program).run()
-        assert replay.replay_reasons["R"] == "replayed"
-        assert replay.memory.differences(direct.memory, tolerance=0.0) == {}
-        assert replay.stats.as_dict() == direct.stats.as_dict()
-        assert direct.memory.read("y", (1,)) == 0.0
-        for engine_cls in (HOSEEngine, CASEEngine):
-            for batch in (False, True):
-                result = engine_cls(program, window=4, capacity=8, batch=batch).run()
-                assert not result.degraded, (engine_cls, batch)
-                assert direct.memory.differences(result.memory, tolerance=0.0) == {}
-                assert (result.stats.batched_attempts > 0) == batch
+        assert_every_executor_agrees(rhs)
+
+
+def assert_every_executor_agrees(rhs):
+    """The AST interpreter, replay, and op-stepped and compiled HOSE and
+    CASE runs of ``power_program(rhs)`` leave the same memory, without
+    an exception or a degraded run; ``y(1)`` is 0.0."""
+    program = power_program(rhs)
+    direct = SequentialInterpreter(program, use_replay=False).run()
+    replay = SequentialInterpreter(program).run()
+    assert replay.replay_reasons["R"] == "replayed"
+    assert replay.memory.differences(direct.memory, tolerance=0.0) == {}
+    assert replay.stats.as_dict() == direct.stats.as_dict()
+    assert direct.memory.read("y", (1,)) == 0.0
+    for engine_cls in (HOSEEngine, CASEEngine):
+        for batch in (False, True):
+            result = engine_cls(program, window=4, capacity=8, batch=batch).run()
+            assert not result.degraded, (engine_cls, batch)
+            assert direct.memory.differences(result.memory, tolerance=0.0) == {}
+            assert (result.stats.batched_attempts > 0) == batch
+
+
+#: ``y(i) = <rhs>`` programs whose other operators Python cannot answer
+#: with a float: an integer product past the float range (each factor
+#: fits), alone, in a sum and negated, and ``int`` and ``sin`` of inf.
+TOTAL_RHS = [
+    "(i + 10) ** 200 * (i + 10) ** 200",
+    "x(i) + (i + 10) ** 200 * (i + 10) ** 200",
+    "-((i + 10) ** 200 * (i + 10) ** 200)",
+    "int(1e400)",
+    "sin(1e400)",
+]
+
+
+class TestTotalArithmetic:
+    """Every operator is total, and every executor agrees on it."""
+
+    @pytest.mark.parametrize("rhs", TOTAL_RHS)
+    def test_every_executor_agrees(self, rhs):
+        assert_every_executor_agrees(rhs)
+
+
+#: Operand values of the table/generated-text property: zeros of both
+#: signs and types, units, the largest integer and float magnitudes,
+#: infinities and NaN.
+GRID = [0, 1, -1, 2 ** 1023, -2 ** 1023,
+        0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1e308, -1e308,
+        float("inf"), float("-inf"), float("nan")]
+
+
+def operands(position):
+    """``(instruction, value, slot value, index binding)`` of every way
+    one grid value can be an operand: a read-value slot (floats only, as
+    memory holds), a constant, or an induction index (integers only;
+    the region index on the left, an inner index on the right)."""
+    out = []
+    for value in GRID:
+        out.append(((OP_CONST, value), value, None, None))
+        if type(value) is float:
+            out.append(((OP_SLOT, None), value, value, None))
+        elif position == 0:
+            out.append(((OP_REGION_INDEX,), value, None, ("iv", value)))
+        else:
+            out.append(((OP_LOCAL, "t"), value, None, ("t", value)))
+    return out
+
+
+def assert_identical(got, want, where):
+    assert type(got) is type(want), where
+    assert same_value(got, want), where
+    if type(want) is float and want == 0.0:
+        assert math.copysign(1.0, got) == math.copysign(1.0, want), where
+
+
+class TestArithSource:
+    """The generated text of :func:`codegen_arith` answers every one-op
+    program exactly as the table entry it inlines or calls, and no table
+    entry raises on any grid value."""
+
+    @staticmethod
+    def run_program(operand_list, tail):
+        """The program of ``operand_list`` then ``tail``, its slots
+        numbered in order, run through its generated function."""
+        program, values, iv, env = [], [], 0, {}
+        for ins, _, slot_value, index in operand_list:
+            if slot_value is not None:
+                ins = (OP_SLOT, len(values))
+                values.append(slot_value)
+            if index is not None and index[0] == "iv":
+                iv = index[1]
+            elif index is not None:
+                env[index[0]] = index[1]
+            program.append(ins)
+        return codegen_arith(tuple(program + tail))(values, iv, env)
+
+    def check(self, table_fn, last, arity):
+        combos = [[a] for a in operands(0)] if arity == 1 else [
+            [a, b] for a in operands(0) for b in operands(1)
+        ]
+        double = [(OP_CONST, 2), (OP_BINOP, "*")]
+        for combo in combos:
+            args = [value for _, value, _, _ in combo]
+            want = table_fn(*args)
+            where = (last, [ins for ins, *_ in combo], args)
+            assert_identical(self.run_program(combo, [last]), want, where)
+            # Doubled, an integer result past 2 ** 1023 overflows: the
+            # text must know the result may be an integer.
+            doubled = _BINARY_OPS["*"](want, 2)
+            assert_identical(self.run_program(combo, [last, *double]), doubled, where)
+
+    @pytest.mark.parametrize("op", sorted(_BINARY_OPS))
+    def test_binary(self, op):
+        self.check(_BINARY_OPS[op], (OP_BINOP, op), 2)
+
+    @pytest.mark.parametrize("op", sorted(_UNARY_OPS))
+    def test_unary(self, op):
+        self.check(_UNARY_OPS[op], (OP_UNOP, op), 1)
+
+    @pytest.mark.parametrize("func", sorted(_INTRINSICS))
+    def test_intrinsic(self, func):
+        arity = 2 if func in ("min", "max", "mod") else 1
+        self.check(_INTRINSICS[func], (OP_CALL, arity, func), arity)
+
+    def test_integer_overflow_gives_zero(self):
+        big = 2 ** 1023
+        assert _BINARY_OPS["+"](big, big) == 0.0
+        assert _BINARY_OPS["-"](-big, big) == 0.0
+        assert _BINARY_OPS["*"](big, 2) == 0.0
+        assert _BINARY_OPS["*"](big, -1) == -big
+        assert _BINARY_OPS["+"](big, 1.0) == float(big)
+
+    def test_single_slot_program_is_a_function(self):
+        assert codegen_arith(((OP_SLOT, 0),))([2.5], 0, None) == 2.5
+        assert codegen_arith(((OP_CONST, 3),))([], 0, None) == 3
 
 
 class TestScatterWrite:
