@@ -205,14 +205,10 @@ class TraceOracle(ExecutionObserver):
 def run_trace(
     program: Program, op_budget: int = DEFAULT_OP_BUDGET
 ) -> TraceOracle:
-    """One observed sequential run of ``program``."""
+    """One observed sequential run of ``program`` (bounded, so it walks
+    the AST)."""
     oracle = TraceOracle()
-    run_program(
-        program,
-        op_budget=op_budget,
-        use_replay=False,
-        observer=oracle,
-    )
+    run_program(program, op_budget=op_budget, observer=oracle)
     return oracle
 
 
@@ -315,7 +311,7 @@ def replay_check(
     max_mismatches: int = 10,
 ) -> ReplayReport:
     """Squash-replay every region instance and diff observable memory."""
-    clean = run_program(program, op_budget=op_budget, use_replay=False)
+    clean = run_program(program, op_budget=op_budget)
 
     report = ReplayReport(ok=True)
     for labeling in labelings.values():

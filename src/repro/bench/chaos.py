@@ -28,7 +28,8 @@ from repro.ir.dsl import parse_program
 from repro.ir.program import Program
 from repro.resilience.auditor import InvariantAuditor
 from repro.resilience.faults import FAULT_KINDS, FaultPlan
-from repro.resilience.harness import ENGINES, run_resilient
+from repro.resilience.harness import run_resilient
+from repro.runtime.engines import ENGINES
 from repro.runtime.interpreter import run_program
 
 #: Injection rates swept per fault kind (probability per opportunity).

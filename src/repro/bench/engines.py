@@ -25,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.analysis.cache import AnalysisCache
 from repro.bench.workloads import DEFAULT_SIZES, FAMILIES, Workload, generate
 from repro.corpus.generator import corpus
-from repro.runtime.engines import CASEEngine, HOSEEngine, SpeculativeResult
+from repro.runtime.engines import ENGINES, CASEEngine, HOSEEngine, SpeculativeResult
 from repro.runtime.interpreter import run_program
 
 #: Per-segment buffer capacities swept by the scenario.
@@ -143,7 +143,7 @@ def measure_engine_throughput(
     op-interleaved engines could never afford, which is the point of the
     batched protocol.
     """
-    engine_cls = {"hose": HOSEEngine, "case": CASEEngine}[engine]
+    engine_cls = ENGINES[engine]
     section: Dict = {
         "engine": engine,
         "window": window,

@@ -36,6 +36,8 @@ from __future__ import annotations
 import math
 from typing import Any, Callable, Iterator, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from repro.ir.symbols import SymbolError
+
 Number = Union[int, float]
 #: Signature of the memory-read callback used by :meth:`Expr.evaluate`.
 Reader = Callable[[str, Tuple[int, ...]], Number]
@@ -185,7 +187,12 @@ class Index(Expr):
         self.subscripts = subs
 
     def evaluate(self, reader: Reader) -> Number:
-        subs = tuple(int(round(s.evaluate(reader))) for s in self.subscripts)
+        """The element read; a subscript that is an infinity or NaN
+        raises :class:`~repro.ir.symbols.SymbolError`."""
+        try:
+            subs = tuple(int(round(s.evaluate(reader))) for s in self.subscripts)
+        except (OverflowError, ValueError) as exc:
+            raise SymbolError(str(exc)) from exc
         return reader(self.name, subs)
 
     def _add_reads(self, out: List[ReadOccurrence]) -> None:
@@ -451,11 +458,11 @@ def const_int(expr: Expr) -> Optional[int]:
     The DSL parses ``-1`` as ``UnaryOp('-', Const(1))``, so bound
     checks that only accept :class:`Const` silently miss negative
     literals (e.g. a backward loop's step).  Returns ``None`` for
-    anything non-constant or non-integral.
+    anything non-constant, non-integral or non-finite.
     """
     if isinstance(expr, Const):
         value = expr.value
-        if float(value) == int(value):
+        if math.isfinite(value) and float(value) == int(value):
             return int(value)
         return None
     if isinstance(expr, UnaryOp) and expr.op == "-":

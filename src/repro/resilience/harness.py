@@ -23,14 +23,11 @@ from repro.obs.tracer import TRACER
 from repro.resilience.auditor import InvariantAuditor
 from repro.resilience.faults import FaultInjector, FaultPlan, FaultySpeculativeStore
 from repro.runtime.engines import (
-    CASEEngine,
     DEFAULT_MAX_RESTARTS,
     DEFAULT_WATCHDOG_ROUNDS,
-    HOSEEngine,
+    ENGINES,
     SpeculativeResult,
 )
-
-ENGINES = {"hose": HOSEEngine, "case": CASEEngine}
 
 
 def run_resilient(

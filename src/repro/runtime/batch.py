@@ -19,9 +19,8 @@ one go:
    sees memory plus the attempt's own direct writes; private
    references use the private frame.  Affine subscripts are flattened
    once per program to column-major ``base + coeff * iv`` offsets,
-   evaluated for the whole attempt in one numpy expression (plain list
-   arithmetic without numpy); other subscripts use the trace's slot
-   programs.
+   evaluated for the whole attempt in one list comprehension; other
+   subscripts use the trace's slot programs.
 2. **Validate post-hoc**: the exposed reads and buffered writes are
    bulk-installed into the attempt's :class:`SegmentBuffer` (so
    forwarding sources stay nearest-older and violations are still
@@ -90,8 +89,8 @@ An attempt never violates or overflows partway through, so the
 dynamics are optimistic and the bench scenarios stay op-stepped.
 Regions the trace cannot capture (input-dependent control flow,
 oversized traces, non-integral or out-of-bounds affine templates),
-runs under an op budget or with a fault injector (also one a faulty
-store brings), and explicit regions use the op-stepped executor.
+runs with a fault injector (also one a faulty store brings), and
+explicit regions use the op-stepped executor.
 """
 
 from __future__ import annotations
@@ -100,24 +99,7 @@ import threading
 import weakref
 from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
-from repro.obs.log import get_logger
 from repro.obs.tracer import _NULL_SPAN
-
-try:  # numpy accelerates affine offset vectors; everything else is pure
-    import numpy as _np
-except ImportError as _numpy_exc:
-    # Only a genuinely absent numpy degrades to the pure-python path —
-    # and it says so once, loudly: a bare ``except Exception`` here
-    # used to swallow unrelated numpy-initialization failures and
-    # silently slow every batched run down.  Anything other than
-    # ImportError propagates.
-    _np = None
-    get_logger("runtime.batch").warning(
-        "numpy unavailable; batched replay falls back to pure-python "
-        "offset arithmetic",
-        error=str(_numpy_exc),
-    )
-
 from repro.ir.region import LoopRegion
 from repro.ir.symbols import SymbolError
 from repro.runtime.engines import (
@@ -132,7 +114,6 @@ from repro.runtime.memory import MemoryImage
 from repro.runtime.stats import ExecutionStats
 from repro.runtime.trace import (
     ARITH_GLOBALS,
-    EV_ASSIGN,
     EV_COMPUTE,
     EV_CTRL_READ,
     SegmentTrace,
@@ -286,7 +267,7 @@ def _address_source(mode: int, extra, at: int, n_values: int) -> Tuple[str, int]
     return (
         "try:\n"
         f"    a = address_of(p[{at}], {subs})\n"
-        "except SymbolError as exc:\n"
+        "except (SymbolError, OverflowError, ValueError) as exc:\n"
         "    raise AddressError(str(exc)) from exc\n"
     ), width
 
@@ -499,13 +480,6 @@ def _compile_attempt(region: str, shapes: List[Tuple], address_of, n_regs: int):
 # ----------------------------------------------------------------------
 # the compiled program
 # ----------------------------------------------------------------------
-#: Affine items from which one numpy expression builds an attempt's
-#: address list faster than a list comprehension: the array round trip
-#: costs a few microseconds, a Python add and multiply about 0.07 per
-#: item (the two break even near 37 items).
-NUMPY_MIN_AFFINE = 40
-
-
 class BatchProgram:
     """One region's recorded schedule compiled to an attempt function."""
 
@@ -521,8 +495,6 @@ class BatchProgram:
         "aff_names",
         "aff_base",
         "aff_coeff",
-        "aff_base_np",
-        "aff_coeff_np",
         "iv_range",
         "n_reads",
         "n_writes",
@@ -551,8 +523,6 @@ class BatchProgram:
         self.aff_names: List[str] = []
         self.aff_base: List[int] = []
         self.aff_coeff: List[int] = []
-        self.aff_base_np = None
-        self.aff_coeff_np = None
         #: Region-index values keeping every affine subscript in
         #: bounds, as an inclusive ``[low, high]`` (``high < low`` when
         #: no value does); ``None`` means unbounded.
@@ -575,9 +545,6 @@ class BatchProgram:
     # ------------------------------------------------------------------
     def finalize(self, n_regs: int) -> None:
         self.batched_ops += self.n_reads + self.n_writes
-        if _np is not None and len(self.aff_base) >= NUMPY_MIN_AFFINE:
-            self.aff_base_np = _np.asarray(self.aff_base, dtype=_np.int64)
-            self.aff_coeff_np = _np.asarray(self.aff_coeff, dtype=_np.int64)
         self.attempt = _compile_attempt(
             self.region, self.shapes, self.symbols.address_of, n_regs
         )
@@ -610,9 +577,6 @@ class BatchProgram:
 
     def affine_addresses(self, iv: int) -> List[Tuple[str, int]]:
         """The address of every affine item at region index ``iv``."""
-        if self.aff_base_np is not None:
-            offsets = (self.aff_base_np + self.aff_coeff_np * iv).tolist()
-            return list(zip(self.aff_names, offsets))
         return [
             (name, base + coeff * iv)
             for name, base, coeff in zip(
@@ -858,7 +822,7 @@ def build_batch_program(
             return access(r.variable, ref, r.subscripts, True, False, code)
         return access(r[0], ref, r[2], False, len(r) == 3, code)
 
-    for event in trace.events_for(None):
+    for event in trace.events:
         kind = event[0]
         if kind == EV_COMPUTE:
             bp.compute_cycles += event[1].cycles
@@ -876,7 +840,7 @@ def build_batch_program(
                 code,
                 (fixed(rop.variable, rop.subscripts), expected, rop.variable),
             ))
-        elif kind == EV_ASSIGN:
+        else:  # EV_ASSIGN
             (
                 _,
                 rhs_reads,
@@ -902,8 +866,6 @@ def build_batch_program(
             bp.compute_cycles += cost_op.cycles
             bp.batched_ops += 1
             steps.append(("assign", env, rhs, arith_program, tail, write))
-        else:  # pragma: no cover - EV_CHARGE is stripped by events_for(None)
-            raise _BuildError(f"unexpected trace event kind {kind}")
 
     bp.promoted = frozenset(
         name for name, how in addressing.items() if how is not None

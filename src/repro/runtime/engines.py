@@ -31,7 +31,8 @@ the :mod:`~repro.runtime.specstore` substrate:
 Each attempt runs on one of two executors inside this one lifecycle:
 the op-stepped :meth:`SpeculativeEngine._step` or, for eligible loop
 regions with ``batch=True`` and no fault injector,
-:mod:`repro.runtime.batch`.
+:mod:`repro.runtime.batch`.  Attempts run unbounded: only the
+sequential interpreter takes an operation budget.
 
 The two engines differ only in *routing*:
 
@@ -67,7 +68,7 @@ attempts** (``wasted_cycles`` isolates the rolled-back share);
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple, Type
 
 from repro.ir.program import Program
 from repro.ir.region import EXIT_NODE, ExplicitRegion, LoopRegion, Region
@@ -308,7 +309,6 @@ class SpeculativeEngine:
         program: Program,
         window: int = 4,
         capacity: Optional[int] = 64,
-        op_budget: Optional[int] = None,
         recorder=None,
         store: Optional[SpeculativeStore] = None,
         auditor=None,
@@ -320,7 +320,6 @@ class SpeculativeEngine:
         self.program = program
         self.window = max(1, int(window))
         self.capacity = capacity
-        self.op_budget = op_budget
         #: A pre-built store (e.g. a FaultySpeculativeStore) overrides
         #: the default substrate; its capacity wins.
         self.store = store if store is not None else SpeculativeStore(
@@ -372,7 +371,7 @@ class SpeculativeEngine:
         #: with post-hoc validation.  Off by default: the final memory
         #: is bit-identical, but no attempt violates or overflows
         #: partway through, so the dynamics are not the model's.  Runs
-        #: with an op budget or a fault injector ignore it.
+        #: with a fault injector ignore it.
         self.batch = batch
 
     # ------------------------------------------------------------------
@@ -470,9 +469,7 @@ class SpeculativeEngine:
         registry = obs_metrics.metrics_registry()
         if registry.collecting:
             obs_metrics.ingest_degradation(report, registry=registry)
-        sequential = SequentialInterpreter(
-            self.program, op_budget=self.op_budget
-        ).run()
+        sequential = SequentialInterpreter(self.program).run()
         result = SpeculativeResult(
             program=self.program.name,
             engine=self.engine_name,
@@ -541,7 +538,7 @@ class SpeculativeEngine:
         gets the section's price in one call."""
         accesses = stats.reads + stats.writes
         cycles = stats.cycles
-        drive(segment_coroutine(body, op_budget=self.op_budget), memory, stats)
+        drive(segment_coroutine(body), memory, stats)
         if self._recorder is not None:
             self._recorder.direct(
                 stats.cycles - cycles, stats.reads + stats.writes - accesses
@@ -991,19 +988,17 @@ class SpeculativeEngine:
     ) -> None:
         values = loop_range(region, memory)
         trace, result.replay_reasons[region.name] = region_trace(region, memory)
-        batch = self.batch and self.op_budget is None and self._injector is None
-        if trace is not None and batch:
+        if trace is not None and self.batch and self._injector is None:
             from repro.runtime.batch import try_run_batched
 
             if try_run_batched(self, region, trace, memory, stats, values):
                 return
-        op_budget = self.op_budget
 
         def spawn_for(value: int) -> Callable[[], SegmentCoroutine]:
             if trace is not None:
-                return lambda: replay_segment(trace, value, op_budget=op_budget)
+                return lambda: replay_segment(trace, value)
             return lambda: segment_coroutine(
-                region.body, locals_in_scope={region.index: value}, op_budget=op_budget
+                region.body, locals_in_scope={region.index: value}
             )
 
         active: List[_SegmentTask] = []
@@ -1022,11 +1017,10 @@ class SpeculativeEngine:
         self, region: ExplicitRegion, memory: MemoryImage, stats: ExecutionStats
     ) -> None:
         edges = region.segment_edges()
-        op_budget = self.op_budget
 
         def spawn_for(segment_name: str) -> Callable[[], SegmentCoroutine]:
             body = region.segment(segment_name).body
-            return lambda: segment_coroutine(body, op_budget=op_budget)
+            return lambda: segment_coroutine(body)
 
         injector = self._injector
 
@@ -1190,6 +1184,11 @@ class CASEEngine(SpeculativeEngine):
         return routes
 
 
+#: The engines by name: every caller that selects one by name looks it
+#: up here.
+ENGINES: Dict[str, Type[SpeculativeEngine]] = {"hose": HOSEEngine, "case": CASEEngine}
+
+
 def run_speculative(
     program: Program,
     engine: str = "case",
@@ -1199,13 +1198,12 @@ def run_speculative(
 ) -> SpeculativeResult:
     """One-shot speculative execution of ``program``.
 
-    ``engine`` is ``"hose"`` or ``"case"``.
+    ``engine`` names one of :data:`ENGINES`.
     """
-    classes = {"hose": HOSEEngine, "case": CASEEngine}
     try:
-        cls = classes[engine]
+        cls = ENGINES[engine]
     except KeyError:
         raise ValueError(
-            f"unknown engine {engine!r}; have {sorted(classes)}"
+            f"unknown engine {engine!r}; have {sorted(ENGINES)}"
         ) from None
     return cls(program, window=window, capacity=capacity, **kwargs).run()

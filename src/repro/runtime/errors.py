@@ -5,7 +5,8 @@ Everything the execution substrates raise derives from
 single except clause while the resilience layer
 (:mod:`repro.resilience`) can still distinguish *substrate* failures
 (livelock, invariant violations, injected faults) from *program*
-failures (bad addresses, exhausted operation budgets) when deciding
+failures (bad addresses, loops that cannot be iterated, exhausted
+operation budgets) when deciding
 whether to degrade to the sequential interpreter.
 """
 
@@ -19,6 +20,11 @@ class SimulationError(Exception):
 
 class AddressError(SimulationError):
     """Raised for invalid memory addresses (bad subscripts, unknown symbols)."""
+
+
+class BoundError(SimulationError):
+    """Raised for a loop that cannot be iterated: a bound or step that
+    is an infinity or NaN, or a zero step."""
 
 
 class InvariantViolation(SimulationError):

@@ -44,7 +44,8 @@ from repro.ir.expr import (
 )
 from repro.ir.reference import MemoryReference
 from repro.ir.stmt import Assign, Do, If, Statement
-from repro.runtime.errors import SimulationError
+from repro.ir.symbols import SymbolError
+from repro.runtime.errors import AddressError, BoundError, SimulationError
 
 Number = Union[int, float]
 
@@ -142,6 +143,15 @@ def _compute_cost(stmt: Statement, expr: Expr) -> int:
 # ----------------------------------------------------------------------
 # Expression evaluation
 # ----------------------------------------------------------------------
+def subscript_value(value: Number) -> int:
+    """The subscript a computed value selects (rounded to an integer);
+    an infinity or NaN raises :class:`AddressError`."""
+    try:
+        return int(round(value))
+    except (OverflowError, ValueError) as exc:
+        raise AddressError(str(exc)) from exc
+
+
 def _eval_expr(
     expr: Expr,
     ctx: ExecContext,
@@ -160,7 +170,7 @@ def _eval_expr(
         subs: List[int] = []
         for sub in expr.subscripts:
             sub_value = yield from _eval_expr(sub, ctx, refs)
-            subs.append(int(round(sub_value)))
+            subs.append(subscript_value(sub_value))
         ref = next(refs, None)
         value = yield ReadOp(expr.name, tuple(subs), ref)
         return 0.0 if value is None else value
@@ -197,7 +207,7 @@ def _exec_assign(stmt: Assign, ctx: ExecContext) -> SegmentCoroutine:
     subs: List[int] = []
     for sub in stmt.target_subscripts:
         sub_value = yield from _eval_expr(sub, ctx, refs)
-        subs.append(int(round(sub_value)))
+        subs.append(subscript_value(sub_value))
     yield WriteOp(stmt.target, tuple(subs), float(rhs_value), stmt.write)
 
 
@@ -210,9 +220,19 @@ def _exec_if(stmt: If, ctx: ExecContext) -> SegmentCoroutine:
     yield from execute_body(body, ctx)
 
 
-def index_range(lower: int, upper: int, step: int) -> range:
-    """A loop index's values, ``lower`` to ``upper`` inclusive
-    (``step`` nonzero)."""
+def index_range(lower: Number, upper: Number, step: Number, loop: str) -> range:
+    """A loop index's values, ``lower`` to ``upper`` inclusive, from its
+    evaluated bounds (each rounded to an integer).
+
+    Raises :class:`BoundError` naming ``loop`` when a bound is an
+    infinity or NaN or the step is zero.
+    """
+    try:
+        lower, upper, step = int(round(lower)), int(round(upper)), int(round(step))
+    except (OverflowError, ValueError):
+        raise BoundError(f"{loop} has a non-finite bound") from None
+    if step == 0:
+        raise BoundError(f"{loop} has zero step")
     return range(lower, upper + (1 if step > 0 else -1), step)
 
 
@@ -223,12 +243,10 @@ def _exec_do(stmt: Do, ctx: ExecContext) -> SegmentCoroutine:
     upper = yield from _eval_expr(stmt.upper, ctx, control_refs)
     step = yield from _eval_expr(stmt.step, ctx, control_refs)
     yield ComputeOp(1)
-    lower_i, upper_i, step_i = int(round(lower)), int(round(upper)), int(round(step))
-    if step_i == 0:
-        raise SimulationError(f"DO loop {stmt.sid or stmt.index} has zero step")
+    values = index_range(lower, upper, step, f"DO loop {stmt.sid or stmt.index}")
     shadowed = ctx.locals.get(stmt.index)
     had_shadow = stmt.index in ctx.locals
-    for value in index_range(lower_i, upper_i, step_i):
+    for value in values:
         ctx.charge()
         ctx.locals[stmt.index] = value
         yield ComputeOp(1)
@@ -274,7 +292,8 @@ def evaluate_expression(
     """Evaluate an expression outside any segment (loop bounds, branches).
 
     ``read_memory(variable, subscripts)`` supplies memory values; locals
-    are served from ``locals_in_scope``.
+    are served from ``locals_in_scope``.  A non-finite subscript raises
+    :class:`AddressError`.
     """
     locals_map = dict(locals_in_scope or {})
 
@@ -283,4 +302,7 @@ def evaluate_expression(
             return locals_map[name]
         return read_memory(name, subs)
 
-    return expr.evaluate(reader)
+    try:
+        return expr.evaluate(reader)
+    except SymbolError as exc:
+        raise AddressError(str(exc)) from exc

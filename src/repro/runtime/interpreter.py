@@ -9,18 +9,17 @@ checked against.
 
 Two execution paths produce identical operation streams:
 
-* the coroutine interpreter of :mod:`repro.runtime.executor` (always
-  available), and
+* the coroutine interpreter of :mod:`repro.runtime.executor`, and
 * the trace replay of :mod:`repro.runtime.trace`, for loop regions
   whose control flow is input-independent: every iteration replays the
   region's one recorded trace (:func:`~repro.runtime.trace.region_trace`,
   shared with the speculative engines), bypassing AST
   re-interpretation.
 
-``use_replay=False`` forces the interpreter path everywhere (the
-reference path).  Either
-way a run's stats carry the same reads, writes and operator-weighted
-compute cycles, which is all
+A run with an ``op_budget`` walks the AST everywhere: only the
+coroutine interpreter counts statement executions (the label-soundness
+checker's oracles run this way).  Either way a run's stats carry the
+same reads, writes and operator-weighted compute cycles, which is all
 :func:`repro.timing.makespan.sequential_baseline` prices.
 """
 
@@ -112,12 +111,10 @@ def loop_range(region: LoopRegion, memory: MemoryImage) -> range:
     """The index values of ``region``, its bounds evaluated over
     ``memory`` on entry."""
     lower, upper, step = (
-        int(round(evaluate_expression(bound, memory.read)))
+        evaluate_expression(bound, memory.read)
         for bound in (region.lower, region.upper, region.step)
     )
-    if step == 0:
-        raise SimulationError(f"region {region.name!r} has zero step")
-    return index_range(lower, upper, step)
+    return index_range(lower, upper, step, f"region {region.name!r}")
 
 
 def drive(
@@ -196,12 +193,12 @@ class SequentialInterpreter:
         self,
         program: Program,
         op_budget: Optional[int] = None,
-        use_replay: bool = True,
         observer: Optional[ExecutionObserver] = None,
     ):
         self.program = program
+        #: Per-segment bound on statement executions; a bounded run
+        #: walks the AST in every region.
         self.op_budget = op_budget
-        self.use_replay = use_replay
         #: Optional :class:`ExecutionObserver` fed every segment
         #: instance and memory operation (both execution paths).
         self.observer = observer
@@ -272,15 +269,15 @@ class SequentialInterpreter:
         result: SequentialResult,
     ) -> None:
         values = loop_range(region, memory)
-        if self.use_replay:
+        if self.op_budget is None:
             trace, reason = region_trace(region, memory)
         else:
-            trace, reason = None, "fast path disabled"
+            trace, reason = None, "op budget set: the AST path counts executions"
         result.replay_reasons[region.name] = reason
         for value in values:
             stats.segments_started += 1
             if trace is not None:
-                coroutine = replay_segment(trace, value, op_budget=self.op_budget)
+                coroutine = replay_segment(trace, value)
             else:
                 coroutine = segment_coroutine(
                     region.body,
@@ -326,13 +323,9 @@ class SequentialInterpreter:
 def run_program(
     program: Program,
     op_budget: Optional[int] = None,
-    use_replay: bool = True,
     observer: Optional[ExecutionObserver] = None,
 ) -> SequentialResult:
     """One-shot sequential execution of ``program``."""
     return SequentialInterpreter(
-        program,
-        op_budget=op_budget,
-        use_replay=use_replay,
-        observer=observer,
+        program, op_budget=op_budget, observer=observer
     ).run()

@@ -25,7 +25,11 @@ Replay eligibility (decided by :func:`trace_eligibility`):
   are fixed for the whole region execution);
 * no control expression reads the region loop index (its value differs
   per iteration, so the schedule would differ too);
-* the unrolled schedule stays below :data:`MAX_TRACE_EVENTS`.
+* the unrolled schedule stays below :data:`MAX_TRACE_EVENTS` (its
+  events plus its statement executions).
+
+Replay has no operation budget: a bounded run walks the AST, the one
+executor that counts statement executions.
 
 Data expressions are unconstrained.  Each assignment is compiled once
 into a *slot form*: its memory reads are enumerated in operation order,
@@ -84,7 +88,7 @@ from repro.ir.expr import (
 from repro.ir.reference import MemoryReference
 from repro.ir.stmt import Assign, Do, If, Statement
 from repro.ir.region import LoopRegion
-from repro.runtime.errors import SimulationError
+from repro.runtime.errors import AddressError, BoundError, SimulationError
 from repro.runtime.executor import (
     ComputeOp,
     ReadOp,
@@ -92,12 +96,13 @@ from repro.runtime.executor import (
     WriteOp,
     _compute_cost,
     index_range,
+    subscript_value,
 )
 from repro.runtime.memory import MemoryImage, same_value
 
-#: Hard cap on recorded events; bodies that unroll past this fall back
-#: to the interpreter (keeps pathological trip counts from exhausting
-#: memory for a speed optimisation).
+#: Hard cap on recorded events plus statement executions; bodies that
+#: unroll past this fall back to the interpreter (keeps pathological
+#: trip counts from exhausting memory for a speed optimisation).
 MAX_TRACE_EVENTS = 500_000
 
 _COMPUTE_1 = ComputeOp(1)
@@ -481,8 +486,13 @@ def _fold_dims(dim_templates: Tuple[Tuple, ...], env: Dict[str, float]):
                 ins[0] in (OP_SLOT, OP_REGION_INDEX) for ins in program
             ):
                 # Fully known at record time (e.g. mod(t, 4) over an
-                # inner index): fold to a constant dimension.
-                dims.append((int(round(fn((), 0, env))), 0))
+                # inner index): fold to a constant dimension.  A
+                # non-finite one is left to the interpreter, which
+                # raises where the program executes it.
+                value = fn((), 0, env)
+                if not math.isfinite(value):
+                    raise TraceError(f"subscript {value} is not finite")
+                dims.append((int(round(value)), 0))
             elif len(program) == 1 and program[0][0] == OP_SLOT:
                 # Plain gather dimension x(col(...)): the subscript IS
                 # an earlier read value; represent it as its slot index.
@@ -500,7 +510,6 @@ def _fold_dims(dim_templates: Tuple[Tuple, ...], env: Dict[str, float]):
 # Trace structure
 # ----------------------------------------------------------------------
 # Event opcodes for the recorded schedule.
-EV_CHARGE = 0     # (EV_CHARGE,)
 EV_COMPUTE = 1    # (EV_COMPUTE, ComputeOp)
 EV_CTRL_READ = 2  # (EV_CTRL_READ, ReadOp, expected_value)
 EV_ASSIGN = 3     # (EV_ASSIGN, rhs_reads, target_reads, arith_fn,
@@ -525,24 +534,6 @@ class SegmentTrace:
     #: Variable -> value of every control read recorded (read-only
     #: scalars; the schedule is valid while they hold).
     ctrl_values: Dict[str, float] = field(default_factory=dict)
-    _events_nocharge: Optional[List[Event]] = field(
-        default=None, init=False, repr=False
-    )
-
-    def events_for(self, op_budget: Optional[int]) -> List[Event]:
-        """Event list for one replay.
-
-        Charge events only matter when an op budget is in force; the
-        unbudgeted replay (the common case) iterates a pre-stripped
-        list instead of dispatching on them per event.
-        """
-        if op_budget is not None:
-            return self.events
-        if self._events_nocharge is None:
-            self._events_nocharge = [
-                e for e in self.events if e[0] != EV_CHARGE
-            ]
-        return self._events_nocharge
 
     def matches(self, memory: MemoryImage) -> bool:
         """True when this is still the schedule of its region over
@@ -707,20 +698,24 @@ def record_trace(
 
         return [expr.evaluate(reader) for expr in exprs]
 
+    # Statement executions so far; the cap counts them with the events.
+    executions = 0
+
     def overflow() -> None:
-        if len(events) > MAX_TRACE_EVENTS:
+        if len(events) + executions > MAX_TRACE_EVENTS:
             raise TraceError(
                 f"trace of region {region.name!r} exceeds "
                 f"{MAX_TRACE_EVENTS} events"
             )
 
     def rec_body(nodes: Sequence[Tuple], env: Dict[str, float]):
+        nonlocal executions
         for node in nodes:
             overflow()
             kind = node[0]
+            executions += 1
             if kind == _N_ASSIGN:
                 stmt = node[1]
-                events.append((EV_CHARGE,))
                 if stmt.guard is not None:
                     (guard_value,) = eval_control(stmt, (stmt.guard,), env)
                     events.append((EV_COMPUTE, _COMPUTE_1))
@@ -729,28 +724,29 @@ def record_trace(
                 emit_assign(node[2], env)
             elif kind == _N_IF:
                 stmt = node[1]
-                events.append((EV_CHARGE,))
                 (cond_value,) = eval_control(stmt, (stmt.cond,), env)
                 events.append((EV_COMPUTE, _COMPUTE_1))
                 rec_body(node[2] if cond_value else node[3], env)
             else:  # _N_DO
                 stmt = node[1]
-                events.append((EV_CHARGE,))
                 lower, upper, step = eval_control(
                     stmt, (stmt.lower, stmt.upper, stmt.step), env
                 )
                 events.append((EV_COMPUTE, _COMPUTE_1))
-                lo, hi, st = int(round(lower)), int(round(upper)), int(round(step))
-                if st == 0:
-                    raise TraceError(
-                        f"DO loop {stmt.sid or stmt.index} has zero step"
+                try:
+                    values = index_range(
+                        lower, upper, step, f"DO loop {stmt.sid or stmt.index}"
                     )
+                except BoundError as exc:
+                    # Left to the interpreter, which raises where the
+                    # program executes the loop.
+                    raise TraceError(str(exc)) from None
                 had = stmt.index in env
                 shadowed = env.get(stmt.index)
                 body_nodes = node[2]
-                for value in index_range(lo, hi, st):
+                for value in values:
                     overflow()
-                    events.append((EV_CHARGE,))
+                    executions += 1
                     env[stmt.index] = value
                     events.append((EV_COMPUTE, _COMPUTE_1))
                     rec_body(body_nodes, env)
@@ -804,34 +800,29 @@ def region_trace(
 # Replay
 # ----------------------------------------------------------------------
 def _program_subs(dims, values, iv, env) -> Tuple[int, ...]:
-    """Subscript tuple of a read/write with at least one program dim."""
+    """Subscript tuple of a read/write with at least one program dim;
+    a non-finite subscript raises :class:`AddressError`."""
     out = []
     for d in dims:
         kind = type(d)
         if kind is tuple:  # (base, region_coeff)
             out.append(d[0] + d[1] * iv)
         elif kind is int:  # slot index of a gather subscript
-            out.append(int(round(values[d])))
+            out.append(subscript_value(values[d]))
         else:  # the generated function of a slot program
-            out.append(int(round(d(values, iv, env))))
+            out.append(subscript_value(d(values, iv, env)))
     return tuple(out)
 
 
-def replay_segment(
-    trace: SegmentTrace,
-    region_value: float,
-    op_budget: Optional[int] = None,
-) -> SegmentCoroutine:
+def replay_segment(trace: SegmentTrace, region_value: float) -> SegmentCoroutine:
     """Replay one recorded iteration as an operation coroutine.
 
-    Yields the identical operation stream (including op-budget charge
-    points and budget-exceeded errors) that
-    ``executor.segment_coroutine`` would produce for the same
-    region-index value.
+    Yields the identical operation stream (and the same address errors)
+    that an unbounded ``executor.segment_coroutine`` would produce for
+    the same region-index value.
     """
     iv = region_value
-    ops_charged = 0
-    for event in trace.events_for(op_budget):
+    for event in trace.events:
         kind = event[0]
         if kind == EV_ASSIGN:
             (
@@ -866,7 +857,10 @@ def replay_segment(
                 else:  # value-dependent address: program dims
                     dims = r[2]
                     if len(dims) == 1 and type(dims[0]) is int:
-                        subs = (int(round(values[dims[0]])),)
+                        try:
+                            subs = (int(round(values[dims[0]])),)
+                        except (OverflowError, ValueError) as exc:
+                            raise AddressError(str(exc)) from exc
                     else:
                         subs = _program_subs(dims, values, iv, env)
                     v = yield ReadOp(r[0], subs, r[1])
@@ -907,12 +901,6 @@ def replay_segment(
             yield WriteOp(target, subs, float(rhs_value), wref)
         elif kind == EV_COMPUTE:
             yield event[1]
-        elif kind == EV_CHARGE:
-            ops_charged += 1
-            if op_budget is not None and ops_charged > op_budget:
-                raise SimulationError(
-                    f"operation budget of {op_budget} exceeded"
-                )
         else:  # EV_CTRL_READ
             received = yield event[1]
             if received is not None and not same_value(received, event[2]):

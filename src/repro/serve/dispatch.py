@@ -50,8 +50,10 @@ from repro.ir.builder import JsonIRError, program_from_json
 from repro.ir.dsl import DSLSyntaxError, parse_program
 from repro.ir.program import Program
 from repro.obs.metrics import metrics_registry
-from repro.runtime.engines import CASEEngine, HOSEEngine
-from repro.runtime.errors import AddressError
+# HOSEEngine is looked up here by the benchmark's traced run, which
+# patches it beside ENGINES and CASEEngine.
+from repro.runtime.engines import ENGINES, CASEEngine, HOSEEngine  # noqa: F401
+from repro.runtime.errors import AddressError, BoundError
 from repro.runtime.interpreter import SequentialInterpreter
 from repro.runtime.memory import MemoryImage
 from repro.serve.pool import FAILURES_COUNTER
@@ -67,9 +69,6 @@ from repro.serve.protocol import (
 from repro.timing.cost import DEFAULT_COST_MODEL
 from repro.timing.events import TimingRecorder
 from repro.timing.makespan import compute_makespan, sequential_baseline
-
-#: Engines selectable by ``simulate`` / ``speedup_sweep``.
-ENGINES = {"hose": HOSEEngine, "case": CASEEngine}
 
 #: Default interner capacity (distinct programs held live).
 DEFAULT_MAX_PROGRAMS = 64
@@ -208,9 +207,10 @@ class Dispatcher:
             return error_response(
                 request.id, INVALID_PARAMS, f"invalid params: {exc}"
             )
-        except AddressError as exc:
-            # The submitted program addresses memory it does not have: a
-            # run-time fault of the program, so the client's error.
+        except (AddressError, BoundError) as exc:
+            # The submitted program addresses memory it does not have or
+            # runs a loop that cannot be iterated: a run-time fault of
+            # the program, so the client's error.
             if collecting:
                 self._registry.counter("serve.errors").inc()
             return error_response(

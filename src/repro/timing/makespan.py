@@ -183,14 +183,13 @@ def speculative_makespan(
     result's memory is still bit-identical to the sequential
     interpreter (the recorder only observes).
     """
-    from repro.runtime.engines import CASEEngine, HOSEEngine
+    from repro.runtime.engines import ENGINES
 
-    classes = {"hose": HOSEEngine, "case": CASEEngine}
     try:
-        engine_cls = classes[engine]
+        engine_cls = ENGINES[engine]
     except KeyError:
         raise ValueError(
-            f"unknown engine {engine!r}; have {sorted(classes)}"
+            f"unknown engine {engine!r}; have {sorted(ENGINES)}"
         ) from None
     cost = cost or CostModel()
     if baseline is None:

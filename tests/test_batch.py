@@ -116,20 +116,6 @@ class TestBatchFallback:
         assert result.stats.batch_fallbacks > 0
         assert result.stats.overflow_stalls > 0
 
-    def test_op_budget_disables_batching(self):
-        # A per-segment op budget needs op granularity, so the engine
-        # must stay on the interleaved path (budget high enough that
-        # nothing trips; batching alone is what is under test).
-        program = generate("reduction", SIZE, STATEMENTS).program
-        sequential = run_program(program)
-        result = CASEEngine(
-            program, window=4, capacity=64, batch=True, op_budget=100_000
-        ).run()
-        assert result.stats.batched_attempts == 0
-        assert sequential.memory.differences(
-            result.memory, tolerance=0.0
-        ) == {}
-
     def test_batch_off_by_default(self):
         program = generate("reduction", SIZE, STATEMENTS).program
         result = CASEEngine(program, window=4, capacity=64).run()
@@ -808,21 +794,14 @@ class TestCompiledAttempt:
 
 
 class TestAffineAddresses:
-    """Both ways of building an attempt's affine address list (numpy
-    from :data:`NUMPY_MIN_AFFINE` items on, a list comprehension below)
-    give the per-item ``(name, base + coeff * iv)`` of the reference.
-    Without numpy every size takes the list path."""
+    """An attempt's affine address list gives the per-item
+    ``(name, base + coeff * iv)`` of the reference."""
 
-    @pytest.mark.parametrize("family, size, numpy", [
-        ("stencil", 24, True),
-        ("reduction", 24, False),
-    ])
-    def test_matches_reference(self, family, size, numpy):
+    @pytest.mark.parametrize("family, size", [("stencil", 24), ("reduction", 24)])
+    def test_matches_reference(self, family, size):
         program = generate(family, size, 4).program
         run_batched(program, CASEEngine, window=4, capacity=64)
         (bp,) = batch_mod._MEMO[program.regions[0]].values()
-        assert (len(bp.aff_names) >= batch_mod.NUMPY_MIN_AFFINE) == numpy
-        assert (bp.aff_base_np is not None) == (numpy and batch_mod._np is not None)
         for iv in range(-3, size + 3):
             reference = [
                 (name, base + coeff * iv)
@@ -831,98 +810,3 @@ class TestAffineAddresses:
             got = bp.affine_addresses(iv)
             assert got == reference
             assert all(type(offset) is int for _, offset in got)
-
-
-class TestNumpyImportGuard:
-    """Regression: the numpy guard must be narrow and must not be silent.
-
-    The module-level ``import numpy`` used to sit behind a bare
-    ``except Exception``, so an unrelated numpy-initialization error
-    silently degraded every batched run to the pure-python path with no
-    signal.  Now only ImportError degrades -- with a one-time structured
-    warning through ``repro.obs.log`` -- and anything else propagates.
-    Each test reloads the module at the end, so it leaves the numpy path
-    as it found it: on where numpy imports, off where it does not.
-    """
-
-    def _reload_batch(self):
-        import importlib
-
-        import repro.runtime.batch as batch_mod
-
-        return importlib.reload(batch_mod)
-
-    def test_missing_numpy_degrades_with_warning(self):
-        import io
-        import sys
-        from unittest import mock
-
-        from repro.obs.log import configure_logging, reset_logging
-
-        had_numpy = batch_mod._np is not None
-        stream = io.StringIO()
-        try:
-            configure_logging(stream=stream)
-            # None in sys.modules makes `import numpy` raise ImportError.
-            with mock.patch.dict(sys.modules, {"numpy": None}):
-                assert self._reload_batch()._np is None
-        finally:
-            reset_logging()
-            self._reload_batch()
-        assert (batch_mod._np is not None) == had_numpy
-        assert "numpy unavailable" in stream.getvalue()
-
-    def test_non_import_errors_propagate(self):
-        import sys
-
-        import pytest as _pytest
-
-        class _ExplodingFinder:
-            """Simulates numpy blowing up mid-initialization."""
-
-            def find_spec(self, name, path=None, target=None):
-                if name == "numpy" or name.startswith("numpy."):
-                    raise RuntimeError("simulated numpy init failure")
-                return None
-
-        had_numpy = batch_mod._np is not None
-        finder = _ExplodingFinder()
-        saved_numpy = {
-            name: sys.modules.pop(name)
-            for name in list(sys.modules)
-            if name == "numpy" or name.startswith("numpy.")
-        }
-        sys.meta_path.insert(0, finder)
-        try:
-            with _pytest.raises(RuntimeError, match="simulated numpy"):
-                self._reload_batch()
-        finally:
-            sys.meta_path.remove(finder)
-            sys.modules.update(saved_numpy)
-            self._reload_batch()
-        assert (batch_mod._np is not None) == had_numpy
-
-    def test_pure_python_path_still_bit_identical(self):
-        import sys
-        from unittest import mock
-
-        from repro.obs.log import configure_logging, reset_logging
-        import io
-
-        stream = io.StringIO()
-        try:
-            configure_logging(stream=stream)
-            with mock.patch.dict(sys.modules, {"numpy": None}):
-                pure = self._reload_batch()
-                for family in FAMILIES:
-                    program = generate(family, SIZE, STATEMENTS).program
-                    result = run_batched(
-                        program, CASEEngine, window=4, capacity=64
-                    )
-                    assert result.stats.batched_attempts > 0
-                    (bp,) = pure._MEMO[program.regions[0]].values()
-                    assert bp.aff_names and bp.aff_base_np is None
-                    assert bp.attempt is not None
-        finally:
-            reset_logging()
-            self._reload_batch()

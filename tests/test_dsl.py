@@ -6,7 +6,16 @@ import pytest
 from conftest import perfbench_inputs
 from repro.corpus.generator import corpus
 from repro.ir.dsl import DSLSyntaxError, parse_expression, parse_program
-from repro.ir.expr import BinOp, Call, Const, ExpressionError, Index, UnaryOp, Var
+from repro.ir.expr import (
+    BinOp,
+    Call,
+    Const,
+    ExpressionError,
+    Index,
+    UnaryOp,
+    Var,
+    const_int,
+)
 from repro.ir.printer import format_program
 from repro.ir.region import ExplicitRegion, LoopRegion
 from repro.ir.stmt import Assign, Do, If
@@ -201,6 +210,23 @@ def test_constructors_reject_what_the_parser_rejects():
 def test_array_read_without_subscripts_is_an_expression_error():
     with pytest.raises(ExpressionError, match="array read of 'f' needs subscripts"):
         parse_expression("f()")
+
+
+def test_non_finite_loop_bounds_have_no_constant_value():
+    # const_int raised OverflowError on an infinity and ValueError on NaN,
+    # and with it the analysis of every loop bounded by one.
+    for value in (float("inf"), float("-inf"), float("nan")):
+        assert const_int(Const(value)) is None
+        assert const_int(UnaryOp("-", Const(value))) is None
+    program = parse_program(
+        "program p\n  real a(8)\n  region R do i = 1, 1e400\n"
+        "    do t = 1, -1e400, -1\n      a(1) = t\n    end do\n"
+        "    liveout a\n  end region\nend program"
+    )
+    (region,) = program.regions
+    (loop,) = region.body
+    assert region.constant_trip_count() is None
+    assert loop.header.constant_trip_count() is None
 
 
 def _program(*body, region=None):

@@ -19,7 +19,6 @@ from repro.runtime.engines import (
     HOSEEngine,
     run_speculative,
 )
-from repro.runtime.errors import SimulationError
 from repro.runtime.interpreter import run_program
 
 
@@ -319,11 +318,6 @@ class TestPlumbing:
         assert result.engine == "hose"
         with pytest.raises(ValueError):
             run_speculative(workload.program, engine="nonsense")
-
-    def test_op_budget_enforced(self):
-        workload = generate("reduction", 12, 2)
-        with pytest.raises(SimulationError):
-            HOSEEngine(workload.program, window=2, op_budget=3).run()
 
     def test_init_and_finale_run_non_speculatively(self):
         src = """

@@ -381,16 +381,25 @@ class TestDispatcher:
         assert [e["bit_identical"] for e in engines.values()] == [True, True]
 
     @pytest.mark.parametrize(
-        "old, new",
+        "edits",
         [
-            ("y(i) = x(i-1) + x(i+1)", "y(i) = x(i+1) + x(i+2)"),
-            ("s = s + y(i)", "x = x(i) + 1"),
+            [("y(i) = x(i-1) + x(i+1)", "y(i) = x(i+1) + x(i+2)")],
+            [("s = s + y(i)", "x = x(i) + 1")],
+            # Subscripts that are an infinity or NaN: a constant, a
+            # gather, a computed read subscript and a scatter target.
+            [("y(i) = x(i-1) + x(i+1)", "y(i) = x(1e400)")],
+            [("y(i) = x(i-1) + x(i+1)", "y(i) = x(1e400 - 1e400)")],
+            [("real s", "real s, c(32) = 1e400"), ("x(i-1) + x(i+1)", "x(c(i))")],
+            [("real s", "real s, c(32) = 1e400"), ("x(i-1) + x(i+1)", "x(c(i) * 2)")],
+            [("real s", "real s, c(32) = 1e400"), ("y(i) = x(i-1)", "y(c(i)) = x(i-1)")],
         ],
     )
-    def test_address_error_is_invalid_params(self, old, new):
+    def test_address_error_is_invalid_params(self, edits):
         # A program that addresses memory it does not have is the
         # client's error; other run-time failures stay INTERNAL_ERROR.
-        dsl = DSL.replace(old, new)
+        dsl = DSL
+        for old, new in edits:
+            dsl = dsl.replace(old, new)
         dispatcher = Dispatcher()
         for method, params in (("simulate", {"batch": True}),
                                ("simulate", {"batch": False}),
@@ -400,6 +409,31 @@ class TestDispatcher:
             assert error["code"] == INVALID_PARAMS, (method, params)
             assert error["data"] == {"type": "AddressError"}
             assert error["message"].startswith("invalid program: ")
+
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ("do i = 2, 31", "do i = 2, 1e400", "region 'L' has a non-finite bound"),
+            ("    y(i) = x(i-1) + x(i+1)",
+             "    do t = 1, 1e400\n      y(i) = x(i-1) + t\n    end do",
+             "DO loop L.s0 has a non-finite bound"),
+            # s is 0.0 when the region starts.
+            ("do i = 2, 31", "do i = 2, 31, s", "region 'L' has zero step"),
+        ],
+    )
+    def test_loop_bound_error_is_invalid_params(self, old, new, message):
+        # analyze needs no bound's value; a run names the loop.
+        dsl = DSL.replace(old, new)
+        dispatcher = Dispatcher()
+        assert "result" in dispatcher.dispatch(rpc(6, "analyze", {"dsl": dsl}))
+        for method, params in (("simulate", {"batch": True}),
+                               ("simulate", {"batch": False}),
+                               ("speedup_sweep", {})):
+            response = dispatcher.dispatch(rpc(7, method, dict(params, dsl=dsl)))
+            error = response["error"]
+            assert error["code"] == INVALID_PARAMS, (method, params)
+            assert error["data"] == {"type": "BoundError"}
+            assert error["message"] == f"invalid program: {message}"
 
     def test_other_simulation_errors_stay_internal(self, monkeypatch):
         def diverged(self, entry):
@@ -986,25 +1020,51 @@ def _spawn_wire(*extra):
 
 
 class TestStartupImports:
-    def test_daemon_imports_leave_numpy_and_batch_unloaded(self):
-        # numpy costs about 57 ms to import; the batched executor (and
-        # numpy with it) loads on the first batched run, not at start.
+    @staticmethod
+    def run_python(code):
+        """Standard output of ``code`` run by a fresh interpreter."""
         src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-        code = (
-            "import sys, repro.serve, repro.serve.__main__\n"
-            "print(sorted(m for m in ('numpy', 'repro.runtime.batch')"
-            " if m in sys.modules))"
-        )
         env = dict(os.environ)
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-c", code],
             capture_output=True,
             text=True,
             env=env,
             check=True,
         ).stdout
+
+    def test_daemon_imports_leave_numpy_and_batch_unloaded(self):
+        # The batched executor loads on the first batched run, not at start.
+        out = self.run_python(
+            "import sys, repro.serve, repro.serve.__main__\n"
+            "print(sorted(m for m in ('numpy', 'repro.runtime.batch')"
+            " if m in sys.modules))"
+        )
         assert out.strip() == "[]"
+
+    def test_batched_simulate_imports_no_numpy(self):
+        # A finder ahead of every other sees each attempt to import
+        # numpy, whether or not numpy is installed.
+        out = self.run_python(
+            "import json, sys\n"
+            "tried = []\n"
+            "class Recorder:\n"
+            "    def find_spec(self, name, path=None, target=None):\n"
+            "        if name.split('.')[0] == 'numpy':\n"
+            "            tried.append(name)\n"
+            "sys.meta_path.insert(0, Recorder())\n"
+            "from repro.bench.workloads import generate\n"
+            "from repro.ir.printer import format_program\n"
+            "from repro.serve.dispatch import Dispatcher\n"
+            "from repro.serve.protocol import Request\n"
+            "dsl = format_program(generate('stencil', 24, 4).program)\n"
+            "params = {'dsl': dsl, 'batch': True}\n"
+            "response = Dispatcher().dispatch(Request('simulate', params, 1))\n"
+            "print(json.dumps([response['result']['bit_identical'],\n"
+            "                  'repro.runtime.batch' in sys.modules, tried]))\n"
+        )
+        assert json.loads(out) == [True, True, []]
 
 
 class TestWireSubprocess:

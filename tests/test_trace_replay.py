@@ -3,7 +3,7 @@
 The acceptance bar of the trace fast path is *bit-identity* with the
 coroutine interpreter: same operation stream (including the reference
 tags and compute costs) per iteration, same final memory image per
-program, same op-budget error behaviour.
+program.  A run with an op budget walks the AST.
 """
 
 import math
@@ -18,11 +18,19 @@ from repro.ir.expr import _BINARY_OPS, _INTRINSICS, _UNARY_OPS, power
 from repro.resilience.faults import FaultPlan
 from repro.resilience.harness import run_resilient
 from repro.runtime import engines as engines_mod
+from repro.runtime import interpreter as interpreter_mod
+from repro.runtime import trace as trace_mod
 from repro.runtime.engines import CASEEngine, HOSEEngine
 from repro.runtime.errors import SimulationError
 from repro.runtime.executor import segment_coroutine
-from repro.runtime.interpreter import SequentialInterpreter, run_program
+from repro.runtime.interpreter import (
+    ExecutionObserver,
+    SequentialInterpreter,
+    drive,
+    run_program,
+)
 from repro.runtime.memory import MemoryImage, same_value
+from repro.runtime.stats import ExecutionStats
 from repro.runtime.trace import (
     OP_BINOP,
     OP_CALL,
@@ -31,6 +39,7 @@ from repro.runtime.trace import (
     OP_REGION_INDEX,
     OP_SLOT,
     OP_UNOP,
+    TraceError,
     codegen_arith,
     record_trace,
     replay_segment,
@@ -42,6 +51,18 @@ from repro.timing.events import TimingRecorder
 def record_for(program, region):
     memory = MemoryImage(program.symbols)
     return memory, record_trace(region, resolve=lambda n: memory.read(n, ()))
+
+
+def run_ast(program):
+    """A sequential run that walks the AST in every region (its trace
+    lookup answers "no trace")."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(
+            interpreter_mod,
+            "region_trace",
+            lambda region, memory: (None, "forced AST path"),
+        )
+        return run_program(program)
 
 
 class TestEquivalenceOnBenchFamilies:
@@ -64,8 +85,8 @@ class TestEquivalenceOnBenchFamilies:
     @pytest.mark.parametrize("family", FAMILIES)
     def test_final_memory_and_stats_identical(self, family):
         workload = generate(family, 20, 4)
-        base = run_program(workload.program, use_replay=False)
-        fast = run_program(workload.program, use_replay=True)
+        base = run_ast(workload.program)
+        fast = run_program(workload.program)
         assert fast.replay_reasons[workload.region.name] == "replayed", family
         assert base.memory.differences(fast.memory) == {}, family
         assert base.stats.as_dict() == fast.stats.as_dict(), family
@@ -80,7 +101,7 @@ class TestSequentialPathsAgree:
     @staticmethod
     def assert_paths_agree(program):
         replay = SequentialInterpreter(program).run()
-        direct = SequentialInterpreter(program, use_replay=False).run()
+        direct = run_ast(program)
         assert replay.memory.differences(direct.memory, tolerance=0.0) == {}
         assert replay.stats.as_dict() == direct.stats.as_dict()
         return replay
@@ -150,7 +171,7 @@ def assert_every_executor_agrees(rhs):
     CASE runs of ``power_program(rhs)`` leave the same memory, without
     an exception or a degraded run; ``y(1)`` is 0.0."""
     program = power_program(rhs)
-    direct = SequentialInterpreter(program, use_replay=False).run()
+    direct = run_ast(program)
     replay = SequentialInterpreter(program).run()
     assert replay.replay_reasons["R"] == "replayed"
     assert replay.memory.differences(direct.memory, tolerance=0.0) == {}
@@ -325,8 +346,8 @@ program t
 end program
 """
         program = parse_program(src)
-        base = run_program(program, use_replay=False)
-        fast = run_program(program, use_replay=True)
+        base = run_ast(program)
+        fast = run_program(program)
         assert fast.replay_reasons["R"] == "replayed"
         assert base.memory.differences(fast.memory) == {}
         assert base.stats.as_dict() == fast.stats.as_dict()
@@ -334,29 +355,98 @@ end program
         assert fast.value_of("a", (5,)) == 0.0
 
 
-class TestBudgetParity:
-    def test_budget_error_at_same_point(self):
-        workload = generate("stencil", 16, 4)
-        region = workload.region
-        _, trace = record_for(workload.program, region)
-        for budget in (1, 7, 23):
-            ops_interp, err_interp = self._run(
-                segment_coroutine(region.body, {region.index: 3}, op_budget=budget),
-                workload,
-            )
-            ops_replay, err_replay = self._run(
-                replay_segment(trace, 3, op_budget=budget), workload
-            )
-            assert ops_interp == ops_replay
-            assert err_interp == err_replay
+class AccessLog(ExecutionObserver):
+    """The segments begun and every read and write, as
+    ``(kind, address)``."""
 
-    @staticmethod
-    def _run(coroutine, workload):
-        memory = MemoryImage(workload.program.symbols)
-        try:
-            return drive_stream(coroutine, memory), None
-        except SimulationError as exc:
-            return None, str(exc)
+    def __init__(self):
+        self.segments = []
+        self.accesses = []
+
+    def begin_segment(self, region, segment, instance):
+        self.segments.append((region, instance))
+
+    def on_read(self, ref, address, value):
+        self.accesses.append(("read", address))
+
+    def on_write(self, ref, address, old_value, new_value):
+        self.accesses.append(("write", address))
+
+
+class TestBoundedRuns:
+    """A run with an op budget walks the AST, the one executor that
+    counts statement executions, in every region."""
+
+    def test_budget_error_at_the_coroutines_op(self):
+        workload = generate("stencil", 16, 4)
+        program, region = workload.program, workload.region
+        assert trace_eligibility(region)[0]
+        first = region.lower.value
+        for budget in (1, 7, 23):
+            log = AccessLog()
+            with pytest.raises(SimulationError) as bounded:
+                SequentialInterpreter(program, op_budget=budget, observer=log).run()
+            expected = AccessLog()
+            with pytest.raises(SimulationError) as reference:
+                drive(
+                    segment_coroutine(
+                        region.body, {region.index: first}, op_budget=budget
+                    ),
+                    MemoryImage(program.symbols),
+                    ExecutionStats(),
+                    expected,
+                )
+            assert str(bounded.value) == str(reference.value)
+            assert f"budget of {budget} exceeded" in str(bounded.value)
+            assert log.segments == [(region.name, first)]
+            assert log.accesses == expected.accesses
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_large_budget_matches_the_replayed_run(self, family):
+        program = generate(family, 16, 4).program
+        region = program.regions[0].name
+        bounded = SequentialInterpreter(program, op_budget=10 ** 6).run()
+        replayed = SequentialInterpreter(program).run()
+        assert "op budget" in bounded.replay_reasons[region]
+        assert replayed.replay_reasons[region] == "replayed"
+        assert bounded.memory.differences(replayed.memory, tolerance=0.0) == {}
+        assert bounded.stats.as_dict() == replayed.stats.as_dict()
+        assert bounded.stats.reference_counts == replayed.stats.reference_counts
+
+
+class TestTraceCap:
+    """``MAX_TRACE_EVENTS`` bounds the recorded events plus the
+    statement executions of the unrolled body."""
+
+    SOURCE = """
+program capped
+  integer n = 3
+  real x(8, 4), y(8)
+  region R do i = 1, 8
+    do t = 1, n
+      if (t > 1) x(i, t) = x(i, t - 1) + 1
+      if (n > 2) then
+        y(i) = y(i) + x(i, t)
+      end if
+    end do
+    liveout x, y
+  end region
+end program
+"""
+
+    #: The smallest cap this body records under; each ``DO`` entry and
+    #: iteration, ``IF`` and assignment counts one execution.
+    CAP = 30
+
+    @pytest.mark.parametrize("cap, records", [(CAP, True), (CAP - 1, False)])
+    def test_body_trips_the_cap(self, cap, records, monkeypatch):
+        program = parse_program(self.SOURCE)
+        monkeypatch.setattr(trace_mod, "MAX_TRACE_EVENTS", cap)
+        if records:
+            record_for(program, program.regions[0])
+        else:
+            with pytest.raises(TraceError, match=f"exceeds {cap} events"):
+                record_for(program, program.regions[0])
 
 
 class TestEligibility:
@@ -406,8 +496,8 @@ end program
         program = parse_program(src)
         region = program.regions[0]
         assert trace_eligibility(region)[0]
-        base = run_program(program, use_replay=False)
-        fast = run_program(program, use_replay=True)
+        base = run_ast(program)
+        fast = run_program(program)
         assert fast.replay_reasons["R"] == "replayed"
         assert base.memory.differences(fast.memory) == {}
         assert base.stats.as_dict() == fast.stats.as_dict()
@@ -426,8 +516,8 @@ program t
 end program
 """
         program = parse_program(src)
-        base = run_program(program, use_replay=False)
-        fast = run_program(program, use_replay=True)
+        base = run_ast(program)
+        fast = run_program(program)
         assert fast.replay_reasons["R"] != "replayed"
         assert base.memory.differences(fast.memory) == {}
         assert base.stats.as_dict() == fast.stats.as_dict()
